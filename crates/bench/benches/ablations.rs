@@ -2,7 +2,6 @@
 //!
 //! - **D1** Fiedler/chain permutation refinement vs plain cluster grouping,
 //! - **D2** thick-restart Lanczos vs plain (non-restarted) Lanczos,
-//! - **D3** implicit Laplacian operator vs materialized similarity matrix,
 //! - **D4** balanced vs unbalanced class weights in the decision tree
 //!   (quality measured in the paired test below, time measured here).
 //!
@@ -66,26 +65,6 @@ fn bench_d2_eigensolvers(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_d3_similarity_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("d3_similarity_path");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(2));
-    for n in [512usize, 1024] {
-        let a = workload(n);
-        for (label, materialize) in [("implicit", false), ("materialized", true)] {
-            let algo = SpectralReorderer::new(BootesConfig {
-                materialize_similarity: materialize,
-                ..BootesConfig::default().with_k(8)
-            });
-            g.bench_with_input(BenchmarkId::new(label, n), &a, |b, a| {
-                b.iter(|| algo.reorder(black_box(a)).expect("reorder"))
-            });
-        }
-    }
-    g.finish();
-}
-
 fn bench_d4_tree_training(c: &mut Criterion) {
     let mut g = c.benchmark_group("d4_tree_training");
     g.sample_size(10);
@@ -123,7 +102,6 @@ criterion_group!(
     benches,
     bench_d1_refinement,
     bench_d2_eigensolvers,
-    bench_d3_similarity_path,
     bench_d4_tree_training
 );
 criterion_main!(benches);

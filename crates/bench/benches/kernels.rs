@@ -10,7 +10,7 @@ use bootes_linalg::kmeans::{kmeans, KMeansConfig};
 use bootes_linalg::lanczos::{lanczos_smallest, LanczosConfig};
 use bootes_linalg::laplacian::{normalized_laplacian, ImplicitNormalizedLaplacian};
 use bootes_linalg::operator::LinearOperator;
-use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, spgemm_hash, BlockSparseMatrix};
+use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -31,11 +31,8 @@ fn bench_spgemm(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     for n in [256usize, 512, 1024] {
         let a = workload(n);
-        g.bench_with_input(BenchmarkId::new("dense_acc", n), &a, |b, a| {
-            b.iter(|| spgemm(black_box(a), black_box(a)).expect("square"))
-        });
-        g.bench_with_input(BenchmarkId::new("hash_acc", n), &a, |b, a| {
-            b.iter(|| spgemm_hash(black_box(a), black_box(a)).expect("square"))
+        g.bench_with_input(BenchmarkId::new("row_wise", n), &a, |b, a| {
+            b.iter(|| spgemm(black_box(a), black_box(a), 1).expect("square"))
         });
         // TileSpGEMM-style block kernel (conversion amortized outside).
         let blocked = BlockSparseMatrix::from_csr(&a, 16).expect("valid block size");
@@ -54,20 +51,15 @@ fn bench_similarity_and_laplacian(c: &mut Criterion) {
     for n in [256usize, 512, 1024] {
         let a = workload(n);
         g.bench_with_input(BenchmarkId::new("similarity", n), &a, |b, a| {
-            b.iter(|| similarity_matrix(black_box(a)))
+            b.iter(|| similarity_matrix(black_box(a), 1))
         });
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         g.bench_with_input(BenchmarkId::new("laplacian", n), &s, |b, s| {
             b.iter(|| normalized_laplacian(black_box(s)).expect("valid"))
         });
-        // One application of the implicit vs materialized operator.
-        let l = normalized_laplacian(&s).expect("valid");
+        // One application of the implicit operator the eigensolver runs on.
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = vec![1.0; n];
-        g.bench_with_input(BenchmarkId::new("matvec_materialized", n), &l, |b, l| {
-            let mut y = vec![0.0; n];
-            b.iter(|| l.matvec_into(black_box(&x), black_box(&mut y)))
-        });
         g.bench_with_input(BenchmarkId::new("matvec_implicit", n), &op, |b, op| {
             let mut y = vec![0.0; n];
             b.iter(|| op.apply(black_box(&x), black_box(&mut y)))

@@ -4,8 +4,6 @@
 //!
 //! - D1: chain-refined permutation vs plain cluster grouping,
 //! - D1b: extra embedding dimensions vs exactly-k,
-//! - D3: implicit vs materialized Laplacian (same math — verified equal
-//!   traffic — different preprocessing cost),
 //! - D4: balanced vs unbalanced decision-tree training,
 //! - extension: recursive spectral bisection vs flat spectral clustering.
 
@@ -51,13 +49,6 @@ fn main() {
             "D1b off: exactly-k embedding",
             Box::new(SpectralReorderer::new(BootesConfig {
                 extra_embed: 0,
-                ..BootesConfig::default().with_k(8)
-            })),
-        ),
-        (
-            "D3: materialized similarity",
-            Box::new(SpectralReorderer::new(BootesConfig {
-                materialize_similarity: true,
                 ..BootesConfig::default().with_k(8)
             })),
         ),

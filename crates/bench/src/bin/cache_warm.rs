@@ -1,16 +1,13 @@
 //! Warm-vs-cold preprocessing time with the artifact cache.
 //!
 //! Runs the full pipeline (features → decision tree → spectral reorder) on a
-//! clustered matrix of `BOOTES_CACHE_N` rows (default 600) four ways:
+//! clustered matrix of `BOOTES_CACHE_N` rows (default 4000) three ways:
 //!
 //! 1. **cold** — empty cache, everything computed,
 //! 2. **warm (memory)** — identical input again, served from the in-memory
 //!    store (verified bit-identical to the cold permutation),
 //! 3. **warm (disk)** — a fresh process-equivalent cache over the same
-//!    `--cache-dir`, served from the on-disk layer,
-//! 4. **warm-start eigensolve** — a *changed* solver configuration on the
-//!    same pattern, seeded from the cached Ritz pairs (opt-in path; output
-//!    is re-verified against a cold run of the same configuration).
+//!    `--cache-dir`, served from the on-disk layer.
 //!
 //! Writes `results/cache_warm.json`.
 
@@ -56,9 +53,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4000);
-    // Weak-ish cluster coherence: the cold eigensolve needs a thick restart,
-    // which is exactly the regime where a same-pattern Ritz donor pays off
-    // (a one-cycle solve leaves the warm start nothing to save).
+    // Weak-ish cluster coherence: the cold eigensolve needs a thick restart.
     let a = clustered(&GenConfig::new(n, n).seed(0x0B007E5), 8, 0.6).expect("valid generator");
     let dir = std::env::temp_dir().join(format!("bootes-cache-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -135,41 +130,6 @@ fn main() {
         disk_ms,
         cold_ms,
         true,
-    );
-
-    // 4. Warm-started eigensolve: change the solver seed so the Reorder and
-    //    Ritz keys change, leaving the stored Ritz pairs as a same-pattern
-    //    donor. The donor spans the target eigenspace, so the seeded solve
-    //    converges in a fraction of the cold restarts. Compare against a
-    //    cold run of the *same* reseeded config.
-    let tight = BootesConfig::default().with_seed(0xD1FF_5EED);
-    let tight_pipeline = BootesPipeline::new(toy_model(), tight).expect("valid model");
-    bootes_cache::uninstall();
-    let t = Instant::now();
-    let tight_cold = tight_pipeline
-        .preprocess(&a)
-        .expect("tight cold preprocess");
-    let tight_cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    bootes_cache::install(Cache::new(cache_cfg().with_warm_start(true)).expect("cache reopens"));
-    let t = Instant::now();
-    let seeded = tight_pipeline.preprocess(&a).expect("seeded preprocess");
-    let seeded_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        !seeded.stats.cache_hit,
-        "changed config must not be an exact hit"
-    );
-    assert_eq!(
-        seeded.permutation.len(),
-        tight_cold.permutation.len(),
-        "seeded solve must still produce a full permutation"
-    );
-    record(
-        &mut results,
-        &mut table,
-        "warm-start eigensolve",
-        seeded_ms,
-        tight_cold_ms,
-        false,
     );
 
     let final_stats = bootes_cache::uninstall().expect("cache installed").stats();

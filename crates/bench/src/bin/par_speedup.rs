@@ -1,7 +1,6 @@
 //! Parallel-kernel speedup sweep for `bootes-par`.
 //!
-//! Sweeps the SpGEMM kernels (dense, hash, and adaptive accumulators), the
-//! similarity product, and SpMV over threads ∈ {1, 2, 4, 8} on a clustered
+//! Sweeps SpGEMM, the similarity product, and SpMV over threads ∈ {1, 2, 4, 8} on a clustered
 //! matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies every
 //! parallel output is bit-identical to the serial one, and writes
 //! `results/par_speedup.json`. Each row carries the per-region load-balance
@@ -19,7 +18,7 @@
 
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_sparse::ops::{par_similarity_matrix, par_spgemm, par_spgemm_adaptive, par_spgemm_hash};
+use bootes_sparse::ops::{similarity_matrix, spgemm};
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
 
@@ -50,14 +49,13 @@ fn gauge(name: &str) -> f64 {
 /// Sweeps one kernel over the thread counts, asserting bit-identity against
 /// the 1-thread output and appending a [`SweepRow`] per count.
 ///
-/// `region` is the `bootes-obs` region the kernel attributes its workers to
-/// (the imbalance/utilization gauges are read back under that name).
+/// `name` is also the `bootes-obs` region the kernel attributes its workers
+/// to (the imbalance/utilization gauges are read back under that name).
 fn sweep_kernel<R: PartialEq>(
     runner: &mut bootes_perf::Runner,
     table: &mut Table,
     results: &mut Vec<SweepRow>,
     name: &str,
-    region: &str,
     nnz: usize,
     run: impl Fn(usize) -> R,
 ) {
@@ -79,8 +77,8 @@ fn sweep_kernel<R: PartialEq>(
             m.summary.mad / 1e6,
             m.summary.min / 1e6,
         );
-        let imbalance = gauge(&format!("par.region.imbalance{{region={region}}}"));
-        let utilization = gauge(&format!("par.region.utilization{{region={region}}}"));
+        let imbalance = gauge(&format!("par.region.imbalance{{region={name}}}"));
+        let utilization = gauge(&format!("par.region.utilization{{region={name}}}"));
         if t == 1 {
             serial_median_ms = median_ms;
         }
@@ -149,55 +147,22 @@ fn main() {
     let mut results: Vec<SweepRow> = Vec::new();
     let nnz = a.nnz();
 
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spgemm.dense_acc",
-        "spgemm.dense_acc",
-        nnz,
-        |t| par_spgemm(&a, &b, t).expect("valid operands"),
-    );
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spgemm.hash_acc",
-        "spgemm.hash_acc",
-        nnz,
-        |t| par_spgemm_hash(&a, &b, t).expect("valid operands"),
-    );
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spgemm.adaptive",
-        "spgemm.adaptive",
-        nnz,
-        |t| par_spgemm_adaptive(&a, &b, t).expect("valid operands"),
-    );
+    sweep_kernel(&mut runner, &mut table, &mut results, "spgemm", nnz, |t| {
+        spgemm(&a, &b, t).expect("valid operands")
+    });
     sweep_kernel(
         &mut runner,
         &mut table,
         &mut results,
         "similarity.rows",
-        "similarity.rows",
         nnz,
-        |t| par_similarity_matrix(&a, t),
+        |t| similarity_matrix(&a, t),
     );
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "spmv",
-        "spmv",
-        nnz,
-        |t| {
-            let mut y = vec![0.0f64; n];
-            a.par_matvec_into(&x, &mut y, t);
-            y
-        },
-    );
+    sweep_kernel(&mut runner, &mut table, &mut results, "spmv", nnz, |t| {
+        let mut y = vec![0.0f64; n];
+        a.par_matvec_into(&x, &mut y, t);
+        y
+    });
 
     table.print("Parallel kernel sweep (bit-identical outputs; speedup vs t=1 median)");
     if bootes_par::available() < 4 {

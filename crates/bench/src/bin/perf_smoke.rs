@@ -1,6 +1,6 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (SpGEMM dense/hash accumulator, SpMV,
+//! Measures the hot kernels (SpGEMM, SpMV,
 //! similarity, k-means assignment via the pipeline's clustering step) on
 //! small fixed inputs through the [`bootes_perf::Runner`] (warmup + repeats,
 //! median/MAD), appends the run to `results/history/perf_smoke.jsonl`, and
@@ -13,7 +13,7 @@
 
 use bootes_bench::results_dir;
 use bootes_linalg::{kmeans_threads, KMeansConfig};
-use bootes_sparse::ops::{par_similarity_matrix, par_spgemm, par_spgemm_hash};
+use bootes_sparse::ops::{similarity_matrix, spgemm};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -38,16 +38,11 @@ fn main() {
 
     let mut runner = bootes_perf::Runner::new("perf_smoke");
 
-    runner.measure(&format!("spgemm_dense/t{threads}"), || {
-        par_spgemm(&a, &a, threads).expect("valid operands").nnz()
-    });
-    runner.measure(&format!("spgemm_hash/t{threads}"), || {
-        par_spgemm_hash(&a, &a, threads)
-            .expect("valid operands")
-            .nnz()
+    runner.measure(&format!("spgemm/t{threads}"), || {
+        spgemm(&a, &a, threads).expect("valid operands").nnz()
     });
     runner.measure(&format!("similarity/t{threads}"), || {
-        par_similarity_matrix(&a, threads).nnz()
+        similarity_matrix(&a, threads).nnz()
     });
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
     let mut y = vec![0.0; n];

@@ -188,38 +188,6 @@ impl DiskStore {
         }
     }
 
-    /// Scans the directory for any entry of the same kind and pattern as
-    /// `key` but a *different* config hash — the warm-start donor lookup.
-    /// Returns the first valid match in lexicographic file-name order (a
-    /// deterministic choice); corrupt candidates are quarantined and
-    /// skipped.
-    pub fn load_same_pattern(&self, key: &CacheKey) -> Option<Artifact> {
-        let prefix = format!("{}-{}-", key.kind.tag(), hex16(key.pattern));
-        let mut names: Vec<String> = std::fs::read_dir(&self.dir)
-            .ok()?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with(&prefix) && n.ends_with(".json"))
-            .collect();
-        names.sort();
-        for name in names {
-            let cfg_hex = name
-                .trim_end_matches(".json")
-                .rsplit('-')
-                .next()
-                .and_then(parse_hex16);
-            let Some(config) = cfg_hex else { continue };
-            if config == key.config {
-                continue; // the exact entry is the caller's normal lookup
-            }
-            let donor_key = CacheKey { config, ..*key };
-            if let Some(artifact) = self.load(&donor_key) {
-                return Some(artifact);
-            }
-        }
-        None
-    }
-
     /// Lists the keys of every on-disk entry of `kind` whose config hash is
     /// `config`, in lexicographic file-name order. Nothing is loaded or
     /// validated — callers load (and thereby validate) the entries they
@@ -557,27 +525,5 @@ mod tests {
         // Quarantining a missing entry is a no-op, not a panic.
         store.quarantine_entry(&key, "again");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn same_pattern_donor_lookup_skips_exact_key() {
-        let dir = tmp_dir("donor");
-        let store = DiskStore::open(&dir).unwrap();
-        let key = sample_key();
-        let donor = CacheKey {
-            config: key.config ^ 0xFF,
-            ..key
-        };
-        store.store(&donor, &sample_artifact()).unwrap();
-        // No exact entry, but the same-pattern donor is found.
-        assert_eq!(store.load(&key), None);
-        assert_eq!(store.load_same_pattern(&key), Some(sample_artifact()));
-        // With only the exact entry present, the donor lookup returns None.
-        let lonely = tmp_dir("donor2");
-        let store2 = DiskStore::open(&lonely).unwrap();
-        store2.store(&key, &sample_artifact()).unwrap();
-        assert_eq!(store2.load_same_pattern(&key), None);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&lonely);
     }
 }

@@ -20,10 +20,9 @@
 //!    exact hit skips the whole spectral pipeline and returns bit-identical
 //!    output (the stored stats are re-stamped with the lookup time and a
 //!    `cache_hit` marker).
-//! 2. **Ritz** — converged Lanczos eigenpairs. An exact hit is reused
-//!    verbatim; a same-pattern entry under a *different* solver
-//!    configuration can seed a warm-started solve (opt-in, because a
-//!    warm-started solve is deterministic but not bit-identical to cold).
+//! 2. **Ritz** — converged Lanczos eigenpairs, reused verbatim on an exact
+//!    hit. Reorder keys include the model, so pipelines that pick the same
+//!    `k` for one matrix share a single eigensolve through this key.
 //! 3. **Decision** — the structural feature vector and the decision tree's
 //!    predicted class.
 //! 4. **Sketch** — a whole-matrix MinHash similarity sketch plus per-row
@@ -77,11 +76,6 @@ pub struct CacheConfig {
     pub mem_budget: Budget,
     /// Directory of the on-disk layer; `None` keeps the cache memory-only.
     pub dir: Option<PathBuf>,
-    /// Allow warm-starting eigensolves from same-pattern entries stored
-    /// under a different solver configuration. Off by default: a warm-started
-    /// solve is deterministic but not bit-identical to a cold one, so
-    /// enabling this trades exact reproducibility for speed.
-    pub warm_start: bool,
 }
 
 impl CacheConfig {
@@ -96,12 +90,6 @@ impl CacheConfig {
     /// Adds an on-disk layer rooted at `dir`.
     pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = Some(dir.into());
-        self
-    }
-
-    /// Enables warm-start donation (see [`CacheConfig::warm_start`]).
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
         self
     }
 }
@@ -157,11 +145,6 @@ impl Cache {
         &self.config
     }
 
-    /// Whether warm-start donation is enabled.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.config.warm_start
-    }
-
     /// Looks up `key` in memory, then on disk (promoting a disk hit into
     /// memory). Counts `cache.hit` / `cache.miss`.
     pub fn get(&self, key: &CacheKey) -> Option<Artifact> {
@@ -202,34 +185,6 @@ impl Cache {
             }
         }
         self.mem.put(key, artifact);
-    }
-
-    /// Warm-start donor lookup: a Ritz artifact with the same sparsity
-    /// pattern as `key` but a different solver configuration, from memory
-    /// first, then disk. Returns `None` unless [`CacheConfig::warm_start`]
-    /// is enabled. Does not count hit/miss — a donor is an accelerated miss,
-    /// not a hit.
-    pub fn ritz_donor(&self, key: &CacheKey) -> Option<RitzArtifact> {
-        if !self.config.warm_start || key.kind != ArtifactKind::Ritz {
-            return None;
-        }
-        let from_mem = self.mem.scan(|k, a| match a {
-            Artifact::Ritz(r)
-                if k.kind == ArtifactKind::Ritz
-                    && k.pattern == key.pattern
-                    && k.config != key.config =>
-            {
-                Some(r.clone())
-            }
-            _ => None,
-        });
-        if from_mem.is_some() {
-            return from_mem;
-        }
-        match self.disk.as_ref()?.load_same_pattern(key)? {
-            Artifact::Ritz(r) => Some(r),
-            _ => None,
-        }
     }
 
     /// Lists every cached sketch stored under the sketch config hash
@@ -285,8 +240,7 @@ impl Cache {
 
     /// Drift donor lookup: the reorder artifact stored under the *donor's*
     /// pattern hash and the requesting run's config hash. Does not count
-    /// hit/miss — like [`Cache::ritz_donor`], a donor is an accelerated miss,
-    /// not a hit.
+    /// hit/miss — a donor is an accelerated miss, not a hit.
     ///
     /// `expect_rows` is the requesting matrix's row count. A stored
     /// permutation whose length disagrees is *quarantined* from both layers
@@ -438,46 +392,6 @@ mod tests {
         // Promoted into memory: a second hit works even if the file vanishes.
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(cache.get(&key(7, 9)), Some(decision(4)));
-    }
-
-    #[test]
-    fn ritz_donor_respects_opt_in_and_kind() {
-        let pairs = bootes_linalg::Eigenpairs {
-            eigenvalues: vec![0.1],
-            eigenvectors: vec![vec![1.0, 0.0]],
-            matvecs: 3,
-            restarts: 0,
-            residuals: vec![1e-10],
-        };
-        let ritz_key = CacheKey {
-            kind: ArtifactKind::Ritz,
-            pattern: 5,
-            config: 100,
-        };
-        let donor_key = CacheKey {
-            config: 200,
-            ..ritz_key
-        };
-        // Disabled (default): no donor even though one exists.
-        let off = Cache::new(CacheConfig::memory_only(1 << 20)).unwrap();
-        off.put(
-            donor_key,
-            Artifact::Ritz(RitzArtifact {
-                pairs: pairs.clone(),
-            }),
-        );
-        assert!(off.ritz_donor(&ritz_key).is_none());
-        // Enabled: the same-pattern different-config entry is donated.
-        let on = Cache::new(CacheConfig::memory_only(1 << 20).with_warm_start(true)).unwrap();
-        on.put(
-            donor_key,
-            Artifact::Ritz(RitzArtifact {
-                pairs: pairs.clone(),
-            }),
-        );
-        assert_eq!(on.ritz_donor(&ritz_key).map(|r| r.pairs), Some(pairs));
-        // An exact-config entry is never its own donor.
-        assert!(on.ritz_donor(&donor_key).is_none());
     }
 
     fn sketch(pattern_tag: u64, nrows: usize) -> SketchArtifact {

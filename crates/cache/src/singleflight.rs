@@ -204,8 +204,15 @@ mod tests {
                 })
             }));
         }
-        // Wait until one leader is in flight, then release it.
-        while group.inflight() == 0 {
+        // The gate holds the leader, so the other seven threads must all
+        // coalesce onto its flight; release it only once they have.
+        let waiters = || {
+            group
+                .lock()
+                .get(&key(7))
+                .map_or(0, |f| *f.waiters.lock().unwrap())
+        };
+        while waiters() < 7 {
             std::thread::yield_now();
         }
         {
@@ -223,12 +230,8 @@ mod tests {
                 FlightRole::Coalesced => coalesced += 1,
             }
         }
-        // At least one flight coalesced (all 8 threads raced one gate); the
-        // computation count equals the leader count — never 8.
-        assert!(leaders >= 1);
-        assert_eq!(leaders + coalesced, 8);
-        assert_eq!(computations.load(Ordering::SeqCst), leaders);
-        assert!(coalesced > 0, "gated leader must accumulate waiters");
+        assert_eq!((leaders, coalesced), (1, 7));
+        assert_eq!(computations.load(Ordering::SeqCst), 1);
         assert_eq!(group.inflight(), 0);
     }
 

@@ -29,12 +29,6 @@ pub struct BootesConfig {
     /// the cluster structure; the extras expose intra-cluster structure that
     /// the within-cluster ordering exploits (design decision D1b).
     pub extra_embed: usize,
-    /// Design decision D3: materialize the similarity matrix `S = Ā·Āᵀ` and
-    /// the Laplacian in CSR (Algorithm 4 verbatim) instead of applying the
-    /// Laplacian implicitly through two SpMVs with `Ā`. The implicit default
-    /// needs `O(nnz(A))` memory and time per iteration; the materialized
-    /// path is kept as the ablation baseline.
-    pub materialize_similarity: bool,
     /// RNG seed shared by the eigensolver start vector and k-means seeding.
     pub seed: u64,
 }
@@ -49,7 +43,6 @@ impl Default for BootesConfig {
             kmeans_max_iter: 40,
             fiedler_refine: true,
             extra_embed: 8,
-            materialize_similarity: false,
             seed: 0xB007E5,
         }
     }

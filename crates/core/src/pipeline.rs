@@ -440,8 +440,8 @@ impl BootesPipeline {
     /// donor path.
     ///
     /// Alongside the probe result, returns the query's own [`SketchArtifact`]
-    /// when the probe got far enough to compute it — `preprocess` stores it
-    /// at cache-put time instead of sketching the same matrix twice.
+    /// on every exit after the query was sketched — `preprocess` stores it at
+    /// cache-put time instead of sketching the same matrix twice.
     fn probe_donor(
         &self,
         a: &CsrMatrix,
@@ -463,26 +463,6 @@ impl BootesPipeline {
             return (DonorProbe::NoDonor, None);
         }
         let query = MatrixSketch::compute(a, drift.siglen, drift.seed);
-        let index = SimilarityIndex::new(candidates);
-        let Some(donor) = index.best_donor(&query, a.nrows(), a.ncols(), key.pattern, drift.floor)
-        else {
-            return (DonorProbe::NoDonor, None);
-        };
-        let donor_hex = format!("{:016x}", donor.pattern);
-        // The donor's permutation must exist under the *same* config hash and
-        // span exactly our row count; anything else is quarantined inside
-        // `reorder_donor` and the probe reports no donor. Its full sketch
-        // artifact carries the per-row hashes the changed-set diff needs.
-        let Some(art) = cache.reorder_donor(donor.pattern, key.config, a.nrows()) else {
-            return (DonorProbe::NoDonor, None);
-        };
-        let Some(donor_sketch) = cache.sketch_donor(donor.pattern, drift.sketch_config_hash())
-        else {
-            return (DonorProbe::NoDonor, None);
-        };
-        bootes_obs::counter_add("drift.donor_hits", 1);
-        let ours = row_pattern_hashes(a);
-        let changed = changed_rows(&donor_sketch.row_hashes, &ours);
         // Identical to `sketch_of(a, drift)`: same hash family, same knobs.
         let our_sketch = SketchArtifact {
             nrows: a.nrows(),
@@ -491,8 +471,27 @@ impl BootesPipeline {
             siglen: drift.siglen,
             seed: drift.seed,
             sketch: query.values().to_vec(),
-            row_hashes: ours,
+            row_hashes: row_pattern_hashes(a),
         };
+        let index = SimilarityIndex::new(candidates);
+        let Some(donor) = index.best_donor(&query, a.nrows(), a.ncols(), key.pattern, drift.floor)
+        else {
+            return (DonorProbe::NoDonor, Some(our_sketch));
+        };
+        let donor_hex = format!("{:016x}", donor.pattern);
+        // The donor's permutation must exist under the *same* config hash and
+        // span exactly our row count; anything else is quarantined inside
+        // `reorder_donor` and the probe reports no donor. Its full sketch
+        // artifact carries the per-row hashes the changed-set diff needs.
+        let Some(art) = cache.reorder_donor(donor.pattern, key.config, a.nrows()) else {
+            return (DonorProbe::NoDonor, Some(our_sketch));
+        };
+        let Some(donor_sketch) = cache.sketch_donor(donor.pattern, drift.sketch_config_hash())
+        else {
+            return (DonorProbe::NoDonor, Some(our_sketch));
+        };
+        bootes_obs::counter_add("drift.donor_hits", 1);
+        let changed = changed_rows(&donor_sketch.row_hashes, &our_sketch.row_hashes);
         if drift.should_fallback(changed.len(), a.nrows()) {
             bootes_obs::counter_add("drift.fallbacks", 1);
             return (DonorProbe::Fallback { donor_hex }, Some(our_sketch));

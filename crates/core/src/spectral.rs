@@ -2,22 +2,21 @@
 
 use bootes_cache::{Artifact, ArtifactKind, CacheKey, RitzArtifact};
 use bootes_linalg::kmeans::{kmeans, KMeansConfig};
-use bootes_linalg::lanczos::{lanczos_smallest_warm, Eigenpairs, LanczosConfig};
-use bootes_linalg::laplacian::{normalized_laplacian, ImplicitNormalizedLaplacian};
+use bootes_linalg::lanczos::{lanczos_smallest, Eigenpairs, LanczosConfig};
+use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_linalg::LinalgError;
 use bootes_reorder::{MemTracker, ReorderError, ReorderOutcome, Reorderer, StatsScope};
-use bootes_sparse::ops::similarity_matrix;
 use bootes_sparse::{CsrMatrix, DenseMatrix, Permutation};
 
 use crate::config::BootesConfig;
 
 /// Bootes' spectral-clustering row reordering.
 ///
-/// Implements Algorithm 4: binary similarity matrix → normalized Laplacian →
-/// `k` smallest eigenvectors (thick-restart Lanczos) → k-means on the
-/// spectral embedding → permutation grouping same-cluster rows. All sparse
-/// intermediates stay in CSR and the similarity matrix is released as soon as
-/// the Laplacian exists (§3.1.2 and §5.3 memory-footprint optimizations).
+/// Implements Algorithm 4: normalized Laplacian of the binary row-similarity
+/// graph → `k` smallest eigenvectors (thick-restart Lanczos) → k-means on the
+/// spectral embedding → permutation grouping same-cluster rows. The
+/// Laplacian is applied implicitly through two SpMVs with the pattern of `A`,
+/// so the similarity matrix `Ā·Āᵀ` is never formed (design D3).
 ///
 /// # Example
 ///
@@ -116,11 +115,11 @@ impl SpectralReorderer {
             max_subspace: (k_embed + 16).min(n),
         };
         // Artifact-cache consult: converged Ritz pairs are keyed on the
-        // sparsity pattern (both Laplacian forms are pattern-only operators)
-        // plus every parameter the solve depends on. An exact hit is reused
+        // sparsity pattern (the Laplacian is a pattern-only operator) plus
+        // every parameter the solve depends on. An exact hit is reused
         // verbatim — the solve is deterministic, so this is bit-identical to
-        // re-solving. A same-pattern entry under a different solver
-        // configuration seeds a warm start instead (opt-in, not bit-stable).
+        // re-solving. Reorder keys include the model, so pipelines that pick
+        // the same k for one matrix share the eigensolve through this key.
         let cache = bootes_cache::global();
         let ritz_key = cache.as_ref().map(|_| {
             let fp = bootes_sparse::MatrixFingerprint::of(a);
@@ -132,8 +131,7 @@ impl SpectralReorderer {
                 .write_u64(lcfg.seed)
                 .write_u64(lcfg.allow_unconverged as u64)
                 .write_usize(lcfg.converge_k)
-                .write_usize(lcfg.max_subspace)
-                .write_u64(self.config.materialize_similarity as u64);
+                .write_usize(lcfg.max_subspace);
             CacheKey::new(ArtifactKind::Ritz, &fp, h.finish())
         });
         let cached_eig = match (&cache, &ritz_key) {
@@ -143,63 +141,28 @@ impl SpectralReorderer {
             },
             _ => None,
         };
-        let warm: Vec<Vec<f64>> = if cached_eig.is_none() {
-            match (&cache, &ritz_key) {
-                (Some(c), Some(key)) => c
-                    .ritz_donor(key)
-                    .map(|d| d.pairs.eigenvectors)
-                    .unwrap_or_default(),
-                _ => Vec::new(),
+        let eig: Eigenpairs = match cached_eig {
+            Some(eig) => eig,
+            None => {
+                // Implicit Laplacian: two SpMVs with the binary pattern per
+                // application, no similarity matrix at all.
+                let op = {
+                    let _span = bootes_obs::span!("spectral.laplacian");
+                    ImplicitNormalizedLaplacian::new(a)
+                };
+                mem.alloc(op.heap_bytes());
+                bootes_guard::check_bytes("spectral", mem.current_bytes() as u64)?;
+                let eig = {
+                    let _span = bootes_obs::span!("spectral.lanczos");
+                    lanczos_smallest(&op, k_embed, &lcfg).map_err(numerical)?
+                };
+                mem.free(op.heap_bytes());
+                if let (Some(c), Some(key)) = (&cache, &ritz_key) {
+                    c.put(*key, Artifact::Ritz(RitzArtifact { pairs: eig.clone() }));
+                }
+                eig
             }
-        } else {
-            Vec::new()
         };
-        let ritz_hit = cached_eig.is_some();
-        let eig: Eigenpairs = if let Some(eig) = cached_eig {
-            eig
-        } else if self.config.materialize_similarity {
-            // Ablation D3: Algorithm 4 verbatim — materialize S, then L,
-            // freeing S as soon as L exists (paper §5.3).
-            let similarity = {
-                let _span = bootes_obs::span!("spectral.similarity");
-                similarity_matrix(a)
-            };
-            mem.alloc(similarity.heap_bytes());
-            let laplacian = {
-                let _span = bootes_obs::span!("spectral.laplacian");
-                normalized_laplacian(&similarity).map_err(numerical)?
-            };
-            mem.alloc(laplacian.heap_bytes());
-            mem.free(similarity.heap_bytes());
-            drop(similarity);
-            bootes_guard::check_bytes("spectral", mem.current_bytes() as u64)?;
-            let eig = {
-                let _span = bootes_obs::span!("spectral.lanczos");
-                lanczos_smallest_warm(&laplacian, k_embed, &lcfg, &warm).map_err(numerical)?
-            };
-            mem.free(laplacian.heap_bytes());
-            eig
-        } else {
-            // Default: implicit Laplacian — two SpMVs with the binary
-            // pattern per application, no similarity matrix at all.
-            let op = {
-                let _span = bootes_obs::span!("spectral.laplacian");
-                ImplicitNormalizedLaplacian::new(a)
-            };
-            mem.alloc(op.heap_bytes());
-            bootes_guard::check_bytes("spectral", mem.current_bytes() as u64)?;
-            let eig = {
-                let _span = bootes_obs::span!("spectral.lanczos");
-                lanczos_smallest_warm(&op, k_embed, &lcfg, &warm).map_err(numerical)?
-            };
-            mem.free(op.heap_bytes());
-            eig
-        };
-        if !ritz_hit {
-            if let (Some(c), Some(key)) = (&cache, &ritz_key) {
-                c.put(*key, Artifact::Ritz(RitzArtifact { pairs: eig.clone() }));
-            }
-        }
         // Krylov basis high-water mark (dominant transient of the solve).
         let m_basis = (k_embed + 16).min(n);
         mem.alloc(n * m_basis * std::mem::size_of::<f64>());
@@ -462,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_tracks_similarity_release() {
+    fn memory_accounting_reports_footprint() {
         let a = scrambled_blocks(150, 5, 6, 3);
         let out = SpectralReorderer::new(BootesConfig::default().with_k(5))
             .reorder(&a)

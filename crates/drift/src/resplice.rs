@@ -195,6 +195,12 @@ mod tests {
 
     /// Two clear clusters: rows 0..4 share columns 0..6, rows 4..8 share
     /// columns 10..16.
+    /// A fault-free failpoint scope: it keeps `injected_fault_surfaces_as_drift_error`
+    /// from arming `drift.resplice` while another test here resplices.
+    fn no_faults() -> bootes_guard::ScopedFailpoints {
+        bootes_guard::ScopedFailpoints::arm("").unwrap()
+    }
+
     fn two_clusters() -> CsrMatrix {
         let mut coo = CooMatrix::new(8, 20);
         for r in 0..4 {
@@ -219,6 +225,7 @@ mod tests {
 
     #[test]
     fn empty_delta_returns_the_donor_verbatim() {
+        let _fp = no_faults();
         let a = two_clusters();
         let donor = Permutation::try_new(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
         let out = resplice(&a, &donor, &[]).unwrap();
@@ -227,6 +234,7 @@ mod tests {
 
     #[test]
     fn changed_row_lands_next_to_its_cluster() {
+        let _fp = no_faults();
         // Donor order groups cluster B then cluster A; row 2 (cluster A)
         // "changed" and must be respliced among the cluster-A block, not
         // left where the donor scan happens to put it.
@@ -246,6 +254,7 @@ mod tests {
 
     #[test]
     fn resplice_is_deterministic() {
+        let _fp = no_faults();
         let a = two_clusters();
         let donor = Permutation::try_new(vec![4, 5, 6, 7, 0, 1, 2, 3]).unwrap();
         let x = resplice(&a, &donor, &[1, 6]).unwrap();
@@ -255,6 +264,7 @@ mod tests {
 
     #[test]
     fn invalid_inputs_error_instead_of_panicking() {
+        let _fp = no_faults();
         let a = two_clusters();
         let short = Permutation::try_new(vec![0, 1, 2]).unwrap();
         assert!(matches!(

@@ -200,16 +200,16 @@ pub fn check_bytes(stage: &str, bytes: u64) -> Result<(), GuardError> {
 mod tests {
     use super::*;
 
-    // Budgets are process-global; serialize the tests that arm them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    /// Budgets are process-global, and the failpoint tests' checkpoints read
+    /// them: a fault-free failpoint scope serializes every test that arms one
+    /// against those tests.
+    fn no_faults() -> crate::ScopedFailpoints {
+        crate::ScopedFailpoints::arm("").unwrap()
     }
 
     #[test]
     fn unarmed_checkpoint_is_ok() {
-        let _g = serial();
+        let _fp = no_faults();
         for _ in 0..100 {
             checkpoint("test.site").unwrap();
         }
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn iteration_cap_fires() {
-        let _g = serial();
+        let _fp = no_faults();
         let armed = Budget::unlimited().with_iterations(3).arm();
         checkpoint("a").unwrap();
         checkpoint("b").unwrap();
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn zero_time_budget_fires_immediately() {
-        let _g = serial();
+        let _fp = no_faults();
         let _armed = Budget::unlimited().with_time_ms(0).arm();
         std::thread::sleep(Duration::from_millis(2));
         let err = checkpoint("slow.loop").unwrap_err();
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn byte_ceiling_fires() {
-        let _g = serial();
+        let _fp = no_faults();
         let _armed = Budget::unlimited().with_bytes(1024).arm();
         check_bytes("alloc", 1024).unwrap();
         let err = check_bytes("alloc", 1025).unwrap_err();
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn nested_arm_restores_outer_budget() {
-        let _g = serial();
+        let _fp = no_faults();
         let outer = Budget::unlimited().with_iterations(1000).arm();
         {
             let _inner = Budget::unlimited().with_iterations(1).arm();

@@ -46,7 +46,7 @@ pub enum GuardError {
         limit: u64,
     },
     /// A failpoint armed via `BOOTES_FAILPOINTS` (or
-    /// [`set_failpoints`](crate::set_failpoints)) fired an `err` action.
+    /// [`ScopedFailpoints`](crate::ScopedFailpoints)) fired an `err` action.
     Injected {
         /// The failpoint site that fired.
         site: String,

@@ -4,7 +4,7 @@
 //! the instrumented code hits via [`fail_point`] (usually indirectly through
 //! [`crate::checkpoint`]). Armed failpoints come from the
 //! `BOOTES_FAILPOINTS` environment variable or programmatically via
-//! [`set_failpoints`] / [`ScopedFailpoints::arm`]; the spec grammar is
+//! [`ScopedFailpoints::arm`]; the spec grammar is
 //!
 //! ```text
 //! spec     := entry (',' entry)*
@@ -27,8 +27,8 @@
 //! Probabilistic triggers draw from a *seeded per-entry* generator: entry
 //! `i` for site `s` uses a SplitMix64 stream seeded with
 //! `global_seed ⊕ fnv1a(s) ⊕ i`, where the global seed comes from
-//! [`set_failpoint_seed`] or the `BOOTES_FAILPOINT_SEED` environment
-//! variable (default 0). For a fixed seed the k-th hit of an entry always
+//! [`ScopedFailpoints::arm_seeded`] or the `BOOTES_FAILPOINT_SEED`
+//! environment variable (default 0). For a fixed seed the k-th hit of an entry always
 //! makes the same fire/skip decision, so a `(seed, workload)` pair replays
 //! the same fault schedule — this is what makes chaos runs reproducible.
 //!
@@ -36,8 +36,9 @@
 //! [`fail_point`] is a single relaxed atomic load after a one-time env
 //! lookup.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use crate::error::GuardError;
@@ -211,58 +212,33 @@ fn ensure_env_init() {
     });
 }
 
-/// Arms failpoints from `spec` under the current global seed, replacing any
-/// previously armed set (including one loaded from `BOOTES_FAILPOINTS`). Hit
-/// counters start at zero. Returns a parse error message on malformed specs.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed entry.
-pub fn set_failpoints(spec: &str) -> Result<(), String> {
-    let points = parse_spec(spec, SEED.load(Ordering::Relaxed))?;
-    let _ = ENV_INIT.set(()); // programmatic config overrides the env
-    install(points, spec);
-    Ok(())
-}
-
-/// Sets the global failpoint seed (the `BOOTES_FAILPOINT_SEED` equivalent)
-/// and re-arms `spec` under it, so probabilistic entries replay the same
-/// fire/skip sequence for the same `(seed, spec)` pair.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed entry.
-pub fn set_failpoints_seeded(spec: &str, seed: u64) -> Result<(), String> {
-    set_failpoint_seed(seed);
-    set_failpoints(spec)
-}
-
-/// Sets the global seed used by probabilistic (`%P`) entries. Takes effect
-/// for specs armed *after* this call; already-armed entries keep their
-/// streams.
-pub fn set_failpoint_seed(seed: u64) {
-    let _ = ENV_INIT.set(());
-    SEED.store(seed, Ordering::Relaxed);
-}
-
-/// Disarms every failpoint and suppresses any future `BOOTES_FAILPOINTS`
-/// re-initialization in this process.
-pub fn clear_failpoints() {
-    let _ = ENV_INIT.set(());
-    install(Vec::new(), "");
-}
-
 /// The spec text currently armed (empty string when nothing is armed).
 pub fn current_failpoints() -> String {
     ensure_env_init();
     spec_slot().clone()
 }
 
-/// RAII failpoint scope: arms a spec and restores the previously armed spec
-/// on drop, so chaos runs and unit tests cannot leak armed faults into each
-/// other. Restoring re-parses the saved spec, which resets its hit counters
-/// and probabilistic streams — scopes isolate *which* faults are armed, not
-/// mid-flight counter state.
+/// Held by the live [`ScopedFailpoints`], if any. The table stays
+/// process-global — failpoints fire on `bootes-par` pool workers, so a
+/// thread-local table would miss them — and a scope owns it exclusively for
+/// its whole lifetime, so concurrent tests cannot re-arm or clear each
+/// other's entries mid-run.
+static SCOPE_LOCK: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread holds a scope. A second scope on the same thread
+    /// would deadlock on [`SCOPE_LOCK`], so [`ScopedFailpoints::arm`]
+    /// refuses it instead.
+    static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// RAII failpoint scope — the only way to arm failpoints in-process. Arming
+/// takes a process-wide lock that the scope holds until it is dropped, so
+/// at most one scope is live at a time: a test that arms faults (or arms an
+/// empty spec to guarantee a fault-free table) cannot race another test's
+/// faults. On drop the spec that was armed before (the `BOOTES_FAILPOINTS`
+/// one, or nothing) is restored with fresh hit counters. Scopes do not nest
+/// on one thread.
 ///
 /// ```
 /// use bootes_guard::{fail_point, ScopedFailpoints};
@@ -276,17 +252,20 @@ pub fn current_failpoints() -> String {
 pub struct ScopedFailpoints {
     prev_spec: String,
     prev_seed: u64,
+    _lock: MutexGuard<'static, ()>,
 }
 
 impl ScopedFailpoints {
     /// Arms `spec` under the current global seed, saving the previous spec.
+    /// Blocks while another thread holds a scope.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed entry (the previous
-    /// spec stays armed).
+    /// Returns a description of the first malformed entry, or of the
+    /// nesting error when this thread already holds a scope. Nothing is
+    /// armed and no lock is held then.
     pub fn arm(spec: &str) -> Result<Self, String> {
-        Self::arm_seeded(spec, SEED.load(Ordering::Relaxed))
+        Self::lock_and_arm(spec, None)
     }
 
     /// Arms `spec` under an explicit seed, saving both the previous spec and
@@ -294,18 +273,30 @@ impl ScopedFailpoints {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed entry (the previous
-    /// spec stays armed).
+    /// Same as [`ScopedFailpoints::arm`].
     pub fn arm_seeded(spec: &str, seed: u64) -> Result<Self, String> {
+        Self::lock_and_arm(spec, Some(seed))
+    }
+
+    fn lock_and_arm(spec: &str, seed: Option<u64>) -> Result<Self, String> {
+        if IN_SCOPE.get() {
+            return Err("this thread already holds a ScopedFailpoints; scopes do not nest".into());
+        }
+        // A test that panics inside its scope poisons the lock, but the
+        // scope's drop has restored the table by then: nothing to repair.
+        let lock = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         ensure_env_init();
-        let prev_spec = current_failpoints();
         let prev_seed = SEED.load(Ordering::Relaxed);
+        let seed = seed.unwrap_or(prev_seed);
         let points = parse_spec(spec, seed)?;
+        IN_SCOPE.set(true);
+        let prev_spec = current_failpoints();
         SEED.store(seed, Ordering::Relaxed);
         install(points, spec);
         Ok(ScopedFailpoints {
             prev_spec,
             prev_seed,
+            _lock: lock,
         })
     }
 }
@@ -322,6 +313,8 @@ impl Drop for ScopedFailpoints {
             // unreachable in practice, but never panic in a destructor.
             Err(_) => install(Vec::new(), ""),
         }
+        IN_SCOPE.set(false);
+        // `_lock` is released after this body, once the table is restored.
     }
 }
 
@@ -397,17 +390,13 @@ pub fn fail_point(site: &str) -> Result<(), GuardError> {
 mod tests {
     use super::*;
 
-    // Failpoints are process-global; serialize tests that arm them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    fn arm(spec: &str) -> ScopedFailpoints {
+        ScopedFailpoints::arm(spec).unwrap()
     }
 
     #[test]
     fn unset_fail_point_is_ok() {
-        let _g = serial();
-        clear_failpoints();
+        let _fp = arm("");
         for _ in 0..10 {
             fail_point("anything").unwrap();
         }
@@ -415,8 +404,7 @@ mod tests {
 
     #[test]
     fn err_at_n_fires_exactly_once() {
-        let _g = serial();
-        set_failpoints("a.site=err@3").unwrap();
+        let _fp = arm("a.site=err@3");
         fail_point("a.site").unwrap();
         fail_point("a.site").unwrap();
         let err = fail_point("a.site").unwrap_err();
@@ -429,64 +417,57 @@ mod tests {
         // Hit 4 and beyond: armed-at-3 never fires again.
         fail_point("a.site").unwrap();
         fail_point("a.site").unwrap();
-        clear_failpoints();
     }
 
     #[test]
     fn err_without_index_fires_every_hit() {
-        let _g = serial();
-        set_failpoints("b.site=err").unwrap();
+        let _fp = arm("b.site=err");
         assert!(fail_point("b.site").is_err());
         assert!(fail_point("b.site").is_err());
         assert!(fail_point("other.site").is_ok());
-        clear_failpoints();
     }
 
     #[test]
     fn panic_action_panics() {
-        let _g = serial();
-        set_failpoints("c.site=panic@1").unwrap();
+        let _fp = arm("c.site=panic@1");
         let caught = std::panic::catch_unwind(|| fail_point("c.site"));
         assert!(caught.is_err());
-        clear_failpoints();
     }
 
     #[test]
     fn multiple_entries_parse() {
-        let _g = serial();
-        set_failpoints("lanczos.restart=err@3, kmeans.iter=panic@1").unwrap();
+        let _fp = arm("lanczos.restart=err@3, kmeans.iter=panic@1");
         fail_point("lanczos.restart").unwrap();
         fail_point("lanczos.restart").unwrap();
         assert!(fail_point("lanczos.restart").is_err());
-        clear_failpoints();
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert!(set_failpoints("nosite").is_err());
-        assert!(set_failpoints("a=nope").is_err());
-        assert!(set_failpoints("a=err@x").is_err());
-        assert!(set_failpoints("a=err@0").is_err());
-        assert!(set_failpoints("a=err%0").is_err());
-        assert!(set_failpoints("a=err%1.5").is_err());
-        assert!(set_failpoints("a=delay:ms").is_err());
-        assert!(set_failpoints("a=delay:10").is_err());
-        clear_failpoints();
+        for spec in [
+            "nosite",
+            "a=nope",
+            "a=err@x",
+            "a=err@0",
+            "a=err%0",
+            "a=err%1.5",
+            "a=delay:ms",
+            "a=delay:10",
+        ] {
+            assert!(ScopedFailpoints::arm(spec).is_err(), "{spec}");
+        }
     }
 
     #[test]
     fn checkpoint_routes_through_fail_point() {
-        let _g = serial();
-        set_failpoints("d.site=err@1").unwrap();
+        let _fp = arm("d.site=err@1");
         assert!(crate::checkpoint("d.site").is_err());
         assert!(crate::checkpoint("d.site").is_ok());
-        clear_failpoints();
     }
 
     #[test]
     fn delay_action_sleeps_then_succeeds() {
-        let _g = serial();
-        set_failpoints("e.site=delay:20ms@1").unwrap();
+        let _fp = arm("e.site=delay:20ms@1");
         let t0 = std::time::Instant::now();
         fail_point("e.site").unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(20));
@@ -494,21 +475,17 @@ mod tests {
         let t1 = std::time::Instant::now();
         fail_point("e.site").unwrap();
         assert!(t1.elapsed() < Duration::from_millis(20));
-        clear_failpoints();
     }
 
     #[test]
     fn probabilistic_firing_is_seed_deterministic() {
-        let _g = serial();
         let sequence = |seed: u64| -> Vec<bool> {
-            set_failpoints_seeded("p.site=err%0.5", seed).unwrap();
+            let _fp = ScopedFailpoints::arm_seeded("p.site=err%0.5", seed).unwrap();
             (0..64).map(|_| fail_point("p.site").is_err()).collect()
         };
         let a = sequence(1234);
         let b = sequence(1234);
         let c = sequence(5678);
-        clear_failpoints();
-        set_failpoint_seed(0);
         assert_eq!(a, b, "same seed must replay the same schedule");
         assert_ne!(a, c, "different seeds must differ (64 draws at p=0.5)");
         let fires = a.iter().filter(|f| **f).count();
@@ -519,45 +496,49 @@ mod tests {
     }
 
     #[test]
-    fn scoped_failpoints_restore_previous_spec() {
-        let _g = serial();
-        set_failpoints("outer.site=err").unwrap();
+    fn scope_restores_previous_seed_and_disarms_on_drop() {
+        // Every scope restores the seed it found, so this is the baseline.
+        let base_seed = {
+            let _fp = arm("");
+            SEED.load(Ordering::Relaxed)
+        };
         {
-            let _fp = ScopedFailpoints::arm("inner.site=err").unwrap();
+            let _fp = ScopedFailpoints::arm_seeded("inner.site=err", 99).unwrap();
             assert!(fail_point("inner.site").is_err());
-            assert!(fail_point("outer.site").is_ok(), "outer spec is replaced");
             assert_eq!(current_failpoints(), "inner.site=err");
-        }
-        // Scope dropped: the outer spec is armed again.
-        assert!(fail_point("outer.site").is_err());
-        assert!(fail_point("inner.site").is_ok());
-        assert_eq!(current_failpoints(), "outer.site=err");
-        clear_failpoints();
-        assert_eq!(current_failpoints(), "");
-    }
-
-    #[test]
-    fn scoped_failpoints_parse_error_keeps_previous_spec() {
-        let _g = serial();
-        set_failpoints("keep.site=err").unwrap();
-        assert!(ScopedFailpoints::arm("broken=").is_err());
-        assert!(
-            fail_point("keep.site").is_err(),
-            "previous spec still armed"
-        );
-        clear_failpoints();
-    }
-
-    #[test]
-    fn scoped_seed_restores_on_drop() {
-        let _g = serial();
-        set_failpoint_seed(7);
-        {
-            let _fp = ScopedFailpoints::arm_seeded("q.site=err%0.5", 99).unwrap();
             assert_eq!(SEED.load(Ordering::Relaxed), 99);
         }
-        assert_eq!(SEED.load(Ordering::Relaxed), 7);
-        set_failpoint_seed(0);
-        clear_failpoints();
+        // No other test arms `inner.site`, so this check needs no scope.
+        assert!(fail_point("inner.site").is_ok());
+        let _fp = arm("");
+        assert_eq!(SEED.load(Ordering::Relaxed), base_seed);
+    }
+
+    #[test]
+    fn scopes_do_not_nest_on_one_thread() {
+        let _fp = arm("outer.site=err");
+        let nested = ScopedFailpoints::arm("inner.site=err");
+        assert!(
+            nested.is_err(),
+            "a nested scope must be refused, not deadlock"
+        );
+        assert!(fail_point("outer.site").is_err(), "outer scope still armed");
+        assert!(fail_point("inner.site").is_ok());
+    }
+
+    #[test]
+    fn scope_excludes_other_threads_until_dropped() {
+        let fp = arm("x.site=err");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = std::thread::spawn(move || {
+            let _fp = ScopedFailpoints::arm("").unwrap();
+            tx.send(fail_point("x.site").is_ok()).unwrap();
+        });
+        // The other thread blocks on arming while our scope is live.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(fail_point("x.site").is_err());
+        drop(fp);
+        assert!(rx.recv().unwrap(), "the other scope sees a clean table");
+        other.join().unwrap();
     }
 }

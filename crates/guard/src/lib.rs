@@ -22,8 +22,9 @@
 //!   (`BOOTES_FAILPOINT_SEED`), `site=delay:25ms` widens race windows, and
 //!   `site=kill` aborts without unwinding for crash drills. The facility is a
 //!   single relaxed atomic load when unset, so production runs pay nothing.
-//!   [`ScopedFailpoints`] arms a spec for a lexical scope and restores the
-//!   previous one on drop.
+//!   [`ScopedFailpoints`] arms a spec in-process for a lexical scope, holding
+//!   a process-wide lock so scopes never overlap, and restores the previous
+//!   spec on drop.
 //!
 //! # Checkpoint protocol
 //!
@@ -55,8 +56,5 @@ mod tenant;
 
 pub use budget::{check_bytes, checkpoint, ArmedBudget, Budget, Watchdog};
 pub use error::{panic_message, GuardError, Resource};
-pub use failpoint::{
-    clear_failpoints, current_failpoints, fail_point, set_failpoint_seed, set_failpoints,
-    set_failpoints_seeded, ScopedFailpoints,
-};
+pub use failpoint::{current_failpoints, fail_point, ScopedFailpoints};
 pub use tenant::{TenantBudgets, TenantPermit, TenantPolicy};

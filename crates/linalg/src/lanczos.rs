@@ -60,8 +60,7 @@ impl Default for LanczosConfig {
 /// Converged eigenpairs returned by the eigensolvers.
 ///
 /// Serializable so the preprocessing artifact cache (`bootes-cache`) can
-/// persist converged Ritz pairs and warm-start later solves on recurring
-/// sparsity patterns (see [`lanczos_smallest_warm`]).
+/// persist converged Ritz pairs and reuse them on an exact key hit.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Eigenpairs {
     /// Eigenvalues in ascending order.
@@ -149,47 +148,6 @@ pub fn lanczos_smallest<A: LinearOperator + ?Sized>(
     k: usize,
     cfg: &LanczosConfig,
 ) -> Result<Eigenpairs, LinalgError> {
-    lanczos_impl(a, k, cfg, &[])
-}
-
-/// [`lanczos_smallest`] with a warm start: the Krylov iteration starts from
-/// a mix of the vectors in `warm` (typically the Ritz vectors of an earlier
-/// solve on the same or a near-identical operator) instead of a random
-/// vector.
-///
-/// The warm vectors are orthonormalized (dependent duplicates dropped) and
-/// summed into a single starting candidate, so the basis remains a pure
-/// Krylov chain and every thick-restart invariant holds exactly. When the
-/// seed spans (approximately) the target eigenspace, the Krylov space
-/// captures all `k` pairs within about `k` steps and the solve converges in
-/// a fraction of the restarts a cold start needs; a rough seed degrades
-/// gracefully to cold-start behavior. An empty `warm` slice is exactly
-/// [`lanczos_smallest`].
-///
-/// Note that a warm-started solve is deterministic but **not** bit-identical
-/// to a cold solve: it follows a different (shorter) iteration path to the
-/// same eigenspace. Callers that promise bit-stable output (the artifact
-/// cache's exact-hit path) must reuse stored results instead of re-solving.
-///
-/// # Errors
-///
-/// Same as [`lanczos_smallest`], plus [`LinalgError::InvalidArgument`] if a
-/// warm vector's length differs from the operator dimension.
-pub fn lanczos_smallest_warm<A: LinearOperator + ?Sized>(
-    a: &A,
-    k: usize,
-    cfg: &LanczosConfig,
-    warm: &[Vec<f64>],
-) -> Result<Eigenpairs, LinalgError> {
-    lanczos_impl(a, k, cfg, warm)
-}
-
-fn lanczos_impl<A: LinearOperator + ?Sized>(
-    a: &A,
-    k: usize,
-    cfg: &LanczosConfig,
-    warm: &[Vec<f64>],
-) -> Result<Eigenpairs, LinalgError> {
     let n = a.dim();
     if k == 0 {
         return Err(LinalgError::InvalidArgument(
@@ -219,48 +177,6 @@ fn lanczos_impl<A: LinearOperator + ?Sized>(
     // Coupling norm between the last basis column and the candidate vector:
     // the residual of Ritz pair i is `beta_last * |y[dim-1, i]|`.
     let mut beta_last = 0.0f64;
-
-    if !warm.is_empty() {
-        // Warm start: fold the seed vectors into the starting candidate.
-        // The basis stays a pure Krylov chain, so every thick-restart
-        // invariant — diagonal compression of T, the `beta_last` residual
-        // estimate — holds exactly; a warm solve is a cold solve whose
-        // starting vector is already rich in the target eigenspace. (Seeding
-        // the basis with non-Krylov columns instead would leave Ritz
-        // residuals non-parallel to the candidate: the seed's image under A
-        // leaks outside the span, restarts silently discard that coupling,
-        // and the iteration stalls on rough seeds.) The cold path
-        // (`warm.is_empty()`) must not be perturbed in any way — every
-        // operation here is gated on having at least one warm vector.
-        let mut accepted: Vec<Vec<f64>> = Vec::new();
-        for v in warm {
-            if v.len() != n {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "warm-start vector length {} != operator dimension {n}",
-                    v.len()
-                )));
-            }
-            let mut w = v.clone();
-            let mut discard = vec![0.0; accepted.len()];
-            orthogonalize(&mut w, &accepted, &mut discard);
-            // Drop directions already spanned (repeated or dependent input).
-            if normalize(&mut w) > 1e-10 {
-                accepted.push(w);
-            }
-        }
-        let mut mix = vec![0.0; n];
-        for w in &accepted {
-            axpy(1.0, w, &mut mix);
-        }
-        if normalize(&mut mix) > 1e-10 {
-            candidate = mix;
-        } else if let Some(first) = accepted.into_iter().next() {
-            // The accepted directions cancelled each other; any single one
-            // still carries the seed information.
-            candidate = first;
-        }
-        // (If nothing was accepted the random candidate stands.)
-    }
 
     for restart in 0..cfg.max_restarts {
         bootes_guard::checkpoint("lanczos.restart")?;
@@ -631,55 +547,6 @@ mod tests {
         let eig = lanczos_plain(&a, 2, 60, 7).unwrap();
         assert!(eig.eigenvalues[0] < 0.5);
         assert!(eig.eigenvalues[1] < 1.5);
-    }
-
-    #[test]
-    fn warm_start_with_empty_seed_is_bit_identical_to_cold() {
-        let diag: Vec<f64> = (0..150).map(|i| ((i * 31) % 41) as f64 + 0.5).collect();
-        let a = CsrMatrix::from_diagonal(&diag);
-        let cfg = LanczosConfig::default();
-        let cold = lanczos_smallest(&a, 4, &cfg).unwrap();
-        let warm = lanczos_smallest_warm(&a, 4, &cfg, &[]).unwrap();
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn warm_start_from_prior_ritz_pairs_converges_cheaper() {
-        let diag: Vec<f64> = (0..300).map(|i| (i as f64) * 0.25 + 1.0).collect();
-        let a = CsrMatrix::from_diagonal(&diag);
-        let cfg = LanczosConfig {
-            tol: 1e-9,
-            ..LanczosConfig::default()
-        };
-        let cold = lanczos_smallest(&a, 4, &cfg).unwrap();
-        let warm = lanczos_smallest_warm(&a, 4, &cfg, &cold.eigenvectors).unwrap();
-        for (i, (&c, &w)) in cold.eigenvalues.iter().zip(&warm.eigenvalues).enumerate() {
-            assert!((c - w).abs() < 1e-7, "pair {i}: cold {c} vs warm {w}");
-            assert!(residual_norm(&a, w, &warm.eigenvectors[i]) < 1e-6);
-        }
-        assert!(
-            warm.matvecs < cold.matvecs,
-            "warm start did not save work: {} vs {}",
-            warm.matvecs,
-            cold.matvecs
-        );
-    }
-
-    #[test]
-    fn warm_start_tolerates_dependent_and_rejects_misshapen_seeds() {
-        let diag: Vec<f64> = (0..120).map(|i| i as f64 + 1.0).collect();
-        let a = CsrMatrix::from_diagonal(&diag);
-        let cfg = LanczosConfig::default();
-        // Duplicated seed vectors collapse to one accepted direction.
-        let seed = vec![vec![1.0 / (120f64).sqrt(); 120]; 3];
-        let eig = lanczos_smallest_warm(&a, 2, &cfg, &seed).unwrap();
-        assert!((eig.eigenvalues[0] - 1.0).abs() < 1e-6);
-        // Wrong-length vectors are a typed error, not a panic.
-        let bad = vec![vec![1.0; 7]];
-        assert!(matches!(
-            lanczos_smallest_warm(&a, 2, &cfg, &bad),
-            Err(LinalgError::InvalidArgument(_))
-        ));
     }
 
     #[test]

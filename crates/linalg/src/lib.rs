@@ -42,6 +42,6 @@ pub mod vecops;
 
 pub use error::LinalgError;
 pub use kmeans::{kmeans, kmeans_threads, KMeansConfig, KMeansResult};
-pub use lanczos::{lanczos_smallest, lanczos_smallest_warm, Eigenpairs, LanczosConfig};
+pub use lanczos::{lanczos_smallest, Eigenpairs, LanczosConfig};
 pub use laplacian::normalized_laplacian;
 pub use operator::LinearOperator;

@@ -319,13 +319,21 @@ impl DecisionTree {
         serde_json::to_string(self).map_err(|e| ModelError::Serialization(e.to_string()))
     }
 
-    /// Restores a model from JSON produced by [`DecisionTree::to_json`].
+    /// Restores a model from JSON produced by [`DecisionTree::to_json`], or
+    /// from the `{"model": "<tree JSON>", "accuracy": ...}` wrapper the bench
+    /// harness commits under `results/models/`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Serialization`] on malformed input.
     pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        serde_json::from_str(json).map_err(|e| ModelError::Serialization(e.to_string()))
+        let err = |e: serde_json::Error| ModelError::Serialization(e.to_string());
+        let value: serde::Value = serde_json::from_str(json).map_err(err)?;
+        match value.get("model").and_then(serde::Value::as_str) {
+            Some(inner) => serde_json::from_str(inner).map_err(err),
+            None => serde::Deserialize::deserialize(&value)
+                .map_err(|e: serde::Error| ModelError::Serialization(e.to_string())),
+        }
     }
 }
 
@@ -603,6 +611,14 @@ mod tests {
         let back = DecisionTree::from_json(&json).unwrap();
         assert_eq!(back.predict(&[0.0, 1.0]).unwrap(), 1);
         assert!(t.serialized_size() > 0);
+        // The committed `{model, accuracy}` wrapper holds the same tree.
+        let wrapped = serde_json::to_string(&serde::Value::Object(vec![
+            ("model".to_string(), serde::Value::Str(json)),
+            ("accuracy".to_string(), serde::Value::Float(0.5)),
+        ]))
+        .unwrap();
+        assert_eq!(DecisionTree::from_json(&wrapped).unwrap(), back);
+        assert!(DecisionTree::from_json("{\"accuracy\": 0.5}").is_err());
     }
 
     #[test]

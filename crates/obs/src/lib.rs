@@ -33,7 +33,7 @@
 //! | `pipeline.preprocess` | `bootes-core` — full preprocessing pass |
 //! | `pipeline.decide` | `bootes-core` — model-driven label decision |
 //! | `reorder.gamma` / `reorder.graph` / `reorder.hier` / `reorder.spectral` / `reorder.recursive` | each `Reorderer::reorder` implementation |
-//! | `spectral.similarity` / `spectral.laplacian` / `spectral.lanczos` / `spectral.kmeans` / `spectral.order` | spectral clustering stages |
+//! | `spectral.laplacian` / `spectral.lanczos` / `spectral.kmeans` / `spectral.order` | spectral clustering stages |
 //! | `spectral.bisect` | recursive bisection levels |
 //! | `lanczos.restart` | `bootes-linalg` — one thick-restart outer iteration |
 //! | `lanczos.sweep` | `bootes-linalg` — one plain (non-restarted) Lanczos sweep |
@@ -41,7 +41,7 @@
 //! | `kmeans.run` | `bootes-linalg` — one seeded k-means attempt |
 //! | `accel.simulate` | `bootes-accel` — full SpGEMM simulation |
 //! | `accel.symbolic` | `bootes-accel` — symbolic output sizing |
-//! | `spgemm.dense_acc` / `spgemm.hash_acc` / `spgemm.adaptive` / `spgemm.block` | `bootes-sparse` kernels |
+//! | `spgemm` / `spgemm.block` | `bootes-sparse` kernels |
 //! | `par.worker` | `bootes-par` — one worker thread's share of a parallel kernel |
 //! | `reorder.fallback` | `bootes-core` — one pass of the graceful-degradation chain |
 //!
@@ -76,14 +76,14 @@
 //! | `cache.quarantine` | corrupt on-disk entries moved to `quarantine/` |
 //! | `cache.quarantine_evicted` | oldest quarantined entries removed to keep `quarantine/` within its cap |
 //! | `cache.tmp_swept` | orphaned temp files from torn writes removed by the open-time sweep |
-//! | `kernel.flops{kernel=<name>}` | scalar multiply-accumulates performed by the named kernel (`spgemm.dense_acc`, `spgemm.hash_acc`, `similarity.rows`, `spmv`, `kmeans.assign`) |
+//! | `kernel.flops{kernel=<name>}` | scalar multiply-accumulates performed by the named kernel (`spgemm`, `similarity.rows`, `spmv`, `kmeans.assign`) |
 //! | `kernel.bytes{kernel=<name>}` | estimated bytes moved (operand reads + output writes) by the named kernel |
 //! | `par.region.wall_ns{region=<name>}` | accumulated wall time of the named parallel region across invocations (`bootes-par`) |
 //! | `par.region.busy_ns{region=<name>}` | accumulated worker busy time of the named region (sum over chunks) |
 //! | `par.region.invocations` | parallel region invocations that recorded attribution |
 //! | `par.pool.spawned` | worker threads spawned by the persistent `bootes-par` pool (lifetime total) |
 //! | `par.pool.dispatches` | worker-slot jobs dispatched to the pool (one per worker per region invocation) |
-//! | `spgemm.acc_choice{acc=dense}` / `{acc=hash}` / `{acc=merge}` | rows the adaptive SpGEMM routed to each accumulator variant (`bootes-sparse`) |
+//! | `spgemm.acc_choice{acc=dense}` / `{acc=hash}` / `{acc=merge}` | rows `spgemm` routed to each accumulator variant (`bootes-sparse`) |
 //! | `serve.accepted_conns` | connections accepted by the `bootes serve` daemon |
 //! | `serve.accept.dropped` | connections dropped by the `serve.accept` failpoint |
 //! | `serve.accepted` | work requests admitted into the daemon's bounded queue |

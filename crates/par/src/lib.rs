@@ -50,7 +50,7 @@
 //!
 //! The `*_in` combinator variants ([`try_map_ranges_in`],
 //! [`try_for_each_chunk_mut_in`], ...) take a **region name** (conventionally
-//! the kernel's span name, e.g. `"spgemm.dense_acc"`). While profiling is
+//! the kernel's span name, e.g. `"spgemm"`). While profiling is
 //! enabled, each invocation aggregates:
 //!
 //! - `par.region.imbalance{region=<name>}` — max/mean worker busy time,
@@ -939,17 +939,15 @@ mod tests {
         assert!(threads() <= available());
     }
 
-    // Failpoints are process-global; serialize the tests that arm them.
-    static FP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn fp_serial() -> std::sync::MutexGuard<'static, ()> {
-        FP_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    /// A fault-free failpoint scope. Scopes hold a process-wide lock, so it
+    /// also serializes the tests below that touch global profiling state.
+    fn no_faults() -> bootes_guard::ScopedFailpoints {
+        bootes_guard::ScopedFailpoints::arm("").unwrap()
     }
 
     #[test]
     fn try_map_ranges_converts_chunk_panic() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         let ranges = partition_even(10, 4);
         for t in [1usize, 4] {
             let err = try_map_ranges(t, &ranges, |i, _| {
@@ -971,12 +969,12 @@ mod tests {
 
     #[test]
     fn try_map_ranges_fires_worker_failpoint() {
-        let _g = fp_serial();
-        bootes_guard::set_failpoints("par.worker=err@1").unwrap();
+        let fp = bootes_guard::ScopedFailpoints::arm("par.worker=err@1").unwrap();
         let ranges = partition_even(10, 4);
         let err = try_map_ranges(4, &ranges, |i, _| i).unwrap_err();
         assert!(matches!(err, GuardError::Injected { .. }), "{err:?}");
-        bootes_guard::clear_failpoints();
+        drop(fp);
+        let _fp = no_faults();
         assert_eq!(
             try_map_ranges(4, &ranges, |i, _| i).unwrap(),
             vec![0, 1, 2, 3]
@@ -985,8 +983,7 @@ mod tests {
 
     #[test]
     fn try_for_each_chunk_mut_survives_chunk_panic() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         let mut data = vec![0usize; 12];
         let ranges = partition_even(data.len(), 3);
         let err = try_for_each_chunk_mut(3, &mut data, &ranges, |i, range, chunk| {
@@ -1013,11 +1010,11 @@ mod tests {
     }
 
     // Profiling state is process-global like failpoints, so attribution
-    // tests serialize through the same lock and restore the disabled state.
+    // tests serialize through a failpoint scope and restore the disabled
+    // state.
     #[test]
     fn region_attribution_records_metrics_and_chunks() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         bootes_obs::set_enabled(true);
         bootes_obs::set_chunk_timeline(true);
         bootes_obs::reset();
@@ -1067,8 +1064,7 @@ mod tests {
         // Satellite regression test: profiling on but no trace export
         // requested — the region gauges must appear, but not a single
         // ChunkRecord may be pushed.
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         bootes_obs::set_enabled(true);
         bootes_obs::set_chunk_timeline(false);
         bootes_obs::reset();
@@ -1092,8 +1088,7 @@ mod tests {
 
     #[test]
     fn serial_path_still_attributes_region() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         bootes_obs::set_enabled(true);
         bootes_obs::reset();
         let ranges = partition_even(16, 4);
@@ -1121,8 +1116,7 @@ mod tests {
 
     #[test]
     fn disabled_profiling_records_nothing() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
         let ranges = partition_even(32, 4);
@@ -1133,8 +1127,7 @@ mod tests {
 
     #[test]
     fn try_join_reports_a_side_first() {
-        let _g = fp_serial();
-        bootes_guard::clear_failpoints();
+        let _fp = no_faults();
         for parallel in [false, true] {
             let err = try_join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
             match err {

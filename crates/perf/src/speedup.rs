@@ -28,7 +28,7 @@ pub const GATE_THREADS: usize = 4;
 /// bench). The clamp fields are absent in pre-PR-7 files and default off.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpeedupRow {
-    /// Kernel name, e.g. `"spgemm.dense_acc"`.
+    /// Kernel name, e.g. `"spgemm"`.
     pub kernel: String,
     /// Nonzeros of the benched operand.
     pub nnz: usize,
@@ -75,7 +75,7 @@ impl Default for SpeedupConfig {
         SpeedupConfig {
             // The tentpole kernel of the PR-7 fix; satellites add more via
             // `--floor` flags rather than hardcoding every kernel here.
-            floors: vec![("spgemm.dense_acc".to_string(), 1.8)],
+            floors: vec![("spgemm".to_string(), 1.8)],
             k_mad: 3.0,
         }
     }
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn meeting_the_floor_passes() {
-        let rows = sweep("spgemm.dense_acc", 400.0, 160.0); // 2.5x
+        let rows = sweep("spgemm", 400.0, 160.0); // 2.5x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(report.passed());
         assert_eq!(report.verdicts.len(), 1);
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn parallel_slowdown_fails_the_floor() {
         // The pre-fix pathology: 4 threads slower than 1.
-        let rows = sweep("spgemm.dense_acc", 435.0, 489.0); // 0.89x
+        let rows = sweep("spgemm", 435.0, 489.0); // 0.89x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(!report.passed());
         assert_eq!(report.failures, 1);
@@ -247,7 +247,7 @@ mod tests {
     fn noise_band_saves_a_borderline_row() {
         // Raw speedup 1.74x misses a 1.8x floor, but a large MAD on the
         // parallel row brings the optimistic estimate above it.
-        let mut rows = sweep("spgemm.dense_acc", 400.0, 230.0);
+        let mut rows = sweep("spgemm", 400.0, 230.0);
         rows[1].mad_ms = 10.0; // 3·10 ms credit -> 400/200 = 2.0x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(report.passed(), "{report:?}");
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn clamped_rows_are_skipped_with_a_warning() {
-        let mut rows = sweep("spgemm.dense_acc", 435.0, 489.0);
+        let mut rows = sweep("spgemm", 435.0, 489.0);
         rows[1].clamped = true;
         rows[1].effective_threads = 1;
         let report = check_speedup(&rows, &SpeedupConfig::default());
@@ -274,11 +274,11 @@ mod tests {
     #[test]
     fn pre_pr7_rows_without_clamp_fields_parse_and_gate() {
         let text = r#"[{
-            "kernel": "spgemm.dense_acc", "nnz": 10, "threads": 1,
+            "kernel": "spgemm", "nnz": 10, "threads": 1,
             "median_ms": 400.0, "mad_ms": 1.0, "min_ms": 399.0,
             "speedup": 1.0, "imbalance": 1.0, "utilization": 1.0
         }, {
-            "kernel": "spgemm.dense_acc", "nnz": 10, "threads": 4,
+            "kernel": "spgemm", "nnz": 10, "threads": 4,
             "median_ms": 100.0, "mad_ms": 1.0, "min_ms": 99.0,
             "speedup": 4.0, "imbalance": 1.0, "utilization": 1.0
         }]"#;

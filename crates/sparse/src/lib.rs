@@ -10,7 +10,7 @@
 //! - [`CscMatrix`]: compressed sparse column, used for column-coordinate lookups
 //!   by the Gamma and Graph reordering baselines,
 //! - [`Permutation`]: validated row permutations,
-//! - row-wise (Gustavson) SpGEMM kernels and the binary `A·Aᵀ` similarity
+//! - the row-wise (Gustavson) SpGEMM kernel and the binary `A·Aᵀ` similarity
 //!   product ([`ops`]),
 //! - Matrix Market I/O ([`io`]) and pattern statistics ([`stats`]).
 //!
@@ -25,7 +25,7 @@
 //! coo.push(1, 1, 3.0)?;
 //! coo.push(2, 0, 1.0)?;
 //! let a = coo.to_csr();
-//! let c = ops::spgemm(&a, &a)?;
+//! let c = ops::spgemm(&a, &a, 1)?;
 //! assert_eq!(c.get(0, 0), 4.0);
 //! # Ok(())
 //! # }

@@ -259,7 +259,7 @@ mod tests {
             let ab = BlockSparseMatrix::from_csr(&a, DEFAULT_BLOCK).unwrap();
             let bb = BlockSparseMatrix::from_csr(&b, DEFAULT_BLOCK).unwrap();
             let tiled = block_spgemm(&ab, &bb).unwrap();
-            let reference = spgemm(&a, &b).unwrap();
+            let reference = spgemm(&a, &b, 1).unwrap();
             assert!(
                 tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-12,
                 "seed {seed}"
@@ -275,7 +275,7 @@ mod tests {
             let ab = BlockSparseMatrix::from_csr(&a, block).unwrap();
             let bb = BlockSparseMatrix::from_csr(&b, block).unwrap();
             let tiled = block_spgemm(&ab, &bb).unwrap();
-            let reference = spgemm(&a, &b).unwrap();
+            let reference = spgemm(&a, &b, 1).unwrap();
             assert_eq!(tiled, reference, "block {block}");
         }
     }

@@ -1,4 +1,4 @@
-//! Sparse kernels: SpGEMM dataflows, transposition, similarity products.
+//! Sparse kernels: SpGEMM, transposition, similarity products.
 
 pub mod block;
 pub mod elementwise;
@@ -8,10 +8,5 @@ pub mod transpose;
 
 pub use block::{block_spgemm, BlockSparseMatrix};
 pub use elementwise::{add_scaled, frobenius_norm, scale, spmm};
-pub use similarity::{
-    par_similarity_matrix, par_similarity_matrix_csc, similarity_matrix, similarity_matrix_csc,
-};
-pub use spgemm::{
-    dataflow_costs, par_spgemm, par_spgemm_adaptive, par_spgemm_hash, set_spgemm_dataflow, spgemm,
-    spgemm_adaptive, spgemm_dataflow, spgemm_flops, spgemm_hash, DataflowCost, SpgemmDataflow,
-};
+pub use similarity::similarity_matrix;
+pub use spgemm::{dataflow_costs, spgemm, spgemm_flops, DataflowCost};

@@ -10,10 +10,15 @@
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 
-/// Computes the similarity matrix `S = pattern(A) · pattern(A)ᵀ` in CSR form.
+/// Computes the similarity matrix `S = pattern(A) · pattern(A)ᵀ` in CSR form
+/// over `threads` workers (pass [`bootes_par::threads`] for the global
+/// policy).
 ///
 /// `S` is symmetric, has `nrows x nrows` shape, and its diagonal holds each
-/// row's nonzero count. The result contains no explicit zeros.
+/// row's nonzero count. The result contains no explicit zeros. Rows of `S`
+/// are independent, so they are computed in contiguous chunks (weighted by
+/// each row's column-degree work) and stitched in chunk order —
+/// bit-identical for every thread count.
 ///
 /// # Example
 ///
@@ -28,47 +33,21 @@ use crate::csr::CsrMatrix;
 ///     vec![0, 1, 1, 2],
 ///     vec![9.0, 8.0, 7.0, 6.0],
 /// )?;
-/// let s = similarity_matrix(&a);
+/// let s = similarity_matrix(&a, 1);
 /// assert_eq!(s.get(0, 1), 1.0);
 /// assert_eq!(s.get(0, 0), 2.0);
 /// assert_eq!(s.get(0, 2), 0.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn similarity_matrix(a: &CsrMatrix) -> CsrMatrix {
-    similarity_matrix_csc(a, &a.to_csc())
-}
-
-/// [`similarity_matrix`] over an explicit number of worker threads (see
-/// [`par_similarity_matrix_csc`]).
-pub fn par_similarity_matrix(a: &CsrMatrix, threads: usize) -> CsrMatrix {
-    par_similarity_matrix_csc(a, &a.to_csc(), threads)
-}
-
-/// Like [`similarity_matrix`] but reuses a precomputed CSC view of `a`,
-/// avoiding a second transposition when the caller already has one.
-pub fn similarity_matrix_csc(a: &CsrMatrix, a_csc: &CscMatrix) -> CsrMatrix {
-    let threads = if a.nnz() < 1 << 13 {
-        1
-    } else {
-        bootes_par::threads()
-    };
-    par_similarity_matrix_csc(a, a_csc, threads)
-}
-
-/// [`similarity_matrix_csc`] over an explicit number of worker threads.
-///
-/// Rows of `S` are independent, so they are computed in contiguous chunks
-/// (weighted by each row's column-degree work) and stitched in chunk order —
-/// bit-identical to the serial kernel for every thread count.
-pub fn par_similarity_matrix_csc(a: &CsrMatrix, a_csc: &CscMatrix, threads: usize) -> CsrMatrix {
-    debug_assert_eq!(a.shape(), a_csc.shape(), "csc view shape mismatch");
+pub fn similarity_matrix(a: &CsrMatrix, threads: usize) -> CsrMatrix {
+    let a_csc = a.to_csc();
     let _span = bootes_obs::span!("similarity.rows");
     let n = a.nrows();
     let row_work = |i: usize| -> u64 { a.row(i).0.iter().map(|&k| a_csc.col_nnz(k) as u64).sum() };
     let ranges = bootes_par::partition_weighted(n, bootes_par::chunk_count(threads), row_work);
     let chunks = bootes_par::map_ranges_in("similarity.rows", threads, &ranges, |_, rows| {
-        similarity_rows(a, a_csc, rows)
+        similarity_rows(a, &a_csc, rows)
     });
 
     let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
@@ -158,16 +137,16 @@ mod tests {
     #[test]
     fn matches_explicit_binary_spgemm() {
         let a = sample();
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         let bin = a.to_binary();
-        let reference = spgemm(&bin, &bin.transpose()).unwrap();
+        let reference = spgemm(&bin, &bin.transpose(), 1).unwrap();
         assert_eq!(s, reference);
     }
 
     #[test]
     fn diagonal_is_row_nnz() {
         let a = sample();
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         for i in 0..a.nrows() {
             assert_eq!(s.get(i, i), a.row_nnz(i) as f64);
         }
@@ -176,7 +155,7 @@ mod tests {
     #[test]
     fn symmetric() {
         let a = sample();
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         for i in 0..s.nrows() {
             for j in 0..s.ncols() {
                 assert_eq!(s.get(i, j), s.get(j, i));
@@ -192,13 +171,13 @@ mod tests {
         for v in b.values_mut() {
             *v *= 100.0;
         }
-        assert_eq!(similarity_matrix(&a), similarity_matrix(&b));
+        assert_eq!(similarity_matrix(&a, 1), similarity_matrix(&b, 1));
     }
 
     #[test]
     fn disjoint_rows_have_zero_similarity() {
         let a = CsrMatrix::try_new(2, 4, vec![0, 2, 4], vec![0, 1, 2, 3], vec![1.0; 4]).unwrap();
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         assert_eq!(s.get(0, 1), 0.0);
         assert_eq!(s.nnz(), 2); // just the diagonal
     }
@@ -206,18 +185,17 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = CsrMatrix::zeros(3, 3);
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.shape(), (3, 3));
     }
 
     #[test]
-    fn par_matches_serial_exactly() {
+    fn threads_match_serial_exactly() {
         let a = sample();
-        let serial = par_similarity_matrix(&a, 1);
-        assert_eq!(similarity_matrix(&a), serial);
+        let serial = similarity_matrix(&a, 1);
         for threads in [2usize, 3, 7, 64] {
-            assert_eq!(par_similarity_matrix(&a, threads), serial);
+            assert_eq!(similarity_matrix(&a, threads), serial);
         }
     }
 }

@@ -1,121 +1,23 @@
-//! Sparse general matrix-matrix multiplication kernels.
+//! Sparse general matrix-matrix multiplication.
 //!
-//! The workhorse is the **row-wise product** (Gustavson's algorithm), the
+//! The kernel is the **row-wise product** (Gustavson's algorithm), the
 //! dataflow the paper identifies as the favorable one for sparse accelerators:
-//! `C[i,:] = Σ_{k ∈ cols(A_i)} A[i,k] · B[k,:]`. Three accumulator strategies
-//! are provided: a dense accumulator ([`spgemm`]), a hash-map accumulator
-//! ([`spgemm_hash`]) that avoids the `O(ncols)` scratch array for very wide
-//! `B`, and an adaptive kernel ([`spgemm_adaptive`]) that picks dense, hash,
-//! or sorted-merge **per row** from the upper-bounded row flop count (à la
-//! Nagasaka et al.'s KNL SpGEMM). All accumulators sum each output column's
-//! products in identical k-iteration encounter order and drop exact-`0.0`
-//! finals, so all three produce bit-identical results. Per-worker dense/hash
-//! scratch is reused across chunks through thread-local storage
-//! (`crate::scratch`) instead of being allocated and zeroed per chunk. The
-//! [`dataflow_costs`] analysis reproduces the inner/outer/row-wise
+//! `C[i,:] = Σ_{k ∈ cols(A_i)} A[i,k] · B[k,:]`. [`spgemm`] picks a dense,
+//! hash-map or sorted-merge accumulator **per row** from the upper-bounded row
+//! flop count (à la Nagasaka et al.'s KNL SpGEMM). All three accumulators sum
+//! each output column's products in identical k-iteration encounter order and
+//! drop exact-`0.0` finals, so the choice only changes speed, never bits.
+//! Per-worker dense/hash scratch is reused across chunks through thread-local
+//! storage (`crate::scratch`) instead of being allocated and zeroed per chunk.
+//! The [`dataflow_costs`] analysis reproduces the inner/outer/row-wise
 //! trade-offs of Table 1.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scratch;
-
-/// Accumulator strategy used by the default [`spgemm`] entry point.
-///
-/// All three strategies produce **bit-identical** results (identical
-/// k-iteration encounter order, exact-`0.0` finals dropped); the selection
-/// only changes speed and scratch footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpgemmDataflow {
-    /// Dense `O(ncols)` accumulator for every row.
-    Dense,
-    /// Hash-map accumulator for every row.
-    Hash,
-    /// Per-row adaptive selection (sorted-merge / dense / hash by
-    /// upper-bounded row flops, à la Nagasaka et al.) — the default.
-    #[default]
-    Adaptive,
-}
-
-impl SpgemmDataflow {
-    /// The canonical CLI/env spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpgemmDataflow::Dense => "dense",
-            SpgemmDataflow::Hash => "hash",
-            SpgemmDataflow::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::str::FromStr for SpgemmDataflow {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(SpgemmDataflow::Dense),
-            "hash" => Ok(SpgemmDataflow::Hash),
-            "adaptive" => Ok(SpgemmDataflow::Adaptive),
-            other => Err(format!(
-                "unknown SpGEMM dataflow {other:?} (expected dense|hash|adaptive)"
-            )),
-        }
-    }
-}
-
-/// Process-global dataflow selection for [`spgemm`]. Encoding matches the
-/// enum discriminant order; `u8::MAX` means "not yet initialized from the
-/// environment".
-static DEFAULT_DATAFLOW: AtomicU8 = AtomicU8::new(u8::MAX);
-static DATAFLOW_ENV_INIT: OnceLock<()> = OnceLock::new();
-
-fn dataflow_from_u8(v: u8) -> SpgemmDataflow {
-    match v {
-        0 => SpgemmDataflow::Dense,
-        1 => SpgemmDataflow::Hash,
-        _ => SpgemmDataflow::Adaptive,
-    }
-}
-
-fn dataflow_to_u8(d: SpgemmDataflow) -> u8 {
-    match d {
-        SpgemmDataflow::Dense => 0,
-        SpgemmDataflow::Hash => 1,
-        SpgemmDataflow::Adaptive => 2,
-    }
-}
-
-/// Overrides the dataflow the default [`spgemm`] entry point routes to —
-/// the escape hatch behind the CLI's `--spgemm dense|hash|adaptive` flag.
-/// Results are bit-identical for every choice.
-pub fn set_spgemm_dataflow(dataflow: SpgemmDataflow) {
-    let _ = DATAFLOW_ENV_INIT.set(()); // explicit config overrides the env
-    DEFAULT_DATAFLOW.store(dataflow_to_u8(dataflow), Ordering::Relaxed);
-}
-
-/// The dataflow the default [`spgemm`] entry point currently routes to.
-/// Initialized once from `BOOTES_SPGEMM` (`dense|hash|adaptive`) on first
-/// use; defaults to [`SpgemmDataflow::Adaptive`].
-pub fn spgemm_dataflow() -> SpgemmDataflow {
-    DATAFLOW_ENV_INIT.get_or_init(|| {
-        if let Ok(spec) = std::env::var("BOOTES_SPGEMM") {
-            match spec.parse::<SpgemmDataflow>() {
-                Ok(d) => DEFAULT_DATAFLOW.store(dataflow_to_u8(d), Ordering::Relaxed),
-                Err(msg) => eprintln!("bootes-sparse: ignoring BOOTES_SPGEMM: {msg}"),
-            }
-        }
-    });
-    let v = DEFAULT_DATAFLOW.load(Ordering::Relaxed);
-    if v == u8::MAX {
-        SpgemmDataflow::default()
-    } else {
-        dataflow_from_u8(v)
-    }
-}
 
 fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<(), SparseError> {
     if a.ncols() != b.nrows() {
@@ -128,24 +30,13 @@ fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<(), SparseError> {
 }
 
 /// Output of one contiguous block of Gustavson rows: per-row lengths plus the
-/// concatenated column indices and values, stitched in chunk order by the
-/// parallel drivers.
+/// concatenated column indices and values, stitched in chunk order by
+/// [`spgemm`].
 struct RowChunk {
     row_lens: Vec<usize>,
     indices: Vec<usize>,
     values: Vec<f64>,
     flops: u64,
-}
-
-/// Thread count the implicit-threading wrappers use: the global
-/// [`bootes_par::threads`] policy, bypassed for matrices too small to
-/// amortize thread spawning.
-fn kernel_threads(nnz: usize) -> usize {
-    if nnz < 1 << 13 {
-        1
-    } else {
-        bootes_par::threads()
-    }
 }
 
 /// Splits `A`'s rows into `parts` contiguous chunks weighted by the
@@ -157,44 +48,6 @@ fn flop_weighted_rows(a: &CsrMatrix, b: &CsrMatrix, parts: usize) -> Vec<Range<u
     bootes_par::partition_weighted(a.nrows(), parts, |i| {
         a.row(i).0.iter().map(|&k| b.row_nnz(k) as u64).sum()
     })
-}
-
-/// Assembles chunk outputs (in chunk order) into a CSR matrix, recording the
-/// same per-row `spgemm.row_nnz` histogram entries the serial loop would,
-/// plus the `kernel.flops`/`kernel.bytes` accounting counters under `kernel`
-/// (the same label as the kernel's par region, so profiles can pair the
-/// work with the region's wall time into MFLOP/s and GB/s).
-fn stitch_chunks(
-    kernel: &str,
-    a_nnz: usize,
-    nrows: usize,
-    ncols: usize,
-    chunks: Vec<RowChunk>,
-) -> CsrMatrix {
-    let nnz: usize = chunks.iter().map(|c| c.indices.len()).sum();
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    indptr.push(0);
-    let mut flops = 0u64;
-    for chunk in chunks {
-        for len in chunk.row_lens {
-            indptr.push(indptr.last().expect("nonempty indptr") + len);
-            bootes_obs::histogram_record("spgemm.row_nnz", len as u64);
-        }
-        indices.extend_from_slice(&chunk.indices);
-        values.extend_from_slice(&chunk.values);
-        flops += chunk.flops;
-    }
-    bootes_obs::counter_add("spgemm.flops", flops);
-    // One multiply + one add per fiber product.
-    bootes_obs::counter_add(&format!("kernel.flops{{kernel={kernel}}}"), 2 * flops);
-    // Traffic model (no-cache upper bound): each A nonzero read once, one B
-    // element fetched per fiber product, each C nonzero written once; 16
-    // bytes per element (f64 value + 8-byte column index).
-    let bytes = 16 * (a_nnz as u64 + flops + nnz as u64);
-    bootes_obs::counter_add(&format!("kernel.bytes{{kernel={kernel}}}"), bytes);
-    CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
 }
 
 /// One dense-accumulator Gustavson row: accumulate `Σ aik · B[k,:]` into
@@ -317,51 +170,6 @@ fn merge_row(
     flops
 }
 
-/// The dense-accumulator Gustavson kernel over one contiguous row block,
-/// accumulating into the calling worker's reusable thread-local scratch.
-fn spgemm_rows_dense(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> RowChunk {
-    let n = b.ncols();
-    scratch::with_dense_f64(n, |acc, touched| {
-        let mut row_lens = Vec::with_capacity(rows.len());
-        let mut indices: Vec<usize> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut flops = 0u64;
-        for i in rows.clone() {
-            let row_start = indices.len();
-            flops += dense_row(a, b, i, acc, touched, &mut indices, &mut values);
-            row_lens.push(indices.len() - row_start);
-        }
-        RowChunk {
-            row_lens,
-            indices,
-            values,
-            flops,
-        }
-    })
-}
-
-/// The hash-accumulator Gustavson kernel over one contiguous row block,
-/// reusing the calling worker's thread-local hash scratch.
-fn spgemm_rows_hash(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> RowChunk {
-    scratch::with_hash_f64(|acc, rowbuf| {
-        let mut row_lens = Vec::with_capacity(rows.len());
-        let mut indices: Vec<usize> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut flops = 0u64;
-        for i in rows.clone() {
-            let row_start = indices.len();
-            flops += hash_row(a, b, i, acc, rowbuf, &mut indices, &mut values);
-            row_lens.push(indices.len() - row_start);
-        }
-        RowChunk {
-            row_lens,
-            indices,
-            values,
-            flops,
-        }
-    })
-}
-
 /// A merge row is cheaper than dense/hash bookkeeping up to this many
 /// gathered products.
 const MERGE_MAX_FLOPS: u64 = 32;
@@ -370,7 +178,9 @@ const MERGE_MAX_FLOPS: u64 = 32;
 /// fits comfortably in cache, and it is reused across the whole chunk).
 const DENSE_ALWAYS_COLS: usize = 4096;
 
-/// The adaptive Gustavson kernel: selects merge, dense, or hash per row by
+/// The Gustavson kernel over one contiguous row block, accumulating into the
+/// calling worker's reusable thread-local scratch. Selects merge, dense, or
+/// hash per row by
 /// the upper-bounded row flop count `ub_i = Σ_{k ∈ cols(A_i)} nnz(B_k)`
 /// (which bounds both the products gathered and the output row width):
 ///
@@ -381,7 +191,7 @@ const DENSE_ALWAYS_COLS: usize = 4096;
 ///
 /// Returns the per-variant row counts `[dense, hash, merge]` alongside the
 /// chunk for the `spgemm.acc_choice` observability counters.
-fn spgemm_rows_adaptive(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (RowChunk, [u64; 3]) {
+fn spgemm_rows(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (RowChunk, [u64; 3]) {
     let n = b.ncols();
     scratch::with_dense_f64(n, |acc, touched| {
         scratch::with_hash_f64(|hacc, rowbuf| {
@@ -419,14 +229,22 @@ fn spgemm_rows_adaptive(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (Ro
     })
 }
 
-/// Row-wise (Gustavson) SpGEMM — the default entry point.
+/// Row-wise (Gustavson) SpGEMM over `threads` workers.
 ///
-/// Routes to the process-global [`SpgemmDataflow`] selection (default
-/// [`SpgemmDataflow::Adaptive`]; override via [`set_spgemm_dataflow`], the
-/// CLI's `--spgemm dense|hash|adaptive` flag, or the `BOOTES_SPGEMM` env
-/// var). Every dataflow produces bit-identical output: products are summed
-/// in identical k-iteration encounter order, columns are gathered sorted,
-/// and entries that cancel to exactly `0.0` are dropped.
+/// The rows of `A` are split into flop-weighted contiguous chunks, each row
+/// is routed to the sorted-merge, dense, or hash accumulator by its
+/// upper-bounded flop count, and the chunk outputs are stitched back in
+/// chunk order. Products are summed in identical k-iteration encounter order,
+/// columns are gathered sorted, and entries that cancel to exactly `0.0` are
+/// dropped, so the result is **bit-identical** for every thread count and
+/// every accumulator choice. Pass [`bootes_par::threads`] for the global
+/// policy.
+///
+/// Records the `spgemm.row_nnz` histogram, the `spgemm.flops` counter, the
+/// `kernel.flops`/`kernel.bytes` accounting under the `spgemm` label (the
+/// span and par region share it, so profiles pair the work with the wall
+/// time into MFLOP/s and GB/s), and the rows routed per accumulator on
+/// `spgemm.acc_choice{acc=dense|hash|merge}` while profiling is enabled.
 ///
 /// # Errors
 ///
@@ -439,128 +257,46 @@ fn spgemm_rows_adaptive(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (Ro
 ///
 /// # fn main() -> Result<(), bootes_sparse::SparseError> {
 /// let a = CsrMatrix::identity(2);
-/// let c = spgemm(&a, &a)?;
+/// let c = spgemm(&a, &a, 1)?;
 /// assert_eq!(c, CsrMatrix::identity(2));
 /// # Ok(())
 /// # }
 /// ```
-pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    let threads = kernel_threads(a.nnz());
-    match spgemm_dataflow() {
-        SpgemmDataflow::Dense => par_spgemm(a, b, threads),
-        SpgemmDataflow::Hash => par_spgemm_hash(a, b, threads),
-        SpgemmDataflow::Adaptive => par_spgemm_adaptive(a, b, threads),
-    }
-}
-
-/// [`spgemm`] over an explicit number of worker threads.
-///
-/// The rows of `A` are split into flop-weighted contiguous chunks, each chunk
-/// runs the identical per-row kernel, and the chunk outputs are stitched back
-/// in chunk order — so the result is **bit-identical** to the serial kernel
-/// for every thread count.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn par_spgemm(a: &CsrMatrix, b: &CsrMatrix, threads: usize) -> Result<CsrMatrix, SparseError> {
+pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix, threads: usize) -> Result<CsrMatrix, SparseError> {
     check_dims(a, b)?;
-    let _span = bootes_obs::span!("spgemm.dense_acc");
+    let _span = bootes_obs::span!("spgemm");
     let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let chunks = bootes_par::map_ranges_in("spgemm.dense_acc", threads, &ranges, |_, rows| {
-        spgemm_rows_dense(a, b, rows)
+    let outputs = bootes_par::map_ranges_in("spgemm", threads, &ranges, |_, rows| {
+        spgemm_rows(a, b, rows)
     });
-    Ok(stitch_chunks(
-        "spgemm.dense_acc",
-        a.nnz(),
-        a.nrows(),
-        b.ncols(),
-        chunks,
-    ))
-}
-
-/// Row-wise SpGEMM with a hash-map accumulator.
-///
-/// Same result as [`spgemm`] but with per-row `O(nnz(C_i))` scratch instead
-/// of `O(ncols(B))`. Preferable when `B` is very wide and rows of `C` are
-/// short.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_hash(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    par_spgemm_hash(a, b, kernel_threads(a.nnz()))
-}
-
-/// [`spgemm_hash`] over an explicit number of worker threads (chunked and
-/// stitched exactly like [`par_spgemm`]; bit-identical to serial).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn par_spgemm_hash(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    threads: usize,
-) -> Result<CsrMatrix, SparseError> {
-    check_dims(a, b)?;
-    let _span = bootes_obs::span!("spgemm.hash_acc");
-    let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let chunks = bootes_par::map_ranges_in("spgemm.hash_acc", threads, &ranges, |_, rows| {
-        spgemm_rows_hash(a, b, rows)
-    });
-    Ok(stitch_chunks(
-        "spgemm.hash_acc",
-        a.nnz(),
-        a.nrows(),
-        b.ncols(),
-        chunks,
-    ))
-}
-
-/// Row-wise SpGEMM with **adaptive per-row accumulator selection**: each row
-/// is routed to the sorted-merge, dense, or hash accumulator by its
-/// upper-bounded flop count (see [`spgemm_rows_adaptive`] internals for the
-/// policy). All three accumulators sum every output column's products in
-/// identical k-iteration encounter order, so the result is bit-identical to
-/// [`spgemm`] and [`spgemm_hash`] — the selection only changes speed.
-///
-/// Rows routed per variant are published on the
-/// `spgemm.acc_choice{acc=dense|hash|merge}` counters while profiling is
-/// enabled.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_adaptive(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    par_spgemm_adaptive(a, b, kernel_threads(a.nnz()))
-}
-
-/// [`spgemm_adaptive`] over an explicit number of worker threads (chunked
-/// and stitched exactly like [`par_spgemm`]; bit-identical to serial).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-pub fn par_spgemm_adaptive(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    threads: usize,
-) -> Result<CsrMatrix, SparseError> {
-    check_dims(a, b)?;
-    let _span = bootes_obs::span!("spgemm.adaptive");
-    let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let outputs = bootes_par::map_ranges_in("spgemm.adaptive", threads, &ranges, |_, rows| {
-        spgemm_rows_adaptive(a, b, rows)
-    });
-    let mut chunks = Vec::with_capacity(outputs.len());
+    let (nrows, ncols) = (a.nrows(), b.ncols());
+    let nnz: usize = outputs.iter().map(|(c, _)| c.indices.len()).sum();
+    let mut indptr = Vec::with_capacity(nrows + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    indptr.push(0);
+    let mut flops = 0u64;
     let mut choices = [0u64; 3];
     for (chunk, counts) in outputs {
-        chunks.push(chunk);
+        for len in chunk.row_lens {
+            indptr.push(indptr.last().expect("nonempty indptr") + len);
+            bootes_obs::histogram_record("spgemm.row_nnz", len as u64);
+        }
+        indices.extend_from_slice(&chunk.indices);
+        values.extend_from_slice(&chunk.values);
+        flops += chunk.flops;
         for (total, c) in choices.iter_mut().zip(counts) {
             *total += c;
         }
     }
+    bootes_obs::counter_add("spgemm.flops", flops);
+    // One multiply + one add per fiber product.
+    bootes_obs::counter_add("kernel.flops{kernel=spgemm}", 2 * flops);
+    // Traffic model (no-cache upper bound): each A nonzero read once, one B
+    // element fetched per fiber product, each C nonzero written once; 16
+    // bytes per element (f64 value + 8-byte column index).
+    let bytes = 16 * (a.nnz() as u64 + flops + nnz as u64);
+    bootes_obs::counter_add("kernel.bytes{kernel=spgemm}", bytes);
     if bootes_obs::enabled() {
         for (label, count) in ["dense", "hash", "merge"].iter().zip(choices) {
             if count > 0 {
@@ -568,12 +304,8 @@ pub fn par_spgemm_adaptive(
             }
         }
     }
-    Ok(stitch_chunks(
-        "spgemm.adaptive",
-        a.nnz(),
-        a.nrows(),
-        b.ncols(),
-        chunks,
+    Ok(CsrMatrix::from_parts_unchecked(
+        nrows, ncols, indptr, indices, values,
     ))
 }
 
@@ -623,7 +355,7 @@ pub fn dataflow_costs(a: &CsrMatrix, b: &CsrMatrix) -> Result<[DataflowCost; 3],
     let a_csc = a.to_csc();
     let b_csc = b.to_csc();
     let flops = spgemm_flops(a, b)?;
-    let c = spgemm(a, b)?;
+    let c = spgemm(a, b, 1)?;
 
     // Inner product: for all M*N (i, j) pairs, merge-intersect indices.
     let mut inner_intersections = 0u64;
@@ -701,8 +433,7 @@ mod tests {
     #[test]
     fn identity_times_identity() {
         let i = CsrMatrix::identity(4);
-        assert_eq!(spgemm(&i, &i).unwrap(), i);
-        assert_eq!(spgemm_hash(&i, &i).unwrap(), i);
+        assert_eq!(spgemm(&i, &i, 1).unwrap(), i);
     }
 
     #[test]
@@ -710,65 +441,32 @@ mod tests {
         for seed in 0..8 {
             let a = random_like(13, 17, seed);
             let b = random_like(17, 11, seed + 100);
-            let c = spgemm(&a, &b).unwrap();
+            let c = spgemm(&a, &b, 1).unwrap();
             let c_ref = a.to_dense().matmul(&b.to_dense()).unwrap();
             assert!(c.to_dense().max_abs_diff(&c_ref) < 1e-12, "seed {seed}");
         }
     }
 
     #[test]
-    fn hash_matches_dense_accumulator() {
-        for seed in 0..8 {
-            let a = random_like(10, 20, seed);
-            let b = random_like(20, 15, seed + 7);
-            assert_eq!(
-                spgemm(&a, &b).unwrap(),
-                spgemm_hash(&a, &b).unwrap(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_variants_match_serial_exactly() {
+    fn threads_match_serial_exactly() {
         for seed in 0..4 {
             let a = random_like(33, 29, seed);
             let b = random_like(29, 41, seed + 50);
-            let serial = par_spgemm(&a, &b, 1).unwrap();
-            let serial_hash = par_spgemm_hash(&a, &b, 1).unwrap();
-            for threads in [2usize, 3, 7] {
-                assert_eq!(par_spgemm(&a, &b, threads).unwrap(), serial);
-                assert_eq!(par_spgemm_hash(&a, &b, threads).unwrap(), serial_hash);
-                assert_eq!(par_spgemm_adaptive(&a, &b, threads).unwrap(), serial);
+            let serial = spgemm(&a, &b, 1).unwrap();
+            // 64 threads also covers more threads than rows.
+            for threads in [2usize, 3, 7, 64] {
+                assert_eq!(spgemm(&a, &b, threads).unwrap(), serial);
             }
-            assert_eq!(spgemm(&a, &b).unwrap(), serial);
-            assert_eq!(spgemm_hash(&a, &b).unwrap(), serial_hash);
-            assert_eq!(spgemm_adaptive(&a, &b).unwrap(), serial);
         }
     }
 
     #[test]
-    fn adaptive_is_bit_identical_across_all_variants() {
-        // Mixed-shape operands so all three accumulator routes fire: wide B
-        // (hash territory), short rows (merge), and a dense block (dense).
-        for seed in 0..6 {
-            let a = random_like(40, 30, seed);
-            let b = random_like(30, 25, seed + 11);
-            let dense = spgemm(&a, &b).unwrap();
-            let hash = spgemm_hash(&a, &b).unwrap();
-            let adaptive = spgemm_adaptive(&a, &b).unwrap();
-            assert_eq!(dense, hash, "seed {seed}");
-            assert_eq!(dense, adaptive, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn adaptive_records_acc_choice_counters() {
+    fn records_acc_choice_counters() {
         let a = random_like(40, 30, 9);
         let b = random_like(30, 25, 21);
         bootes_obs::set_enabled(true);
         bootes_obs::reset();
-        let _ = spgemm_adaptive(&a, &b).unwrap();
+        let _ = spgemm(&a, &b, 1).unwrap();
         let profile = bootes_obs::snapshot();
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
@@ -779,7 +477,7 @@ mod tests {
             .map(|c| c.value)
             .sum();
         // ">=" rather than "==": the obs registry is process-global, so a
-        // concurrently running adaptive test may add to the same counters.
+        // concurrently running test may add to the same counters.
         assert!(
             routed >= a.nrows() as u64,
             "every row routed exactly once (got {routed})"
@@ -787,48 +485,28 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cancellation_drops_entries() {
-        // Tiny rows route through the merge accumulator, which must drop
-        // exact-0.0 sums just like dense/hash do.
-        let a = CsrMatrix::try_new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
-        let b = CsrMatrix::try_new(2, 1, vec![0, 1, 2], vec![0, 0], vec![1.0, -1.0]).unwrap();
-        assert_eq!(spgemm_adaptive(&a, &b).unwrap().nnz(), 0);
-    }
-
-    #[test]
-    fn more_threads_than_rows_is_fine() {
-        let a = random_like(3, 5, 1);
-        let b = random_like(5, 4, 2);
-        assert_eq!(
-            par_spgemm(&a, &b, 64).unwrap(),
-            par_spgemm(&a, &b, 1).unwrap()
-        );
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let a = CsrMatrix::zeros(2, 3);
         let b = CsrMatrix::zeros(2, 3);
-        assert!(spgemm(&a, &b).is_err());
-        assert!(spgemm_hash(&a, &b).is_err());
+        assert!(spgemm(&a, &b, 1).is_err());
         assert!(spgemm_flops(&a, &b).is_err());
         assert!(dataflow_costs(&a, &b).is_err());
     }
 
     #[test]
     fn cancellation_drops_entries() {
-        // a = [1 1], b = [[1], [-1]]  =>  c = [0] (dropped)
+        // a = [1 1], b = [[1], [-1]]  =>  c = [0] (dropped). The row is tiny,
+        // so this goes through the merge accumulator.
         let a = CsrMatrix::try_new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
         let b = CsrMatrix::try_new(2, 1, vec![0, 1, 2], vec![0, 0], vec![1.0, -1.0]).unwrap();
-        assert_eq!(spgemm(&a, &b).unwrap().nnz(), 0);
-        assert_eq!(spgemm_hash(&a, &b).unwrap().nnz(), 0);
+        assert_eq!(spgemm(&a, &b, 1).unwrap().nnz(), 0);
     }
 
     #[test]
     fn empty_operands() {
         let a = CsrMatrix::zeros(3, 4);
         let b = CsrMatrix::zeros(4, 2);
-        let c = spgemm(&a, &b).unwrap();
+        let c = spgemm(&a, &b, 1).unwrap();
         assert_eq!(c.shape(), (3, 2));
         assert_eq!(c.nnz(), 0);
     }
@@ -859,5 +537,51 @@ mod tests {
         assert_eq!(row.index_intersections, 0);
         assert_eq!(outer.index_intersections, 0);
         assert!(outer.b_fetches <= row.b_fetches);
+    }
+
+    /// Strategy: a conforming (`a`, `b`) pair with signed small-integer
+    /// values, so partial sums cancel to exactly `0.0` now and then.
+    fn operands() -> impl proptest::Strategy<Value = (CsrMatrix, CsrMatrix)> {
+        use proptest::prelude::*;
+        (1usize..16, 1usize..16, 1usize..16).prop_flat_map(|(m, k, n)| {
+            let side = |r: usize, c: usize| {
+                proptest::collection::vec((0..r, 0..c, 0u32..7), 0..r * c).prop_map(move |trips| {
+                    let mut coo = CooMatrix::new(r, c);
+                    for (i, j, v) in trips {
+                        coo.push(i, j, (f64::from(v) - 3.0) * 0.5).unwrap();
+                    }
+                    coo.to_csr()
+                })
+            };
+            (side(m, k), side(k, n))
+        })
+    }
+
+    proptest::proptest! {
+        /// The dense, hash and merge accumulators produce the same row, bit
+        /// for bit, on every row — so the per-row choice in [`spgemm`] can
+        /// never change a result.
+        #[test]
+        fn accumulators_agree_bit_for_bit((a, b) in operands()) {
+            let mut acc = vec![0.0f64; b.ncols()];
+            let mut touched = Vec::new();
+            let mut hacc = HashMap::new();
+            let mut buf = Vec::new();
+            for i in 0..a.nrows() {
+                let mut rows: Vec<(Vec<usize>, Vec<u64>, u64)> = Vec::new();
+                for acc_kind in 0..3 {
+                    let (mut idx, mut val) = (Vec::new(), Vec::new());
+                    let flops = match acc_kind {
+                        0 => dense_row(&a, &b, i, &mut acc, &mut touched, &mut idx, &mut val),
+                        1 => hash_row(&a, &b, i, &mut hacc, &mut buf, &mut idx, &mut val),
+                        _ => merge_row(&a, &b, i, &mut buf, &mut idx, &mut val),
+                    };
+                    rows.push((idx, val.iter().map(|v| v.to_bits()).collect(), flops));
+                }
+                proptest::prop_assert_eq!(&rows[0], &rows[1], "dense vs hash, row {}", i);
+                proptest::prop_assert_eq!(&rows[0], &rows[2], "dense vs merge, row {}", i);
+                proptest::prop_assert!(acc.iter().all(|&x| x == 0.0), "dense acc reset");
+            }
+        }
     }
 }

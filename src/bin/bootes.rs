@@ -33,8 +33,8 @@
 //! - `--threads N` — worker threads for the parallel kernels (default: all
 //!   cores; `BOOTES_THREADS=N` in the environment works too). Results are
 //!   bit-identical for any thread count,
-//! - `--cache-dir DIR` / `--cache-mem-mb MB` / `--cache-warm-start` /
-//!   `--no-cache` — the content-addressed preprocessing artifact cache
+//! - `--cache-dir DIR` / `--cache-mem-mb MB` / `--no-cache` — the
+//!   content-addressed preprocessing artifact cache
 //!   (permutations, Ritz pairs and model verdicts keyed on the sparsity
 //!   pattern; on by default as a memory-only store),
 //! - `--profile` — enable span/metric collection and print a profile table to
@@ -97,7 +97,8 @@ usage:
   bootes simulate <in.mtx> [--accel flexagon|gamma|trapezoid] [--cache BYTES]
                   [--reorder bootes|gamma|graph|hier|recursive|none] [--k K]
   bootes train    [--corpus N] [--accel NAME] [--cache BYTES] [--seed S] -o model.json
-  bootes decide   <in.mtx> --model model.json
+  bootes decide   <in.mtx> --model model.json   (a tree from `bootes train` or
+                  a committed results/models/<accel>.json)
   bootes analyze  <in.mtx> [--pes N]
   bootes perf diff  [--baseline DIR] [-D] [--rel-threshold F] [--k-mad F]
                     [--abs-floor-ms MS]
@@ -132,13 +133,7 @@ global flags (any subcommand):
                           pairs, model verdicts) in DIR and reuse them across
                           runs on matrices with a recurring sparsity pattern
   --cache-mem-mb MB       in-memory artifact cache ceiling (default: 256)
-  --cache-warm-start      seed eigensolves from cached same-pattern Ritz pairs
-                          (faster on near-identical inputs; not bit-stable)
   --no-cache              disable the artifact cache entirely
-  --spgemm DATAFLOW       SpGEMM accumulator dataflow: dense | hash |
-                          adaptive (default: adaptive; BOOTES_SPGEMM=... in
-                          the environment also works; output is bit-identical
-                          for every choice)
   --no-fallback           disable the graceful-degradation chain: a failed or
                           over-budget spectral reorder becomes a hard error
   --drift-threshold F     rows-changed fraction above which a cached donor
@@ -177,7 +172,6 @@ impl ProfileOpts {
         let mut use_cache = true;
         let mut cache_dir: Option<String> = None;
         let mut cache_mem_mb: u64 = 256;
-        let mut cache_warm = false;
         let mut budget = bootes::guard::Budget::unlimited();
         let mut i = 0;
         while i < args.len() {
@@ -212,10 +206,6 @@ impl ProfileOpts {
                     }
                     drift_threshold = Some(t);
                 }
-                "--cache-warm-start" => {
-                    cache_warm = true;
-                    args.remove(i);
-                }
                 "--cache-dir" => {
                     args.remove(i);
                     if i >= args.len() {
@@ -247,17 +237,6 @@ impl ProfileOpts {
                     } else {
                         budget.with_bytes(n.saturating_mul(1024 * 1024))
                     };
-                }
-                "--spgemm" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--spgemm needs a dataflow argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let dataflow = value
-                        .parse()
-                        .map_err(|e| format!("bad --spgemm value: {e}"))?;
-                    bootes::sparse::ops::set_spgemm_dataflow(dataflow);
                 }
                 "--threads" => {
                     args.remove(i);
@@ -300,8 +279,7 @@ impl ProfileOpts {
         enabled |= bootes::obs::init_from_env();
         if use_cache {
             let mut cfg =
-                bootes::cache::CacheConfig::memory_only(cache_mem_mb.saturating_mul(1024 * 1024))
-                    .with_warm_start(cache_warm);
+                bootes::cache::CacheConfig::memory_only(cache_mem_mb.saturating_mul(1024 * 1024));
             if let Some(dir) = cache_dir {
                 cfg = cfg.with_dir(dir);
             }
@@ -372,6 +350,14 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 fn load(path: &str) -> Result<CsrMatrix, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     read_matrix_market(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
+}
+
+/// Reads a decision tree from `path`: either a bare tree as `bootes train`
+/// writes it, or the `{"model": "<tree JSON>", "accuracy": ...}` wrapper of
+/// the committed `results/models/<accel>.json`.
+fn load_model(path: &str) -> Result<DecisionTree, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    DecisionTree::from_json(&json).map_err(|e| format!("{path}: {e}"))
 }
 
 fn accel_from(args: &[String]) -> Result<AcceleratorConfig, String> {
@@ -869,13 +855,9 @@ fn cmd_serve(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Resul
             .parse()
             .map_err(|e| format!("bad --drain-grace-ms {v:?}: {e}"))?;
     }
-    let model = match flag(args, "--model") {
-        Some(path) => {
-            let json = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
-            Some(DecisionTree::from_json(&json).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
+    let model = flag(args, "--model")
+        .map(|path| load_model(&path))
+        .transpose()?;
     let pipeline = bootes::serve::build_pipeline_with_drift(model, drift)?;
     let handle = bootes::serve::start(config, pipeline)
         .map_err(|e| format!("failed to start serve daemon: {e}"))?;
@@ -1004,9 +986,7 @@ fn cmd_decide(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Resu
         .ok_or("decide needs an input file")?;
     let model_path = flag(args, "--model").ok_or("decide needs --model <model.json>")?;
     let a = load(input)?;
-    let json =
-        std::fs::read_to_string(&model_path).map_err(|e| format!("read {model_path}: {e}"))?;
-    let tree = DecisionTree::from_json(&json).map_err(|e| e.to_string())?;
+    let tree = load_model(&model_path)?;
     let pipeline = BootesPipeline::new(tree, BootesConfig::default())
         .map_err(|e| e.to_string())?
         .with_drift(drift);

@@ -190,6 +190,28 @@ fn stats_bit_identical_when_no_donor_used() {
         }
     }
     bootes::par::set_threads(1);
+
+    // A cached sketch of another shape is a candidate that never qualifies:
+    // the probe sketches the query, finds no donor, and hands that sketch
+    // to the cache put, which must store exactly what `sketch_of` computes.
+    let drift = DriftConfig::default();
+    let p = pipeline(Some(drift.clone()));
+    cache::install(mem_cache());
+    p.preprocess(&a).expect("populate a candidate");
+    let other = clustered(&GenConfig::new(80, 96).seed(0xD81F8), 4, 0.9).expect("valid generator");
+    let out = p.preprocess(&other).expect("donorless miss");
+    assert_eq!(out.stats.donor_fingerprint, None);
+    let sketch_key = CacheKey {
+        kind: ArtifactKind::Sketch,
+        pattern: p.reorder_key(&other).pattern,
+        config: drift.sketch_config_hash(),
+    };
+    let stored = cache::global().expect("installed").get(&sketch_key);
+    cache::uninstall();
+    assert_eq!(
+        stored,
+        Some(Artifact::Sketch(bootes::drift::sketch_of(&other, &drift)))
+    );
 }
 
 /// threshold = 0.0: any nonempty delta abandons the donor. The outcome must

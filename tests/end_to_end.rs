@@ -25,11 +25,11 @@ fn all_reorderers() -> Vec<Box<dyn Reorderer>> {
 fn reordering_preserves_the_spgemm_product() {
     let a = clustered_with_density(&GenConfig::new(160, 160).seed(9), 4, 0.9, 0.05).unwrap();
     let b = uniform_random(&GenConfig::new(160, 120).seed(10), 0.03).unwrap();
-    let c_ref = spgemm(&a, &b).unwrap();
+    let c_ref = spgemm(&a, &b, 1).unwrap();
     for algo in all_reorderers() {
         let out = algo.reorder(&a).unwrap();
         let a_perm = out.permutation.apply_rows(&a).unwrap();
-        let c_perm = spgemm(&a_perm, &b).unwrap();
+        let c_perm = spgemm(&a_perm, &b, 1).unwrap();
         let c_expected = out.permutation.apply_rows(&c_ref).unwrap();
         assert_eq!(c_perm, c_expected, "{} broke the product", algo.name());
     }
@@ -227,6 +227,48 @@ fn analyze_profile_flag_emits_valid_json_profile() {
         bootes::obs::PROFILE_FORMAT_VERSION
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `bootes decide --model results/models/gamma.json` reads the committed
+/// `{model, accuracy}` wrapper and prints the class the unwrapped tree
+/// predicts in-process.
+#[test]
+fn decide_reads_the_committed_model_wrapper() {
+    use bootes::core::{Label, MatrixFeatures};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fixture = root.join("tests/fixtures/clustered_96.mtx");
+    let model_path = root.join("results/models/gamma.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bootes"))
+        .arg("decide")
+        .arg(&fixture)
+        .arg("--model")
+        .arg(&model_path)
+        .output()
+        .expect("run bootes binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "decide failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let wrapper: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(&model_path).unwrap()).unwrap();
+    let inner = wrapper.get("model").and_then(serde::Value::as_str).unwrap();
+    let tree = bootes::model::DecisionTree::from_json(inner).unwrap();
+    let a = bootes::sparse::io::read_matrix_market(std::io::BufReader::new(
+        std::fs::File::open(&fixture).unwrap(),
+    ))
+    .unwrap();
+    let class = tree.predict(&MatrixFeatures::extract(&a).to_vec()).unwrap();
+    let expected = match Label::from_class(class).unwrap() {
+        Label::NoReorder => "do not reorder".to_string(),
+        Label::Reorder(k) => format!("reorder with k = {k}"),
+    };
+    assert!(
+        stdout.trim_end().ends_with(&expected),
+        "CLI printed {stdout:?}, in-process tree predicts {expected:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -3,27 +3,23 @@
 //! resource budgets from `bootes::guard`.
 //!
 //! Failpoints, budgets, thread counts and the obs registry are all
-//! process-global, so every test serializes on [`GUARD_LOCK`]. The CI
-//! fault-injection job runs this file alone (`cargo test --test
-//! fault_injection`) so the env-var matrix cannot leak into other suites.
-
-use std::sync::Mutex;
+//! process-global, so every test holds a [`ScopedFailpoints`] for its whole
+//! body: scopes take a process-wide lock, and tests that inject nothing arm
+//! an empty spec ([`no_faults`]). The CI fault-injection job runs this file
+//! alone (`cargo test --test fault_injection`) so the env-var matrix cannot
+//! leak into other suites.
 
 use bootes::core::{BootesConfig, BootesPipeline, FallbackReorderer, Label, SpectralReorderer};
-use bootes::guard::{clear_failpoints, Budget, GuardError, ScopedFailpoints};
+use bootes::guard::{Budget, GuardError, ScopedFailpoints};
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
 use bootes::reorder::{ReorderError, Reorderer};
 use bootes::sparse::CsrMatrix;
 use bootes::workloads::gen::{clustered, GenConfig};
 
-static GUARD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Locks the global-state mutex and resets failpoints on both entry and
-/// (via the returned guard's scope) implicitly before each test's own setup.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    let g = GUARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_failpoints();
-    g
+/// A scope with nothing armed: serializes the test against every other
+/// test here and guarantees a fault-free failpoint table.
+fn no_faults() -> ScopedFailpoints {
+    ScopedFailpoints::arm("").unwrap()
 }
 
 /// A clustered test matrix large enough that every rung does real work.
@@ -37,7 +33,6 @@ fn chain() -> FallbackReorderer {
 
 #[test]
 fn lanczos_failpoint_degrades_to_recursive() {
-    let _g = serial();
     // @1 fires exactly once: the spectral rung consumes it, the recursive
     // rung's own Lanczos call runs clean. The scoped guard restores the
     // previous (empty) spec when the test ends, pass or fail.
@@ -53,7 +48,6 @@ fn lanczos_failpoint_degrades_to_recursive() {
 
 #[test]
 fn kmeans_failpoint_degrades_to_recursive() {
-    let _g = serial();
     let _fp = ScopedFailpoints::arm("kmeans.iter=err@1").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
@@ -63,7 +57,6 @@ fn kmeans_failpoint_degrades_to_recursive() {
 
 #[test]
 fn persistent_lanczos_fault_falls_through_to_hier() {
-    let _g = serial();
     // No @N: fires on every hit, so both eigensolver rungs fail and the
     // chain lands on the LSH reorderer, which needs no eigensolve.
     let _fp = ScopedFailpoints::arm("lanczos.restart=err").unwrap();
@@ -78,12 +71,10 @@ fn persistent_lanczos_fault_falls_through_to_hier() {
 
 #[test]
 fn worker_panic_is_isolated_and_degraded() {
-    let _g = serial();
+    let _fp = ScopedFailpoints::arm("par.worker=panic@1").unwrap();
     bootes::par::set_threads(4);
-    let fp = ScopedFailpoints::arm("par.worker=panic@1").unwrap();
     let a = matrix();
     let result = chain().reorder(&a);
-    drop(fp);
     bootes::par::set_threads(0);
     let out = result.expect("a worker panic must not escape the chain");
     assert!(out.stats.is_degraded());
@@ -92,7 +83,7 @@ fn worker_panic_is_isolated_and_degraded() {
 
 #[test]
 fn zero_time_budget_lands_on_original_order() {
-    let _g = serial();
+    let _fp = no_faults();
     let a = matrix();
     let armed = Budget::unlimited().with_time_ms(0).arm();
     let out = chain().reorder(&a).expect("budget exhaustion must degrade");
@@ -106,7 +97,7 @@ fn zero_time_budget_lands_on_original_order() {
 
 #[test]
 fn iteration_cap_lands_on_original_order() {
-    let _g = serial();
+    let _fp = no_faults();
     let a = matrix();
     let armed = Budget::unlimited().with_iterations(1).arm();
     let out = chain().reorder(&a).expect("budget exhaustion must degrade");
@@ -118,7 +109,7 @@ fn iteration_cap_lands_on_original_order() {
 
 #[test]
 fn byte_budget_degrades_spectral_but_keeps_quality_rungs() {
-    let _g = serial();
+    let _fp = no_faults();
     let a = matrix();
     // 1 byte: the spectral embedding's explicit accounting trips
     // immediately, but the recursive rung stays within its (unaccounted)
@@ -134,7 +125,7 @@ fn byte_budget_degrades_spectral_but_keeps_quality_rungs() {
 
 #[test]
 fn healthy_chain_is_bit_identical_to_plain_spectral() {
-    let _g = serial();
+    let _fp = no_faults();
     let a = matrix();
     let cfg = BootesConfig::default().with_k(4);
     let guarded = FallbackReorderer::new(cfg.clone()).reorder(&a).unwrap();
@@ -147,13 +138,11 @@ fn healthy_chain_is_bit_identical_to_plain_spectral() {
 
 #[test]
 fn fallback_counters_name_the_failed_rung() {
-    let _g = serial();
+    let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     bootes::obs::set_enabled(true);
     bootes::obs::reset();
-    let fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     let a = matrix();
     chain().reorder(&a).expect("chain must absorb the fault");
-    drop(fp);
     let profile = bootes::obs::snapshot();
     bootes::obs::set_enabled(false);
     bootes::obs::reset();
@@ -193,7 +182,6 @@ fn toy_model() -> DecisionTree {
 
 #[test]
 fn pipeline_preprocess_survives_faults_and_reports_degradation() {
-    let _g = serial();
     let _fp = ScopedFailpoints::arm("lanczos.restart=err").unwrap();
     let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).unwrap();
     let a = matrix();
@@ -205,7 +193,6 @@ fn pipeline_preprocess_survives_faults_and_reports_degradation() {
 
 #[test]
 fn no_fallback_surfaces_the_typed_error() {
-    let _g = serial();
     let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default())
         .unwrap()
@@ -245,7 +232,7 @@ fn run_cli(args: &[&str], failpoints: Option<&str>) -> std::process::Output {
 
 #[test]
 fn cli_reorder_exits_zero_under_persistent_faults() {
-    let _g = serial();
+    let _fp = no_faults();
     let dir = std::env::temp_dir();
     let input = dir.join("bootes_fault_injection_in.mtx");
     let output = dir.join("bootes_fault_injection_out.mtx");
@@ -276,7 +263,7 @@ fn cli_reorder_exits_zero_under_persistent_faults() {
 
 #[test]
 fn cli_reorder_exits_zero_with_zero_time_budget() {
-    let _g = serial();
+    let _fp = no_faults();
     let dir = std::env::temp_dir();
     let input = dir.join("bootes_budget_in.mtx");
     let output = dir.join("bootes_budget_out.mtx");
@@ -380,7 +367,7 @@ fn assert_clean_drain(
 
 #[test]
 fn serve_parse_failpoint_is_a_protocol_error_not_a_hang() {
-    let _g = serial();
+    let _fp = no_faults();
     let (child, stdout, addr) = spawn_serve("parse", &[], Some("serve.parse=err@1"));
     let mut client = serve_client(&addr);
     // The first line hits the injected parse fault: a well-formed error
@@ -397,7 +384,7 @@ fn serve_parse_failpoint_is_a_protocol_error_not_a_hang() {
 
 #[test]
 fn serve_accept_failpoint_drops_one_connection_daemon_survives() {
-    let _g = serial();
+    let _fp = no_faults();
     let (child, stdout, addr) = spawn_serve("accept", &[], Some("serve.accept=err@1"));
     // The first accept consumes the fault: that connection is dropped
     // without a response.
@@ -414,7 +401,7 @@ fn serve_accept_failpoint_drops_one_connection_daemon_survives() {
 
 #[test]
 fn serve_coalesce_leader_fault_propagates_and_terminates() {
-    let _g = serial();
+    let _fp = no_faults();
     let (child, stdout, addr) = spawn_serve(
         "coalesce",
         &["--serve-workers", "4"],
@@ -458,7 +445,7 @@ fn serve_coalesce_leader_fault_propagates_and_terminates() {
 
 #[test]
 fn serve_admission_reject_is_well_formed_and_non_sticky() {
-    let _g = serial();
+    let _fp = no_faults();
     // 50k triplets at ~24 bytes each (~1.2 MiB) against a 1 MiB tenant cap.
     let (child, stdout, addr) = spawn_serve("admission", &["--max-tenant-mb", "1"], None);
     let n = 256;
@@ -491,7 +478,7 @@ fn serve_admission_reject_is_well_formed_and_non_sticky() {
 
 #[test]
 fn serve_drain_with_inflight_work_exits_zero_and_loses_nothing() {
-    let _g = serial();
+    let _fp = no_faults();
     let (mut child, mut stdout, addr) = spawn_serve("drain", &["--serve-workers", "1"], None);
     // Distinct matrices through a single worker: some execute during the
     // drain's grace window under the revoked (zero-time) budget.
@@ -539,7 +526,7 @@ fn serve_drain_with_inflight_work_exits_zero_and_loses_nothing() {
 
 #[test]
 fn cli_no_fallback_fails_loudly_under_faults() {
-    let _g = serial();
+    let _fp = no_faults();
     let dir = std::env::temp_dir();
     let input = dir.join("bootes_nofallback_in.mtx");
     write_test_matrix(&input);

@@ -1,20 +1,19 @@
 //! Property-based bit-equivalence of every parallel kernel across thread
 //! counts, through the public facade.
 //!
-//! The PR-7 worker pool, chunk oversubscription, and per-thread scratch
-//! reuse all change *how* work is scheduled; these properties pin that none
-//! of it changes *what* is computed: for any generated matrix, every thread
-//! count in {1, 2, 4, 8} (which exercises the serial-inline path, pool
-//! dispatch, and oversubscribed chunk claiming, regardless of the host's
-//! CPU count) must produce output bit-identical to the 1-thread run — for
-//! the dense-, hash-, and adaptive-accumulator SpGEMM, the similarity
-//! product, and SpMV. Floats are compared via `to_bits`, so `-0.0 != 0.0`
-//! and no epsilon can hide a reassociated sum.
+//! The worker pool, chunk oversubscription, and per-thread scratch reuse all
+//! change *how* work is scheduled; these properties pin that none of it
+//! changes *what* is computed: for any generated matrix, every thread count
+//! in {1, 2, 4, 8} (which exercises the serial-inline path, pool dispatch,
+//! and oversubscribed chunk claiming, regardless of the host's CPU count)
+//! must produce output bit-identical to the 1-thread run — for SpGEMM, the
+//! similarity product, and SpMV. Floats are compared via `to_bits`, so
+//! `-0.0 != 0.0` and no epsilon can hide a reassociated sum. The generated
+//! shapes are rectangular and include empty rows and all-zero matrices
+//! (`0..max_nnz` triplets); the degenerate shapes are also pinned
+//! deterministically below.
 
-use bootes::sparse::ops::{
-    par_similarity_matrix, par_spgemm, par_spgemm_adaptive, par_spgemm_hash, set_spgemm_dataflow,
-    spgemm, spgemm_dataflow, SpgemmDataflow,
-};
+use bootes::sparse::ops::{similarity_matrix, spgemm};
 use bootes::sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 
@@ -22,22 +21,28 @@ use proptest::prelude::*;
 /// purpose: oversubscription must also be bit-exact).
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Strategy: a square sparse matrix with signed values (so cancellation and
-/// sign handling are exercised, not just positive accumulation).
-fn square_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
-    (2..max_dim).prop_flat_map(move |n| {
-        proptest::collection::vec(
-            (0..n, 0..n, -5.0f64..5.0).prop_map(|(i, j, v)| (i, j, v)),
-            0..max_nnz,
-        )
-        .prop_map(move |trips| {
-            let mut coo = CooMatrix::new(n, n);
-            for (i, j, v) in trips {
-                coo.push(i, j, v).expect("in range by construction");
-            }
-            coo.to_csr()
-        })
+/// Strategy: an `r x c` matrix from `0..max_nnz` random signed triplets (so
+/// cancellation and sign handling are exercised; duplicate coordinates
+/// collapse in `to_csr`, and unreferenced rows stay empty).
+fn sized(r: usize, c: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
+    proptest::collection::vec((0..r, 0..c, -5.0f64..5.0), 0..max_nnz).prop_map(move |trips| {
+        let mut coo = CooMatrix::new(r, c);
+        for (i, j, v) in trips {
+            coo.push(i, j, v).expect("in range by construction");
+        }
+        coo.to_csr()
     })
+}
+
+/// Strategy: a matrix of random shape below `max_dim` in both dimensions.
+fn matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
+    (1..max_dim, 1..max_dim).prop_flat_map(move |(r, c)| sized(r, c, max_nnz))
+}
+
+/// Strategy: a conforming (`a`, `b`) SpGEMM pair with a shared inner dim.
+fn spgemm_pair(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    (1..max_dim, 1..max_dim, 1..max_dim)
+        .prop_flat_map(move |(m, k, n)| (sized(m, k, max_nnz), sized(k, n, max_nnz)))
 }
 
 /// Exact (bitwise) equality of two CSR matrices.
@@ -52,66 +57,38 @@ fn bit_identical(a: &CsrMatrix, b: &CsrMatrix) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense-, hash-, and adaptive-accumulator SpGEMM agree bitwise with
-    /// their own serial runs — and with each other — at every thread count.
+    /// SpGEMM is bit-identical across thread counts.
     #[test]
-    fn spgemm_variants_bit_identical_across_threads(a in square_matrix(18, 70)) {
-        let b = a.transpose();
-        let serial = par_spgemm(&a, &b, 1).expect("valid operands");
+    fn spgemm_bit_identical_across_threads((a, b) in spgemm_pair(20, 120)) {
+        let serial = spgemm(&a, &b, 1).expect("valid operands");
         for t in THREAD_COUNTS {
-            let dense = par_spgemm(&a, &b, t).expect("valid operands");
-            let hash = par_spgemm_hash(&a, &b, t).expect("valid operands");
-            let adaptive = par_spgemm_adaptive(&a, &b, t).expect("valid operands");
-            prop_assert!(bit_identical(&dense, &serial), "dense t={t}");
-            prop_assert!(bit_identical(&hash, &serial), "hash t={t}");
-            prop_assert!(bit_identical(&adaptive, &serial), "adaptive t={t}");
+            let out = spgemm(&a, &b, t).expect("valid operands");
+            prop_assert!(bit_identical(&out, &serial), "spgemm t={t}");
         }
     }
 
     /// The similarity product is bit-identical across thread counts.
     #[test]
-    fn similarity_bit_identical_across_threads(a in square_matrix(18, 70)) {
-        let serial = par_similarity_matrix(&a, 1);
+    fn similarity_bit_identical_across_threads(a in matrix(24, 120)) {
+        let serial = similarity_matrix(&a, 1);
         for t in THREAD_COUNTS {
             prop_assert!(
-                bit_identical(&par_similarity_matrix(&a, t), &serial),
+                bit_identical(&similarity_matrix(&a, t), &serial),
                 "similarity t={t}"
             );
         }
     }
 
-    /// The public `spgemm()` entry point is bit-identical under every
-    /// process-global dataflow setting (dense / hash / adaptive), so the
-    /// PR-9 promotion of the adaptive accumulator to the default — and the
-    /// `--spgemm` / `BOOTES_SPGEMM` escape hatch — can never change results.
-    ///
-    /// This test owns the process-global dataflow switch; no other test in
-    /// this binary routes through `spgemm()`, so sweeping it here is safe.
-    #[test]
-    fn spgemm_entry_point_bit_identical_across_dataflows(a in square_matrix(18, 70)) {
-        let b = a.transpose();
-        let reference = par_spgemm(&a, &b, 1).expect("valid operands");
-        for dataflow in [SpgemmDataflow::Dense, SpgemmDataflow::Hash, SpgemmDataflow::Adaptive] {
-            set_spgemm_dataflow(dataflow);
-            prop_assert_eq!(spgemm_dataflow(), dataflow);
-            let out = spgemm(&a, &b).expect("valid operands");
-            prop_assert!(bit_identical(&out, &reference), "dataflow {}", dataflow.name());
-        }
-        // Leave the process default in place for any later-added tests.
-        set_spgemm_dataflow(SpgemmDataflow::default());
-    }
-
     /// SpMV is bit-identical across thread counts.
     #[test]
     fn spmv_bit_identical_across_threads(
-        a in square_matrix(18, 70),
+        a in matrix(24, 120),
         seed in -2.0f64..2.0,
     ) {
-        let n = a.ncols();
-        let x: Vec<f64> = (0..n).map(|i| seed + (i % 7) as f64 * 0.5).collect();
+        let x: Vec<f64> = (0..a.ncols()).map(|i| seed + (i % 7) as f64 * 0.5).collect();
         let serial = a.matvec(&x).expect("length matches by construction");
         for t in THREAD_COUNTS {
-            let mut y = vec![0.0f64; a.nrows()];
+            let mut y = vec![f64::NAN; a.nrows()];
             a.par_matvec_into(&x, &mut y, t);
             let same = y
                 .iter()
@@ -119,5 +96,36 @@ proptest! {
                 .all(|(p, s)| p.to_bits() == s.to_bits());
             prop_assert!(same, "spmv t={t}");
         }
+    }
+}
+
+#[test]
+fn zero_and_tall_shapes_bit_identical_across_threads() {
+    // The degenerate shapes the strategies only sometimes produce: an
+    // all-zero operand and a tall matrix with interior empty rows.
+    let zero = CsrMatrix::zeros(6, 5);
+    let tall = CsrMatrix::try_new(
+        5,
+        4,
+        vec![0, 2, 2, 3, 3, 4],
+        vec![0, 3, 1, 2],
+        vec![1.0, -2.0, 4.0, 0.5],
+    )
+    .expect("valid csr");
+    for t in THREAD_COUNTS {
+        assert_eq!(
+            spgemm(&zero, &CsrMatrix::zeros(5, 3), t).unwrap(),
+            CsrMatrix::zeros(6, 3)
+        );
+        assert_eq!(
+            spgemm(&tall, &CsrMatrix::zeros(4, 7), t).unwrap(),
+            CsrMatrix::zeros(5, 7)
+        );
+        assert!(bit_identical(
+            &spgemm(&tall, &tall.transpose(), t).unwrap(),
+            &spgemm(&tall, &tall.transpose(), 1).unwrap()
+        ));
+        assert_eq!(similarity_matrix(&tall, t), similarity_matrix(&tall, 1));
+        assert_eq!(similarity_matrix(&zero, t), CsrMatrix::zeros(6, 6));
     }
 }

@@ -4,9 +4,7 @@
 use bootes::linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes::linalg::{kmeans, normalized_laplacian, KMeansConfig, LinearOperator};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
-use bootes::sparse::ops::{
-    add_scaled, block_spgemm, similarity_matrix, spgemm, spgemm_hash, BlockSparseMatrix,
-};
+use bootes::sparse::ops::{add_scaled, block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes::sparse::{CooMatrix, CsrMatrix, DenseMatrix, Permutation};
 use proptest::prelude::*;
 
@@ -59,7 +57,7 @@ proptest! {
         prop_assert_eq!(a.transpose().transpose(), a);
     }
 
-    /// Both SpGEMM kernels agree with the dense reference.
+    /// SpGEMM agrees with the dense reference.
     #[test]
     fn spgemm_matches_dense((a, b) in (1usize..14, 1usize..14, 1usize..14).prop_flat_map(|(m, k, n)| {
         (
@@ -76,16 +74,14 @@ proptest! {
         )
     })) {
         let dense_ref = a.to_dense().matmul(&b.to_dense()).expect("shapes agree");
-        let c = spgemm(&a, &b).expect("shapes agree");
+        let c = spgemm(&a, &b, 1).expect("shapes agree");
         prop_assert!(c.to_dense().max_abs_diff(&dense_ref) < 1e-9);
-        let ch = spgemm_hash(&a, &b).expect("shapes agree");
-        prop_assert!(ch.to_dense().max_abs_diff(&dense_ref) < 1e-9);
     }
 
     /// The similarity matrix is symmetric with row-nnz diagonal.
     #[test]
     fn similarity_is_symmetric(a in sparse_matrix(20, 60)) {
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         prop_assert_eq!(s.shape(), (a.nrows(), a.nrows()));
         for (i, j, v) in s.iter() {
             prop_assert_eq!(s.get(j, i), v);
@@ -99,7 +95,7 @@ proptest! {
     /// Normalized-Laplacian eigenvalue range: xᵀLx / xᵀx stays in [0, 2].
     #[test]
     fn laplacian_rayleigh_quotient_bounded(a in square_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let s = similarity_matrix(&a);
+        let s = similarity_matrix(&a, 1);
         let l = normalized_laplacian(&s).expect("non-negative similarities");
         let x = &xs[..a.nrows()];
         let norm2: f64 = x.iter().map(|v| v * v).sum();
@@ -113,7 +109,7 @@ proptest! {
     /// The implicit Laplacian operator equals the materialized one.
     #[test]
     fn implicit_laplacian_matches(a in sparse_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let l = normalized_laplacian(&similarity_matrix(&a)).expect("valid");
+        let l = normalized_laplacian(&similarity_matrix(&a, 1)).expect("valid");
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = &xs[..a.nrows()];
         let dense = l.matvec(x).expect("square");
@@ -184,7 +180,7 @@ proptest! {
         let ab = BlockSparseMatrix::from_csr(&a, block).expect("valid block");
         prop_assert_eq!(ab.to_csr(), a.clone());
         let tiled = block_spgemm(&ab, &ab).expect("square");
-        let reference = spgemm(&a, &a).expect("square");
+        let reference = spgemm(&a, &a, 1).expect("square");
         prop_assert!(tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-9);
     }
 

@@ -87,7 +87,7 @@ fn tiled_kernel_agrees_with_row_wise_on_generated_workloads() {
         .unwrap();
         let blocked = BlockSparseMatrix::from_csr(&a, 16).unwrap();
         let tiled = block_spgemm(&blocked, &blocked).unwrap();
-        let reference = spgemm(&a, &a).unwrap();
+        let reference = spgemm(&a, &a, 1).unwrap();
         assert!(
             tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-10,
             "seed {seed}"
