@@ -51,9 +51,9 @@ fn bench_similarity_and_laplacian(c: &mut Criterion) {
     for n in [256usize, 512, 1024] {
         let a = workload(n);
         g.bench_with_input(BenchmarkId::new("similarity", n), &a, |b, a| {
-            b.iter(|| similarity_matrix(black_box(a), 1))
+            b.iter(|| similarity_matrix(black_box(a), 1).expect("no worker faults"))
         });
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).expect("no worker faults");
         g.bench_with_input(BenchmarkId::new("laplacian", n), &s, |b, s| {
             b.iter(|| normalized_laplacian(black_box(s)).expect("valid"))
         });

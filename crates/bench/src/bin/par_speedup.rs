@@ -156,7 +156,7 @@ fn main() {
         &mut results,
         "similarity.rows",
         nnz,
-        |t| similarity_matrix(&a, t),
+        |t| similarity_matrix(&a, t).expect("no worker faults"),
     );
     sweep_kernel(&mut runner, &mut table, &mut results, "spmv", nnz, |t| {
         let mut y = vec![0.0f64; n];

@@ -42,7 +42,9 @@ fn main() {
         spgemm(&a, &a, threads).expect("valid operands").nnz()
     });
     runner.measure(&format!("similarity/t{threads}"), || {
-        similarity_matrix(&a, threads).nnz()
+        similarity_matrix(&a, threads)
+            .expect("no worker faults")
+            .nnz()
     });
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
     let mut y = vec![0.0; n];

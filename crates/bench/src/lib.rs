@@ -141,6 +141,11 @@ fn traffic_at(a: &CsrMatrix, b: &CsrMatrix, k: Option<usize>, accel: &Accelerato
 /// Finds the best label for one matrix on one accelerator by measuring:
 /// reorder with the best candidate `k` if it cuts total traffic by more than
 /// the paper's 10% threshold, otherwise `NoReorder` (§3.2 labeling).
+///
+/// # Panics
+///
+/// Panics if a candidate sweep fails (a panicking worker or an armed
+/// `par.worker` failpoint).
 pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
     let b = b_operand(a);
     let base = traffic_at(a, &b, None, accel);
@@ -148,6 +153,7 @@ pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
     // out and fold the winner in k order, so the chosen label is the same for
     // any thread count (strict `<` keeps the first-smallest-k tie-break).
     let sweeps = bootes_par::map_indices(
+        "label.sweep",
         bootes_par::threads().min(CANDIDATE_KS.len()),
         CANDIDATE_KS.len(),
         |i| {
@@ -158,7 +164,8 @@ pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
                 Some((k, traffic_at(a, &b, Some(k), accel)))
             }
         },
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let mut best: Option<(usize, u64)> = None;
     for (k, t) in sweeps.into_iter().flatten() {
         if best.is_none_or(|(_, bt)| t < bt) {

@@ -265,7 +265,6 @@ impl Reorderer for FallbackReorderer {
 pub struct BootesPipeline {
     model: DecisionTree,
     config: BootesConfig,
-    fallback: bool,
     /// Drift donor reuse: on an exact reorder-key miss, look for a cached
     /// permutation of a near-identical pattern and resplice it instead of
     /// recomputing (`None` disables the donor path entirely). Deliberately
@@ -320,20 +319,9 @@ impl BootesPipeline {
         Ok(BootesPipeline {
             model,
             config,
-            fallback: true,
             drift: Some(DriftConfig::default()),
             model_hash,
         })
-    }
-
-    /// Enables or disables the graceful-degradation chain (default: enabled).
-    ///
-    /// With fallback disabled, [`BootesPipeline::preprocess`] uses the plain
-    /// [`SpectralReorderer`] and surfaces its errors instead of stepping down
-    /// to a cheaper algorithm.
-    pub fn with_fallback(mut self, enabled: bool) -> Self {
-        self.fallback = enabled;
-        self
     }
 
     /// Configures the drift donor path (default: `Some(DriftConfig::default())`).
@@ -372,9 +360,9 @@ impl BootesPipeline {
     }
 
     /// Cache key of the full preprocessing outcome for `a`: pattern plus
-    /// every knob the permutation depends on (model, reorder config, and
-    /// whether the graceful-degradation chain is active). Well-defined
-    /// whether or not a process-global artifact cache is installed.
+    /// every knob the permutation depends on (model and reorder config).
+    /// Well-defined whether or not a process-global artifact cache is
+    /// installed.
     pub fn reorder_key(&self, a: &CsrMatrix) -> CacheKey {
         self.reorder_key_of(&MatrixFingerprint::of(a))
     }
@@ -383,8 +371,7 @@ impl BootesPipeline {
     fn reorder_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
         let mut h = bootes_sparse::Fnv1a::new();
         h.write_u64(self.model_hash)
-            .write_u64(bootes_cache::hash_serialized(&self.config))
-            .write_u64(self.fallback as u64);
+            .write_u64(bootes_cache::hash_serialized(&self.config));
         CacheKey::new(ArtifactKind::Reorder, fp, h.finish())
     }
 
@@ -602,11 +589,7 @@ impl BootesPipeline {
                     }
                     probe => {
                         let cfg = self.config.clone().with_k(k);
-                        let out = if self.fallback {
-                            FallbackReorderer::new(cfg).reorder(a)?
-                        } else {
-                            SpectralReorderer::new(cfg).reorder(a)?
-                        };
+                        let out = FallbackReorderer::new(cfg).reorder(a)?;
                         mem.alloc(out.stats.peak_bytes);
                         let mut stats = scope.stats(&mem);
                         // Surface the chain's degradation record on the

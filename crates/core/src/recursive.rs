@@ -155,7 +155,7 @@ impl RecursiveSpectralReorderer {
                 self.bisect(a, rows, depth + 1, &mut sub_out, &mut sub_mem)
                     .map(|()| (sub_out, sub_mem))
             };
-            let (l, r) = bootes_par::join(true, || run(left), || run(right));
+            let (l, r) = bootes_par::join(true, || run(left), || run(right))?;
             let (l_out, l_mem) = l?;
             let (r_out, r_mem) = r?;
             out.extend_from_slice(&l_out);

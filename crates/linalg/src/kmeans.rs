@@ -131,14 +131,13 @@ pub fn kmeans_threads(
     // of the budget to the per-run assignment step without oversubscribing.
     let outer = threads.min(n_init);
     let inner = (threads / outer).max(1);
-    let runs = bootes_par::try_map_indices_in("kmeans.run", outer, n_init, |init| {
+    let runs = bootes_par::map_indices("kmeans.run", outer, n_init, |init| {
         let _run_span = bootes_obs::span!("kmeans.run");
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(init as u64));
         let run = lloyd(points, k, cfg, &mut rng, inner)?;
         bootes_obs::counter_add("kmeans.iterations", run.iterations as u64);
         Ok::<_, LinalgError>(run)
-    })
-    .map_err(LinalgError::from)?;
+    })?;
     let mut best: Option<KMeansResult> = None;
     for run in runs {
         let run = run?;
@@ -257,10 +256,9 @@ fn assign_all(
             8 * (n * k * d + k * d + 2 * n),
         );
     }
-    let chunks = bootes_par::try_map_ranges_in("kmeans.assign", threads, &ranges, |_, r| {
+    let chunks = bootes_par::map_ranges("kmeans.assign", threads, &ranges, |_, r| {
         assign_chunk(points, centroids, r)
-    })
-    .map_err(LinalgError::from)?;
+    })?;
     let mut at = 0usize;
     for (chunk_labels, chunk_dists) in chunks {
         labels[at..at + chunk_labels.len()].copy_from_slice(&chunk_labels);

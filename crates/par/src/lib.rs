@@ -44,14 +44,13 @@
 //! bisection halves each running parallel kernels) runs inline on that
 //! worker instead of re-entering the pool — dispatching to the pool from
 //! inside it could deadlock, and outer-level parallelism already owns the
-//! cores. [`try_join`] spawns its own scoped thread and is unaffected.
+//! cores. [`join`] spawns its own scoped thread and is unaffected.
 //!
 //! # Per-worker attribution
 //!
-//! The `*_in` combinator variants ([`try_map_ranges_in`],
-//! [`try_for_each_chunk_mut_in`], ...) take a **region name** (conventionally
-//! the kernel's span name, e.g. `"spgemm"`). While profiling is
-//! enabled, each invocation aggregates:
+//! [`map_ranges`], [`map_indices`] and [`for_each_chunk_mut`] take a
+//! **region name** (conventionally the kernel's span name, e.g. `"spgemm"`).
+//! While profiling is enabled, each invocation aggregates:
 //!
 //! - `par.region.imbalance{region=<name>}` — max/mean worker busy time,
 //! - `par.region.utilization{region=<name>}` — Σ busy / (workers × wall),
@@ -64,20 +63,20 @@
 //! with profiling on but the timeline off, workers time their whole loop
 //! once instead of every chunk, and no `ChunkRecord` is pushed. With
 //! profiling disabled the attribution path costs one relaxed atomic load per
-//! region — no clock reads, no allocation. The unnamed combinators attribute
-//! to the `"par.unnamed"` region.
+//! region — no clock reads, no allocation. [`join`] is a control-flow fork,
+//! not a region, and takes no name.
 //!
 //! # Panic isolation
 //!
-//! Every chunk closure runs inside [`std::panic::catch_unwind`] and hits the
-//! `par.worker` guard failpoint first. The `try_*` combinators
-//! ([`try_map_ranges`], [`try_map_indices`], [`try_for_each_chunk_mut`],
-//! [`try_join`]) surface a panicking or fault-injected chunk as a typed
-//! [`GuardError`] instead of aborting the process; the infallible wrappers
-//! re-raise the rendered error as a panic for callers with no error channel
-//! (the fallback chain in `bootes-core` catches those at the rung boundary).
-//! When multiple chunks fail, the error reported is the failing chunk with
-//! the lowest index, keeping the observed failure deterministic.
+//! Every chunk closure and each side of a [`join`] runs inside
+//! [`std::panic::catch_unwind`] and hits the `par.worker` guard failpoint
+//! first. All four combinators return a panicking or fault-injected chunk as
+//! a typed [`GuardError`] instead of aborting the process; callers map it
+//! into their own error type. The one caller without an error channel, the
+//! SpMV behind the Lanczos operator, re-raises it as a panic, which the
+//! fallback chain in `bootes-core` catches at the rung boundary. When
+//! multiple chunks fail, the error reported is the failing chunk with the
+//! lowest index, keeping the observed failure deterministic.
 
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -88,9 +87,6 @@ use std::time::Instant;
 pub use bootes_guard::GuardError;
 
 pub mod pool;
-
-/// Region name the unnamed combinators attribute their chunk timings to.
-pub const UNNAMED_REGION: &str = "par.unnamed";
 
 /// Explicitly configured thread count; `0` means "not set, use the default".
 static EXPLICIT: AtomicUsize = AtomicUsize::new(0);
@@ -243,32 +239,29 @@ struct WorkerStats {
     chunks: u64,
 }
 
-/// Runs one chunk closure behind the `par.worker` failpoint and a panic
-/// isolation boundary, converting both failure modes to [`GuardError`].
-fn run_chunk<R>(
-    i: usize,
-    range: Range<usize>,
-    f: &(impl Fn(usize, Range<usize>) -> R + Sync),
-) -> Result<R, GuardError> {
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+/// Runs `f` behind the `par.worker` failpoint and a panic isolation
+/// boundary, converting both failure modes to [`GuardError`]. Every chunk of
+/// every region and both sides of a [`join`] run through here.
+fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, GuardError> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
         bootes_guard::fail_point("par.worker")?;
-        Ok(f(i, range))
-    }));
-    match caught {
-        Ok(res) => res,
-        Err(payload) => Err(GuardError::Panic {
+        Ok(f())
+    }))
+    .unwrap_or_else(|payload| {
+        Err(GuardError::Panic {
             site: "par.worker".to_string(),
             message: bootes_guard::panic_message(payload.as_ref()),
-        }),
-    }
+        })
+    })
 }
 
-/// [`run_chunk`] with optional per-chunk timeline attribution: when
-/// `timeline` is set the chunk is timed, recorded as a worker-chunk event in
-/// the calling thread's lane, and its duration tallied into `stats`. With
-/// the timeline off only the chunk count is tallied (no clock reads) — the
-/// caller then charges `stats.busy_ns` once from its whole claim loop.
-fn run_chunk_accounted<R>(
+/// One chunk of a region, [`isolated`], with optional per-chunk timeline
+/// attribution: when `timeline` is set the chunk is timed, recorded as a
+/// worker-chunk event in the calling thread's lane, and its duration tallied
+/// into `stats`. With the timeline off only the chunk count is tallied (no
+/// clock reads) — the caller then charges `stats.busy_ns` once from its
+/// whole claim loop.
+fn run_chunk<R>(
     region: &str,
     timeline: bool,
     i: usize,
@@ -278,13 +271,13 @@ fn run_chunk_accounted<R>(
 ) -> Result<R, GuardError> {
     stats.chunks += 1;
     if !timeline {
-        return run_chunk(i, range, f);
+        return isolated(|| f(i, range));
     }
     let start_ns = bootes_obs::epoch_ns();
     let started = Instant::now();
     let weight = range.len() as u64;
     let recorded = range.clone();
-    let res = run_chunk(i, range, f);
+    let res = isolated(|| f(i, range));
     let dur_ns = started.elapsed().as_nanos() as u64;
     stats.busy_ns += dur_ns;
     bootes_obs::record_worker_chunk(region, i, recorded, weight, start_ns, dur_ns);
@@ -327,32 +320,21 @@ fn record_region(region: &str, wall_ns: u64, workers: &[WorkerStats]) {
 }
 
 /// Applies `f` to every range on up to `threads` pool workers and returns
-/// the results **in range order** (the ordered merge), or the first (lowest
-/// chunk index) [`GuardError`] if a chunk panicked or an armed failpoint
-/// fired.
+/// the results **in range order** (the ordered merge), or the lowest-index
+/// failing chunk's [`GuardError`] if a chunk panicked or an armed
+/// `par.worker` failpoint fired.
 ///
 /// `f(chunk_index, range)` must be a pure function of its arguments for the
 /// determinism guarantee to carry through to the caller. With `threads <= 1`,
 /// a single range, or when called from inside a pool worker (nested region),
 /// the closure runs inline on the calling thread (and stops at the first
 /// failing chunk instead of attempting the rest).
-pub fn try_map_ranges<R, F>(
-    threads: usize,
-    ranges: &[Range<usize>],
-    f: F,
-) -> Result<Vec<R>, GuardError>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    try_map_ranges_in(UNNAMED_REGION, threads, ranges, f)
-}
-
-/// [`try_map_ranges`] attributed to the named region: while profiling is
-/// enabled the invocation records the `par.region.*` imbalance/utilization
-/// metrics under `region` (use the kernel's span name), and when the chunk
+///
+/// The invocation is attributed to `region` (use the kernel's span name):
+/// while profiling is enabled it records the `par.region.*`
+/// imbalance/utilization metrics under that name, and when the chunk
 /// timeline is also on each chunk lands in its worker's Perfetto lane.
-pub fn try_map_ranges_in<R, F>(
+pub fn map_ranges<R, F>(
     region: &str,
     threads: usize,
     ranges: &[Range<usize>],
@@ -372,7 +354,7 @@ where
             .iter()
             .cloned()
             .enumerate()
-            .map(|(i, r)| run_chunk_accounted(region, timeline, i, r, &f, &mut stats))
+            .map(|(i, r)| run_chunk(region, timeline, i, r, &f, &mut stats))
             .collect();
         if let Some(start) = region_start {
             let wall_ns = start.elapsed().as_nanos() as u64;
@@ -399,7 +381,7 @@ where
                 }
                 produced.push((
                     i,
-                    run_chunk_accounted(region, timeline, i, ranges[i].clone(), &f, &mut stats),
+                    run_chunk(region, timeline, i, ranges[i].clone(), &f, &mut stats),
                 ));
             }
             if let Some(start) = loop_start {
@@ -441,119 +423,41 @@ where
     Ok(results)
 }
 
-/// Infallible [`try_map_ranges`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_ranges<R, F>(threads: usize, ranges: &[Range<usize>], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    match try_map_ranges(threads, ranges, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Infallible [`try_map_ranges_in`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_ranges_in<R, F>(region: &str, threads: usize, ranges: &[Range<usize>], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    match try_map_ranges_in(region, threads, ranges, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Applies `f` to every index in `0..n` on up to `threads` pool workers,
-/// returning results in index order, or the first failing index's
-/// [`GuardError`]. Convenience wrapper over [`try_map_ranges`] for
-/// coarse-grained tasks (e.g. independent k-means restarts).
-pub fn try_map_indices<R, F>(threads: usize, n: usize, f: F) -> Result<Vec<R>, GuardError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    try_map_indices_in(UNNAMED_REGION, threads, n, f)
-}
-
-/// [`try_map_indices`] attributed to the named region (see
-/// [`try_map_ranges_in`]).
-pub fn try_map_indices_in<R, F>(
-    region: &str,
-    threads: usize,
-    n: usize,
-    f: F,
-) -> Result<Vec<R>, GuardError>
+/// returning results in index order, or the lowest failing index's
+/// [`GuardError`]: [`map_ranges`] over one-element ranges, for
+/// coarse-grained tasks (e.g. independent k-means restarts) attributed to
+/// `region`.
+pub fn map_indices<R, F>(region: &str, threads: usize, n: usize, f: F) -> Result<Vec<R>, GuardError>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let ranges: Vec<Range<usize>> = (0..n).map(|i| i..i + 1).collect();
-    try_map_ranges_in(region, threads, &ranges, |i, _| f(i))
-}
-
-/// Infallible [`try_map_indices`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_indices<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_indices(threads, n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Infallible [`try_map_indices_in`]: re-raises a chunk's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn map_indices_in<R, F>(region: &str, threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_indices_in(region, threads, n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
+    map_ranges(region, threads, &ranges, |i, _| f(i))
 }
 
 /// Runs `f` over disjoint mutable chunks of `data` on up to `threads` pool
-/// workers, chunks claimed dynamically.
+/// workers: [`map_ranges`] over `ranges`, with the slice pre-split so that
+/// chunk `i` is handed to `f(i, range, chunk)`, attributed to `region`.
 ///
 /// `ranges` must be contiguous, in order, and cover `0..data.len()` exactly;
-/// `f(chunk_index, range, chunk)` receives the chunk's global index range so
-/// it can address global state (e.g. the row index of a matvec). More ranges
-/// than workers is fine (and recommended — see [`chunk_count`]): workers
-/// claim the next unclaimed chunk as they finish.
+/// `f` receives the chunk's global index range so it can address global
+/// state (e.g. the row index of a matvec). More ranges than workers is fine
+/// (and recommended — see [`chunk_count`]): workers claim the next unclaimed
+/// chunk as they finish.
 ///
-/// # Panics
-///
-/// Panics if `ranges` does not tile `0..data.len()`.
+/// # Errors
 ///
 /// A chunk that panics (or whose `par.worker` failpoint fires) yields the
 /// lowest-index failing chunk's [`GuardError`]; that chunk's slice may be
 /// partially written, but other chunks are unaffected and the process
 /// survives.
-pub fn try_for_each_chunk_mut<T, F>(
-    threads: usize,
-    data: &mut [T],
-    ranges: &[Range<usize>],
-    f: F,
-) -> Result<(), GuardError>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    try_for_each_chunk_mut_in(UNNAMED_REGION, threads, data, ranges, f)
-}
-
-/// [`try_for_each_chunk_mut`] attributed to the named region (see
-/// [`try_map_ranges_in`]).
-pub fn try_for_each_chunk_mut_in<T, F>(
+///
+/// # Panics
+///
+/// Panics if `ranges` does not tile `0..data.len()`.
+pub fn for_each_chunk_mut<T, F>(
     region: &str,
     threads: usize,
     data: &mut [T],
@@ -570,218 +474,58 @@ where
         expected = r.end;
     }
     assert_eq!(expected, data.len(), "ranges must cover the whole slice");
-    let profiled = bootes_obs::enabled();
-    let timeline = bootes_obs::chunk_timeline();
-    let region_start = profiled.then(Instant::now);
-    let run = |i: usize, r: Range<usize>, chunk: &mut [T]| -> Result<(), GuardError> {
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            bootes_guard::fail_point("par.worker")?;
-            f(i, r, chunk);
-            Ok(())
-        }));
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(GuardError::Panic {
-                site: "par.worker".to_string(),
-                message: bootes_guard::panic_message(payload.as_ref()),
-            }),
-        }
-    };
-    let run_accounted = |i: usize,
-                         r: Range<usize>,
-                         chunk: &mut [T],
-                         stats: &mut WorkerStats|
-     -> Result<(), GuardError> {
-        stats.chunks += 1;
-        if !timeline {
-            return run(i, r, chunk);
-        }
-        let start_ns = bootes_obs::epoch_ns();
-        let started = Instant::now();
-        let weight = r.len() as u64;
-        let recorded = r.clone();
-        let res = run(i, r, chunk);
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        stats.busy_ns += dur_ns;
-        bootes_obs::record_worker_chunk(region, i, recorded, weight, start_ns, dur_ns);
-        res
-    };
-    let workers = threads.min(ranges.len());
-    if workers <= 1 || pool::in_worker() {
-        let mut stats = WorkerStats::default();
-        let mut result = Ok(());
-        for (i, r) in ranges.iter().enumerate() {
-            result = run_accounted(i, r.clone(), &mut data[r.clone()], &mut stats);
-            if result.is_err() {
-                break;
-            }
-        }
-        if let Some(start) = region_start {
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            if !timeline {
-                stats.busy_ns = wall_ns;
-            }
-            record_region(region, wall_ns, &[stats]);
-        }
-        return result;
-    }
     // Pre-split the slice so dynamically-claiming workers can each take
     // exclusive ownership of a chunk through its cell.
     let mut chunk_cells: Vec<Mutex<Option<&mut [T]>>> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = data;
-        for r in ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            chunk_cells.push(Mutex::new(Some(chunk)));
-        }
+    let mut rest = data;
+    for r in ranges {
+        let (chunk, tail) = rest.split_at_mut(r.len());
+        rest = tail;
+        chunk_cells.push(Mutex::new(Some(chunk)));
     }
-    let next = AtomicUsize::new(0);
-    type SlotOutput = Option<(Vec<(usize, Result<(), GuardError>)>, WorkerStats)>;
-    let cells: Vec<Mutex<SlotOutput>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    {
-        let run_accounted = &run_accounted;
-        let slot_body = |slot: usize| {
-            let _span = bootes_obs::span!("par.worker");
-            let mut produced: Vec<(usize, Result<(), GuardError>)> = Vec::new();
-            let mut stats = WorkerStats::default();
-            let loop_start = profiled.then(Instant::now);
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ranges.len() {
-                    break;
-                }
-                let taken = chunk_cells[i]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-                let res = match taken {
-                    Some(chunk) => run_accounted(i, ranges[i].clone(), chunk, &mut stats),
-                    None => Err(GuardError::Panic {
-                        site: "par.worker".to_string(),
-                        message: format!("chunk {i} claimed twice"),
-                    }),
-                };
-                produced.push((i, res));
-            }
-            if let Some(start) = loop_start {
-                if !timeline {
-                    stats.busy_ns = start.elapsed().as_nanos() as u64;
-                }
-            }
-            *cells[slot].lock().unwrap_or_else(|p| p.into_inner()) = Some((produced, stats));
+    map_ranges(region, threads, ranges, |i, r| {
+        let taken = chunk_cells[i]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take();
+        let Some(chunk) = taken else {
+            panic!("chunk {i} claimed twice");
         };
-        pool::run(workers, &slot_body);
-    }
-    let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
-    let mut first_err: Option<(usize, GuardError)> = None;
-    for cell in cells {
-        if let Some((produced, stats)) = cell.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            worker_stats.push(stats);
-            for (i, res) in produced {
-                if let Err(e) = res {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(start) = region_start {
-        record_region(region, start.elapsed().as_nanos() as u64, &worker_stats);
-    }
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Infallible [`try_for_each_chunk_mut`]: re-raises a chunk's [`GuardError`]
-/// as a panic. Use the `try_` variant wherever an error channel exists.
-pub fn for_each_chunk_mut<T, F>(threads: usize, data: &mut [T], ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if let Err(e) = try_for_each_chunk_mut(threads, data, ranges, f) {
-        panic!("{e}");
-    }
-}
-
-/// Infallible [`try_for_each_chunk_mut_in`]: re-raises a chunk's
-/// [`GuardError`] as a panic. Use the `try_` variant wherever an error
-/// channel exists.
-pub fn for_each_chunk_mut_in<T, F>(
-    region: &str,
-    threads: usize,
-    data: &mut [T],
-    ranges: &[Range<usize>],
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if let Err(e) = try_for_each_chunk_mut_in(region, threads, data, ranges, f) {
-        panic!("{e}");
-    }
+        f(i, r, chunk);
+    })?;
+    Ok(())
 }
 
 /// Runs `fa` and `fb`, concurrently when `parallel` is true, and returns both
 /// results as `(a, b)` — the deterministic two-way fork for recursive
 /// divide-and-conquer (e.g. spectral bisection halves). The `a` side runs on
 /// its own scoped thread (not the pool: a join is a control-flow fork, and
-/// its halves routinely start pool regions of their own). If either side
-/// panics or trips the `par.worker` failpoint, the `a` side's error is
-/// reported first (deterministically), and the process survives.
-pub fn try_join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> Result<(A, B), GuardError>
+/// its halves routinely start pool regions of their own), so a join has no
+/// region to attribute.
+///
+/// # Errors
+///
+/// If either side panics or trips the `par.worker` failpoint, the `a` side's
+/// error is reported first (deterministically), and the process survives.
+pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> Result<(A, B), GuardError>
 where
     A: Send,
     B: Send,
     FA: FnOnce() -> A + Send,
     FB: FnOnce() -> B + Send,
 {
-    fn run_side<T>(f: impl FnOnce() -> T) -> Result<T, GuardError> {
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            bootes_guard::fail_point("par.worker")?;
-            Ok(f())
-        }));
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(GuardError::Panic {
-                site: "par.worker".to_string(),
-                message: bootes_guard::panic_message(payload.as_ref()),
-            }),
-        }
-    }
     if !parallel {
-        let a = run_side(fa)?;
-        let b = run_side(fb)?;
-        return Ok((a, b));
+        return Ok((isolated(fa)?, isolated(fb)?));
     }
     std::thread::scope(|scope| {
         let ha = scope.spawn(move || {
             let _span = bootes_obs::span!("par.worker");
-            run_side(fa)
+            isolated(fa)
         });
-        let b = run_side(fb);
+        let b = isolated(fb);
         let a = ha.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
         Ok((a?, b?))
     })
-}
-
-/// Infallible [`try_join`]: re-raises either side's [`GuardError`] as a
-/// panic. Use the `try_` variant wherever an error channel exists.
-pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    match try_join(parallel, fa, fb) {
-        Ok(ab) => ab,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -854,44 +598,59 @@ mod tests {
         assert_eq!(chunk_count(1000), 512);
     }
 
+    /// A fault-free failpoint scope. Scopes hold a process-wide lock, so it
+    /// also keeps an armed `par.worker` fault of another test out of these
+    /// regions, and serializes the tests below that touch global profiling
+    /// state.
+    fn no_faults() -> bootes_guard::ScopedFailpoints {
+        bootes_guard::ScopedFailpoints::arm("").unwrap()
+    }
+
     #[test]
     fn map_ranges_merges_in_order() {
+        let _fp = no_faults();
         let ranges = partition_even(100, 7);
-        let serial = map_ranges(1, &ranges, |i, r| (i, r.start, r.end));
+        let triple = |i, r: Range<usize>| (i, r.start, r.end);
+        let serial = map_ranges("test", 1, &ranges, triple).unwrap();
         for t in [2usize, 3, 16] {
-            assert_eq!(map_ranges(t, &ranges, |i, r| (i, r.start, r.end)), serial);
+            assert_eq!(map_ranges("test", t, &ranges, triple).unwrap(), serial);
         }
     }
 
     #[test]
     fn map_indices_is_identity_ordered() {
-        let out = map_indices(4, 9, |i| i * i);
+        let _fp = no_faults();
+        let out = map_indices("test", 4, 9, |i| i * i).unwrap();
         assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn for_each_chunk_mut_writes_disjointly() {
+        let _fp = no_faults();
         let mut data = vec![0usize; 23];
         let ranges = partition_even(data.len(), 4);
-        for_each_chunk_mut(4, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test", 4, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = range.start + off;
             }
-        });
+        })
+        .unwrap();
         assert_eq!(data, (0..23).collect::<Vec<_>>());
     }
 
     #[test]
     fn for_each_chunk_mut_takes_more_chunks_than_workers() {
         // Oversubscribed chunking: 16 chunks on 3 workers.
+        let _fp = no_faults();
         let mut data = vec![0usize; 64];
         let ranges = partition_even(data.len(), 16);
         assert_eq!(ranges.len(), 16);
-        for_each_chunk_mut(3, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test", 3, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = range.start + off;
             }
-        });
+        })
+        .unwrap();
         assert_eq!(data, (0..64).collect::<Vec<_>>());
     }
 
@@ -899,13 +658,14 @@ mod tests {
     #[should_panic(expected = "tile the slice")]
     fn for_each_chunk_mut_rejects_gaps() {
         let mut data = vec![0usize; 4];
-        for_each_chunk_mut(2, &mut data, &[0..1, 2..4], |_, _, _| {});
+        let _ = for_each_chunk_mut("test", 2, &mut data, &[0..1, 2..4], |_, _, _| {});
     }
 
     #[test]
     fn join_runs_both_sides() {
+        let _fp = no_faults();
         for parallel in [false, true] {
-            let (a, b) = join(parallel, || 1 + 1, || "x".to_string() + "y");
+            let (a, b) = join(parallel, || 1 + 1, || "x".to_string() + "y").unwrap();
             assert_eq!((a, b.as_str()), (2, "xy"));
         }
     }
@@ -915,12 +675,14 @@ mod tests {
         // An outer pool region whose chunks each start an inner region: the
         // inner ones must run inline on the pool workers instead of
         // re-entering the pool (which could deadlock).
+        let _fp = no_faults();
         let ranges = partition_even(8, 4);
-        let out = map_ranges(4, &ranges, |_, r| {
+        let out = map_ranges("test.outer", 4, &ranges, |_, r| {
             let inner = partition_even(6, 2);
-            let sums = map_ranges(2, &inner, |_, ir| ir.len());
+            let sums = map_ranges("test.inner", 2, &inner, |_, ir| ir.len()).unwrap();
             r.len() + sums.iter().sum::<usize>()
-        });
+        })
+        .unwrap();
         assert_eq!(out, vec![8, 8, 8, 8]);
     }
 
@@ -939,18 +701,12 @@ mod tests {
         assert!(threads() <= available());
     }
 
-    /// A fault-free failpoint scope. Scopes hold a process-wide lock, so it
-    /// also serializes the tests below that touch global profiling state.
-    fn no_faults() -> bootes_guard::ScopedFailpoints {
-        bootes_guard::ScopedFailpoints::arm("").unwrap()
-    }
-
     #[test]
-    fn try_map_ranges_converts_chunk_panic() {
+    fn map_ranges_converts_chunk_panic() {
         let _fp = no_faults();
         let ranges = partition_even(10, 4);
         for t in [1usize, 4] {
-            let err = try_map_ranges(t, &ranges, |i, _| {
+            let err = map_ranges("test", t, &ranges, |i, _| {
                 if i == 2 {
                     panic!("boom in chunk 2");
                 }
@@ -968,37 +724,44 @@ mod tests {
     }
 
     #[test]
-    fn try_map_ranges_fires_worker_failpoint() {
+    fn map_ranges_fires_worker_failpoint() {
         let fp = bootes_guard::ScopedFailpoints::arm("par.worker=err@1").unwrap();
         let ranges = partition_even(10, 4);
-        let err = try_map_ranges(4, &ranges, |i, _| i).unwrap_err();
+        let err = map_ranges("test", 4, &ranges, |i, _| i).unwrap_err();
         assert!(matches!(err, GuardError::Injected { .. }), "{err:?}");
         drop(fp);
         let _fp = no_faults();
         assert_eq!(
-            try_map_ranges(4, &ranges, |i, _| i).unwrap(),
+            map_ranges("test", 4, &ranges, |i, _| i).unwrap(),
             vec![0, 1, 2, 3]
         );
     }
 
     #[test]
-    fn try_for_each_chunk_mut_survives_chunk_panic() {
+    fn for_each_chunk_mut_survives_chunk_panic() {
         let _fp = no_faults();
-        let mut data = vec![0usize; 12];
-        let ranges = partition_even(data.len(), 3);
-        let err = try_for_each_chunk_mut(3, &mut data, &ranges, |i, range, chunk| {
-            if i == 1 {
-                panic!("chunk 1 dies");
+        let mut data = vec![0usize; 16];
+        let ranges = partition_even(data.len(), 4);
+        let err = for_each_chunk_mut("test", 4, &mut data, &ranges, |i, range, chunk| {
+            if i % 2 == 1 {
+                panic!("chunk {i} dies");
             }
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = range.start + off + 1;
             }
         })
         .unwrap_err();
-        assert!(matches!(err, GuardError::Panic { .. }));
-        // Chunks 0 and 2 still completed; only chunk 1's range is untouched.
+        // Chunks 1 and 3 both fail; the lowest index is the one reported,
+        // whichever finished first.
+        match err {
+            GuardError::Panic { message, .. } => assert!(message.contains("chunk 1 dies")),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Chunks 0 and 2 still completed; only the failing ranges are
+        // untouched.
         assert!(data[..4].iter().all(|&v| v != 0));
-        assert!(data[8..].iter().all(|&v| v != 0));
+        assert!(data[8..12].iter().all(|&v| v != 0));
+        assert!(data[4..8].iter().chain(&data[12..]).all(|&v| v == 0));
     }
 
     fn gauge(profile: &bootes_obs::Profile, name: &str) -> Option<f64> {
@@ -1019,14 +782,15 @@ mod tests {
         bootes_obs::set_chunk_timeline(true);
         bootes_obs::reset();
         let ranges = partition_even(64, 4);
-        let out = map_ranges_in("test.attr", 4, &ranges, |_, r| {
+        let out = map_ranges("test.attr", 4, &ranges, |_, r| {
             // Burn a little measurable time per chunk.
             let mut acc = 0u64;
             for i in r {
                 acc = acc.wrapping_add((i as u64).wrapping_mul(2_654_435_761));
             }
             acc
-        });
+        })
+        .unwrap();
         assert_eq!(out.len(), 4);
         let profile = bootes_obs::snapshot();
         let chunks = bootes_obs::worker_chunks();
@@ -1069,7 +833,7 @@ mod tests {
         bootes_obs::set_chunk_timeline(false);
         bootes_obs::reset();
         let ranges = partition_even(64, 8);
-        let out = map_ranges_in("test.notimeline", 4, &ranges, |i, _| i);
+        let out = map_ranges("test.notimeline", 4, &ranges, |i, _| i).unwrap();
         let profile = bootes_obs::snapshot();
         let chunks = bootes_obs::worker_chunks();
         bootes_obs::set_enabled(false);
@@ -1093,11 +857,12 @@ mod tests {
         bootes_obs::reset();
         let ranges = partition_even(16, 4);
         let mut data = vec![0u32; 16];
-        for_each_chunk_mut_in("test.serial", 1, &mut data, &ranges, |_, range, chunk| {
+        for_each_chunk_mut("test.serial", 1, &mut data, &ranges, |_, range, chunk| {
             for (off, v) in chunk.iter_mut().enumerate() {
                 *v = (range.start + off) as u32;
             }
-        });
+        })
+        .unwrap();
         let profile = bootes_obs::snapshot();
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
@@ -1120,21 +885,21 @@ mod tests {
         bootes_obs::set_enabled(false);
         bootes_obs::reset();
         let ranges = partition_even(32, 4);
-        let _ = map_ranges_in("test.off", 4, &ranges, |i, _| i);
+        let _ = map_ranges("test.off", 4, &ranges, |i, _| i);
         assert!(bootes_obs::worker_chunks().is_empty());
         assert!(bootes_obs::snapshot().gauges.is_empty());
     }
 
     #[test]
-    fn try_join_reports_a_side_first() {
+    fn join_reports_a_side_first() {
         let _fp = no_faults();
         for parallel in [false, true] {
-            let err = try_join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
+            let err = join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
             match err {
                 GuardError::Panic { message, .. } => assert!(message.contains("left")),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(try_join(true, || 1, || 2).unwrap(), (1, 2));
+        assert_eq!(join(true, || 1, || 2).unwrap(), (1, 2));
     }
 }

@@ -19,11 +19,11 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 fn consecutive_regions_reuse_the_same_workers() {
     let _g = serial();
     let ranges = partition_even(64, 8);
-    let first = map_ranges(4, &ranges, |i, r| (i, r.len()));
+    let first = map_ranges("test.pool", 4, &ranges, |i, r| (i, r.len())).unwrap();
     assert!(pool::worker_count() >= 4);
     let ids_before = pool::worker_ids();
     let spawned_before = pool::spawned_total();
-    let second = map_ranges(4, &ranges, |i, r| (i, r.len()));
+    let second = map_ranges("test.pool", 4, &ranges, |i, r| (i, r.len())).unwrap();
     let ids_after = pool::worker_ids();
     let spawned_after = pool::spawned_total();
     assert_eq!(first, second);
@@ -41,10 +41,10 @@ fn consecutive_regions_reuse_the_same_workers() {
 fn many_small_regions_spawn_no_extra_workers() {
     let _g = serial();
     let ranges = partition_even(16, 4);
-    let _ = map_ranges(4, &ranges, |i, _| i);
+    let _ = map_ranges("test.pool", 4, &ranges, |i, _| i).unwrap();
     let spawned_before = pool::spawned_total();
     for _ in 0..100 {
-        let out = map_ranges(4, &ranges, |i, r| i + r.start);
+        let out = map_ranges("test.pool", 4, &ranges, |i, r| i + r.start).unwrap();
         assert_eq!(out.len(), 4);
     }
     assert_eq!(
@@ -58,13 +58,13 @@ fn many_small_regions_spawn_no_extra_workers() {
 fn drain_shuts_down_and_regions_respawn() {
     let _g = serial();
     let ranges = partition_even(32, 4);
-    let before = map_ranges(2, &ranges, |_, r| r.start);
+    let before = map_ranges("test.pool", 2, &ranges, |_, r| r.start).unwrap();
     assert!(pool::worker_count() >= 2);
     pool::drain();
     assert_eq!(pool::worker_count(), 0, "drain joins every worker");
     // The next region transparently respawns workers and still merges in
     // order.
-    let after = map_ranges(2, &ranges, |_, r| r.start);
+    let after = map_ranges("test.pool", 2, &ranges, |_, r| r.start).unwrap();
     assert_eq!(before, after);
     assert!(pool::worker_count() >= 2, "regions respawn after drain");
     // Draining an already-drained pool is a no-op.
@@ -72,7 +72,7 @@ fn drain_shuts_down_and_regions_respawn() {
     pool::drain();
     assert_eq!(pool::worker_count(), 0);
     // Leave a usable pool behind for any test harness teardown.
-    let _ = map_ranges(2, &ranges, |i, _| i);
+    let _ = map_ranges("test.pool", 2, &ranges, |i, _| i).unwrap();
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn pool_workers_report_in_worker_only_inside() {
     let _g = serial();
     assert!(!pool::in_worker(), "test thread is not a pool worker");
     let ranges = partition_even(8, 4);
-    let flags = map_ranges(4, &ranges, |_, _| pool::in_worker());
+    let flags = map_ranges("test.pool", 4, &ranges, |_, _| pool::in_worker()).unwrap();
     assert!(
         flags.iter().all(|&f| f),
         "chunks must run on pool worker threads: {flags:?}"

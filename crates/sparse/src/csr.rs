@@ -349,7 +349,11 @@ impl CsrMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
+    /// Panics if `x.len() != ncols` or `y.len() != nrows`, and re-raises a
+    /// worker's [`bootes_guard::GuardError`] (a panicking chunk or the
+    /// `par.worker` failpoint) as a panic: the `LinearOperator::apply` this
+    /// backs has no error channel, so the fallback chain catches it at its
+    /// rung boundary.
     pub fn par_matvec_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
         assert_eq!(x.len(), self.ncols, "matvec input length");
         assert_eq!(y.len(), self.nrows, "matvec output length");
@@ -377,11 +381,14 @@ impl CsrMatrix {
         let ranges = bootes_par::partition_weighted(self.nrows, parts, |r| {
             (self.indptr[r + 1] - self.indptr[r]) as u64
         });
-        bootes_par::for_each_chunk_mut_in("spmv", workers, y, &ranges, |_, range, chunk| {
+        let res = bootes_par::for_each_chunk_mut("spmv", workers, y, &ranges, |_, range, chunk| {
             for (off, yr) in chunk.iter_mut().enumerate() {
                 *yr = self.row_dot(range.start + off, x);
             }
         });
+        if let Err(e) = res {
+            panic!("{e}");
+        }
     }
 
     /// Dot product of row `r` with the dense vector `x`.

@@ -4,15 +4,12 @@
 //! artifact on the *content* of the input matrix, not on its provenance: the
 //! same matrix loaded from two different files, or rebuilt from a COO
 //! triplet stream, must map to the same cache entry. [`MatrixFingerprint`]
-//! provides that key as a pair of 64-bit FNV-1a hashes:
-//!
-//! - the **pattern hash** covers the shape (`nrows`, `ncols`) plus the full
-//!   `indptr` and `indices` arrays — everything that defines the sparsity
-//!   pattern. Pattern-only consumers (the spectral reorderer works on the
-//!   *binary* similarity graph, the structural feature extractor counts
-//!   nonzeros) share entries across matrices that differ only in values;
-//! - the **value hash** additionally covers the `values` array bit-exactly
-//!   (`f64::to_bits`), for consumers whose output depends on the numbers.
+//! provides that key as a 64-bit FNV-1a **pattern hash** over the shape
+//! (`nrows`, `ncols`) plus the full `indptr` and `indices` arrays —
+//! everything that defines the sparsity pattern. Every cached artifact is a
+//! function of the pattern alone (the spectral reorderer works on the
+//! *binary* similarity graph, the structural feature extractor counts
+//! nonzeros), so matrices that differ only in values share entries.
 //!
 //! Every word is folded in through its little-endian byte encoding
 //! (`u64::to_le_bytes`), so the fingerprint is a pure function of the
@@ -85,7 +82,7 @@ impl Fnv1a {
 }
 
 /// Content fingerprint of a [`CsrMatrix`]: shape, nonzero count, and the
-/// pattern/value hash pair described at module level.
+/// pattern hash described at module level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixFingerprint {
     /// Number of rows of the fingerprinted matrix.
@@ -96,8 +93,6 @@ pub struct MatrixFingerprint {
     pub nnz: usize,
     /// Hash of shape + `indptr` + `indices` (the sparsity pattern).
     pub pattern: u64,
-    /// Hash of the pattern *and* the value array (bit-exact).
-    pub values: u64,
 }
 
 impl MatrixFingerprint {
@@ -114,19 +109,11 @@ impl MatrixFingerprint {
                 h.write_usize(c);
             }
         }
-        let pattern = h.finish();
-        for r in 0..a.nrows() {
-            let (_, vals) = a.row(r);
-            for &v in vals {
-                h.write_f64(v);
-            }
-        }
         MatrixFingerprint {
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
-            pattern,
-            values: h.finish(),
+            pattern: h.finish(),
         }
     }
 }
@@ -167,7 +154,6 @@ mod tests {
         // bump the cache format version. Regenerate deliberately if so.
         let fp = sample().fingerprint();
         assert_eq!(fp.pattern, 0xafe0e507f261a742, "{:#x}", fp.pattern);
-        assert_eq!(fp.values, 0x9340c84a47e8dcfe, "{:#x}", fp.values);
     }
 
     #[test]
@@ -179,11 +165,10 @@ mod tests {
         }
         let b = coo.to_csr();
         assert_eq!(a.fingerprint().pattern, b.fingerprint().pattern);
-        assert_ne!(a.fingerprint().values, b.fingerprint().values);
     }
 
     #[test]
-    fn pattern_changes_move_both_hashes() {
+    fn pattern_changes_move_the_pattern_hash() {
         let a = sample();
         let b = CsrMatrix::try_new(
             3,
@@ -194,7 +179,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.fingerprint().pattern, b.fingerprint().pattern);
-        assert_ne!(a.fingerprint().values, b.fingerprint().values);
     }
 
     #[test]
@@ -205,14 +189,6 @@ mod tests {
         let c = CsrMatrix::try_new(2, 3, vec![0, 1, 1], vec![0], vec![1.0]).unwrap();
         assert_ne!(a.fingerprint().pattern, b.fingerprint().pattern);
         assert_ne!(a.fingerprint().pattern, c.fingerprint().pattern);
-    }
-
-    #[test]
-    fn value_bit_patterns_matter() {
-        let a = CsrMatrix::try_new(1, 1, vec![0, 1], vec![0], vec![0.0]).unwrap();
-        let b = CsrMatrix::try_new(1, 1, vec![0, 1], vec![0], vec![-0.0]).unwrap();
-        assert_eq!(a.fingerprint().pattern, b.fingerprint().pattern);
-        assert_ne!(a.fingerprint().values, b.fingerprint().values);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
+use crate::error::SparseError;
 
 /// Computes the similarity matrix `S = pattern(A) · pattern(A)ᵀ` in CSR form
 /// over `threads` workers (pass [`bootes_par::threads`] for the global
@@ -19,6 +20,11 @@ use crate::csr::CsrMatrix;
 /// are independent, so they are computed in contiguous chunks (weighted by
 /// each row's column-degree work) and stitched in chunk order —
 /// bit-identical for every thread count.
+///
+/// # Errors
+///
+/// Returns [`SparseError::Guard`] if a row chunk panics or the `par.worker`
+/// failpoint fires.
 ///
 /// # Example
 ///
@@ -33,22 +39,22 @@ use crate::csr::CsrMatrix;
 ///     vec![0, 1, 1, 2],
 ///     vec![9.0, 8.0, 7.0, 6.0],
 /// )?;
-/// let s = similarity_matrix(&a, 1);
+/// let s = similarity_matrix(&a, 1)?;
 /// assert_eq!(s.get(0, 1), 1.0);
 /// assert_eq!(s.get(0, 0), 2.0);
 /// assert_eq!(s.get(0, 2), 0.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn similarity_matrix(a: &CsrMatrix, threads: usize) -> CsrMatrix {
+pub fn similarity_matrix(a: &CsrMatrix, threads: usize) -> Result<CsrMatrix, SparseError> {
     let a_csc = a.to_csc();
     let _span = bootes_obs::span!("similarity.rows");
     let n = a.nrows();
     let row_work = |i: usize| -> u64 { a.row(i).0.iter().map(|&k| a_csc.col_nnz(k) as u64).sum() };
     let ranges = bootes_par::partition_weighted(n, bootes_par::chunk_count(threads), row_work);
-    let chunks = bootes_par::map_ranges_in("similarity.rows", threads, &ranges, |_, rows| {
+    let chunks = bootes_par::map_ranges("similarity.rows", threads, &ranges, |_, rows| {
         similarity_rows(a, &a_csc, rows)
-    });
+    })?;
 
     let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
     if bootes_obs::enabled() {
@@ -73,7 +79,9 @@ pub fn similarity_matrix(a: &CsrMatrix, threads: usize) -> CsrMatrix {
         indices.extend_from_slice(&chunk_indices);
         values.extend_from_slice(&chunk_values);
     }
-    CsrMatrix::from_parts_unchecked(n, n, indptr, indices, values)
+    Ok(CsrMatrix::from_parts_unchecked(
+        n, n, indptr, indices, values,
+    ))
 }
 
 /// Serial similarity kernel over one contiguous row block, accumulating
@@ -137,7 +145,7 @@ mod tests {
     #[test]
     fn matches_explicit_binary_spgemm() {
         let a = sample();
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).unwrap();
         let bin = a.to_binary();
         let reference = spgemm(&bin, &bin.transpose(), 1).unwrap();
         assert_eq!(s, reference);
@@ -146,7 +154,7 @@ mod tests {
     #[test]
     fn diagonal_is_row_nnz() {
         let a = sample();
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).unwrap();
         for i in 0..a.nrows() {
             assert_eq!(s.get(i, i), a.row_nnz(i) as f64);
         }
@@ -155,7 +163,7 @@ mod tests {
     #[test]
     fn symmetric() {
         let a = sample();
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).unwrap();
         for i in 0..s.nrows() {
             for j in 0..s.ncols() {
                 assert_eq!(s.get(i, j), s.get(j, i));
@@ -171,13 +179,16 @@ mod tests {
         for v in b.values_mut() {
             *v *= 100.0;
         }
-        assert_eq!(similarity_matrix(&a, 1), similarity_matrix(&b, 1));
+        assert_eq!(
+            similarity_matrix(&a, 1).unwrap(),
+            similarity_matrix(&b, 1).unwrap()
+        );
     }
 
     #[test]
     fn disjoint_rows_have_zero_similarity() {
         let a = CsrMatrix::try_new(2, 4, vec![0, 2, 4], vec![0, 1, 2, 3], vec![1.0; 4]).unwrap();
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).unwrap();
         assert_eq!(s.get(0, 1), 0.0);
         assert_eq!(s.nnz(), 2); // just the diagonal
     }
@@ -185,7 +196,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = CsrMatrix::zeros(3, 3);
-        let s = similarity_matrix(&a, 1);
+        let s = similarity_matrix(&a, 1).unwrap();
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.shape(), (3, 3));
     }
@@ -193,9 +204,9 @@ mod tests {
     #[test]
     fn threads_match_serial_exactly() {
         let a = sample();
-        let serial = similarity_matrix(&a, 1);
+        let serial = similarity_matrix(&a, 1).unwrap();
         for threads in [2usize, 3, 7, 64] {
-            assert_eq!(similarity_matrix(&a, threads), serial);
+            assert_eq!(similarity_matrix(&a, threads).unwrap(), serial);
         }
     }
 }

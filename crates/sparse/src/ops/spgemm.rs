@@ -248,7 +248,9 @@ fn spgemm_rows(a: &CsrMatrix, b: &CsrMatrix, rows: Range<usize>) -> (RowChunk, [
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
+/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`,
+/// and [`SparseError::Guard`] if a row chunk panics or the `par.worker`
+/// failpoint fires.
 ///
 /// # Example
 ///
@@ -266,9 +268,9 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix, threads: usize) -> Result<CsrMatrix,
     check_dims(a, b)?;
     let _span = bootes_obs::span!("spgemm");
     let ranges = flop_weighted_rows(a, b, bootes_par::chunk_count(threads));
-    let outputs = bootes_par::map_ranges_in("spgemm", threads, &ranges, |_, rows| {
+    let outputs = bootes_par::map_ranges("spgemm", threads, &ranges, |_, rows| {
         spgemm_rows(a, b, rows)
-    });
+    })?;
     let (nrows, ncols) = (a.nrows(), b.ncols());
     let nnz: usize = outputs.iter().map(|(c, _)| c.indices.len()).sum();
     let mut indptr = Vec::with_capacity(nrows + 1);

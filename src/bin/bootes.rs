@@ -588,6 +588,7 @@ fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, Stri
     // Candidate-k sweeps are independent; fan them out (folding in k order
     // keeps the label identical for any thread count).
     let sweeps = bootes::par::map_indices(
+        "label.sweep",
         bootes::par::threads().min(CANDIDATE_KS.len()),
         CANDIDATE_KS.len(),
         |i| -> Result<Option<(usize, u64)>, String> {
@@ -603,7 +604,8 @@ fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, Stri
                 .total_bytes();
             Ok(Some((k, t)))
         },
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let mut best: Option<(usize, u64)> = None;
     for sweep in sweeps {
         if let Some((k, t)) = sweep? {

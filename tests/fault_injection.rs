@@ -12,8 +12,9 @@
 use bootes::core::{BootesConfig, BootesPipeline, FallbackReorderer, Label, SpectralReorderer};
 use bootes::guard::{Budget, GuardError, ScopedFailpoints};
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
-use bootes::reorder::{ReorderError, Reorderer};
-use bootes::sparse::CsrMatrix;
+use bootes::reorder::Reorderer;
+use bootes::sparse::ops::{similarity_matrix, spgemm};
+use bootes::sparse::{CsrMatrix, SparseError};
 use bootes::workloads::gen::{clustered, GenConfig};
 
 /// A scope with nothing armed: serializes the test against every other
@@ -191,19 +192,34 @@ fn pipeline_preprocess_survives_faults_and_reports_degradation() {
     assert_eq!(out.permutation.len(), a.nrows());
 }
 
+/// Runs `kernel` under a one-shot `par.worker` fault and returns its error.
+fn worker_fault<T: std::fmt::Debug>(
+    kernel: impl FnOnce() -> Result<T, SparseError>,
+) -> SparseError {
+    let _fp = ScopedFailpoints::arm("par.worker=err@1").unwrap();
+    kernel().expect_err("the injected fault must surface")
+}
+
 #[test]
-fn no_fallback_surfaces_the_typed_error() {
-    let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
-    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default())
-        .unwrap()
-        .with_fallback(false);
+fn kernels_return_worker_faults_as_typed_errors() {
+    // The kernels with an error channel hand a failed chunk back as
+    // `SparseError::Guard` instead of panicking, on the inline (1 thread)
+    // and the pool (4 threads) path alike.
     let a = matrix();
-    let result = pipeline.preprocess(&a);
-    match result {
-        Err(bootes::core::pipeline::PipelineError::Reorder(ReorderError::Guard(
-            GuardError::Injected { site },
-        ))) => assert_eq!(site, "lanczos.restart"),
-        other => panic!("expected injected guard error, got {other:?}"),
+    let at = a.transpose();
+    for threads in [1, 4] {
+        for (name, err) in [
+            ("spgemm", worker_fault(|| spgemm(&a, &at, threads))),
+            (
+                "similarity_matrix",
+                worker_fault(|| similarity_matrix(&a, threads)),
+            ),
+        ] {
+            assert!(
+                matches!(err, SparseError::Guard(GuardError::Injected { .. })),
+                "{name} at {threads} threads: {err:?}"
+            );
+        }
     }
 }
 

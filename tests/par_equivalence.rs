@@ -70,10 +70,10 @@ proptest! {
     /// The similarity product is bit-identical across thread counts.
     #[test]
     fn similarity_bit_identical_across_threads(a in matrix(24, 120)) {
-        let serial = similarity_matrix(&a, 1);
+        let serial = similarity_matrix(&a, 1).unwrap();
         for t in THREAD_COUNTS {
             prop_assert!(
-                bit_identical(&similarity_matrix(&a, t), &serial),
+                bit_identical(&similarity_matrix(&a, t).unwrap(), &serial),
                 "similarity t={t}"
             );
         }
@@ -125,7 +125,10 @@ fn zero_and_tall_shapes_bit_identical_across_threads() {
             &spgemm(&tall, &tall.transpose(), t).unwrap(),
             &spgemm(&tall, &tall.transpose(), 1).unwrap()
         ));
-        assert_eq!(similarity_matrix(&tall, t), similarity_matrix(&tall, 1));
-        assert_eq!(similarity_matrix(&zero, t), CsrMatrix::zeros(6, 6));
+        assert_eq!(
+            similarity_matrix(&tall, t).unwrap(),
+            similarity_matrix(&tall, 1).unwrap()
+        );
+        assert_eq!(similarity_matrix(&zero, t).unwrap(), CsrMatrix::zeros(6, 6));
     }
 }
