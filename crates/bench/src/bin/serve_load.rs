@@ -230,7 +230,9 @@ fn main() {
     let workers = env_count("BOOTES_SERVE_WORKERS", max_conc);
     // The daemon owns the process-global artifact cache, exactly like
     // `bootes serve` (ProfileOpts installs it before starting).
-    bootes_cache::install(Cache::new(CacheConfig::memory_only(256 << 20)).expect("cache opens"));
+    bootes_cache::install(
+        Cache::new(CacheConfig::memory_only(256 << 20).without_ritz()).expect("cache opens"),
+    );
     let socket =
         std::env::temp_dir().join(format!("bootes-serve-load-{}.sock", std::process::id()));
     let config = ServeConfig {

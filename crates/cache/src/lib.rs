@@ -76,6 +76,12 @@ pub struct CacheConfig {
     pub mem_budget: Budget,
     /// Directory of the on-disk layer; `None` keeps the cache memory-only.
     pub dir: Option<PathBuf>,
+    /// Refuse [`ArtifactKind::Ritz`] entries. Ritz pairs let pipelines that
+    /// pick the same k for one matrix (one per accelerator model) share an
+    /// eigensolve. A process running a single pipeline never reads them back
+    /// (its own reorder artifact for the matrix answers first), yet they are
+    /// most of what each cached matrix costs: `bootes serve` skips them.
+    pub skip_ritz: bool,
 }
 
 impl CacheConfig {
@@ -90,6 +96,12 @@ impl CacheConfig {
     /// Adds an on-disk layer rooted at `dir`.
     pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = Some(dir.into());
+        self
+    }
+
+    /// Stops storing Ritz pairs (see [`CacheConfig::skip_ritz`]).
+    pub fn without_ritz(mut self) -> Self {
+        self.skip_ritz = true;
         self
     }
 }
@@ -170,10 +182,12 @@ impl Cache {
     /// Disk failures are reported on stderr but never fail the pipeline.
     /// A key/artifact kind mismatch is a programming error and panics in
     /// debug builds; release builds drop the entry instead of poisoning the
-    /// cache.
+    /// cache. Ritz pairs are dropped when the cache was configured
+    /// [`CacheConfig::without_ritz`].
     pub fn put(&self, key: CacheKey, artifact: Artifact) {
         debug_assert_eq!(key.kind, artifact.kind(), "cache key/artifact mismatch");
-        if key.kind != artifact.kind() {
+        if key.kind != artifact.kind() || (self.config.skip_ritz && key.kind == ArtifactKind::Ritz)
+        {
             return;
         }
         if let Some(disk) = &self.disk {
@@ -392,6 +406,45 @@ mod tests {
         // Promoted into memory: a second hit works even if the file vanishes.
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(cache.get(&key(7, 9)), Some(decision(4)));
+    }
+
+    #[test]
+    fn without_ritz_refuses_only_ritz_pairs() {
+        let dir =
+            std::env::temp_dir().join(format!("bootes-cache-ritz-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::new(
+            CacheConfig::memory_only(1 << 20)
+                .with_dir(&dir)
+                .without_ritz(),
+        )
+        .unwrap();
+        let ritz_key = CacheKey {
+            kind: ArtifactKind::Ritz,
+            ..key(5, 6)
+        };
+        let ritz = Artifact::Ritz(RitzArtifact {
+            pairs: bootes_linalg::Eigenpairs {
+                eigenvalues: vec![0.0],
+                eigenvectors: vec![vec![1.0; 4]],
+                matvecs: 1,
+                restarts: 0,
+                residuals: vec![0.0],
+            },
+        });
+        cache.put(ritz_key, ritz);
+        cache.put(key(5, 6), decision(2));
+        assert_eq!(cache.get(&ritz_key), None);
+        assert_eq!(cache.get(&key(5, 6)), Some(decision(2)));
+        assert_eq!(cache.stats().entries, 1);
+        // Nothing of the Ritz pairs reached the disk layer either.
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(files.iter().all(|f| !f.starts_with("ritz")), "{files:?}");
+        assert!(files.iter().any(|f| f.starts_with("decision")), "{files:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn sketch(pattern_tag: u64, nrows: usize) -> SketchArtifact {

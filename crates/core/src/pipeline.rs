@@ -355,7 +355,7 @@ impl BootesPipeline {
     /// Fingerprinting is `O(nnz)` and `preprocess` needs both the reorder and
     /// the decision key of the same matrix, so it computes the fingerprint
     /// once and derives both keys from it.
-    fn decision_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
+    pub fn decision_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
         CacheKey::new(ArtifactKind::Decision, fp, self.model_hash)
     }
 
@@ -368,7 +368,7 @@ impl BootesPipeline {
     }
 
     /// [`BootesPipeline::reorder_key`] from an already-computed fingerprint.
-    fn reorder_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
+    pub fn reorder_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
         let mut h = bootes_sparse::Fnv1a::new();
         h.write_u64(self.model_hash)
             .write_u64(bootes_cache::hash_serialized(&self.config));
@@ -381,24 +381,30 @@ impl BootesPipeline {
     ///
     /// Returns [`ModelError`] on inference failure.
     pub fn decide(&self, a: &CsrMatrix) -> Result<Decision, ModelError> {
-        let fp = bootes_cache::global().map(|_| MatrixFingerprint::of(a));
-        self.decide_with_fp(a, fp.as_ref())
+        self.decide_fingerprinted(a, &MatrixFingerprint::of(a))
     }
 
-    /// [`BootesPipeline::decide`] with the fingerprint supplied by the caller
-    /// (`preprocess` already computed it for the reorder key). `fp` is only
-    /// consulted when a global cache is installed.
-    fn decide_with_fp(
+    /// [`BootesPipeline::decide`] for a caller that already holds `a`'s
+    /// fingerprint (`fp` must be `MatrixFingerprint::of(a)`), so the matrix
+    /// is not hashed again. `fp` is only consulted when a global cache is
+    /// installed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] on inference failure.
+    pub fn decide_fingerprinted(
         &self,
         a: &CsrMatrix,
-        fp: Option<&MatrixFingerprint>,
+        fp: &MatrixFingerprint,
     ) -> Result<Decision, ModelError> {
+        debug_assert_eq!(
+            *fp,
+            MatrixFingerprint::of(a),
+            "fingerprint of another matrix"
+        );
         let _span = bootes_obs::span!("pipeline.decide");
         let cache = bootes_cache::global();
-        let key = match (&cache, fp) {
-            (Some(_), Some(fp)) => Some(self.decision_key_of(fp)),
-            _ => None,
-        };
+        let key = cache.as_ref().map(|_| self.decision_key_of(fp));
         if let (Some(cache), Some(key)) = (&cache, key) {
             if let Some(Artifact::Decision(hit)) = cache.get(&key) {
                 return Ok(Decision {
@@ -520,11 +526,26 @@ impl BootesPipeline {
     ///
     /// Returns [`PipelineError`] if inference or reordering fails.
     pub fn preprocess(&self, a: &CsrMatrix) -> Result<PipelineOutcome, PipelineError> {
+        self.preprocess_fingerprinted(a, &MatrixFingerprint::of(a))
+    }
+
+    /// [`BootesPipeline::preprocess`] for a caller that already holds `a`'s
+    /// fingerprint (`fp` must be `MatrixFingerprint::of(a)`): the serving
+    /// daemon hashes each matrix once for its singleflight key and passes
+    /// the fingerprint on. One fingerprint serves both the reorder key and
+    /// the decision key; it is only consulted when a global cache is
+    /// installed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError`] if inference or reordering fails.
+    pub fn preprocess_fingerprinted(
+        &self,
+        a: &CsrMatrix,
+        fp: &MatrixFingerprint,
+    ) -> Result<PipelineOutcome, PipelineError> {
         let scope = StatsScope::start("bootes-pipeline", "pipeline.preprocess");
-        // One fingerprint pass serves both the reorder key and the decision
-        // key — fingerprinting is O(nnz) and would otherwise run twice.
-        let fp = bootes_cache::global().map(|_| MatrixFingerprint::of(a));
-        let key = fp.as_ref().map(|fp| self.reorder_key_of(fp));
+        let key = bootes_cache::global().map(|_| self.reorder_key_of(fp));
         if let (Some(cache), Some(key)) = (bootes_cache::global(), key) {
             if let Some(Artifact::Reorder(hit)) = cache.get(&key) {
                 // The decision is served from its own (pattern-keyed) cache
@@ -532,7 +553,7 @@ impl BootesPipeline {
                 // feature lookup. The stored stats are the cold run's; only
                 // the wall clock and the hit marker are restamped, so
                 // `ReorderStats::canonical` of a hit equals the cold stats.
-                let decision = self.decide_with_fp(a, fp.as_ref())?;
+                let decision = self.decide_fingerprinted(a, fp)?;
                 let mut stats = hit.stats;
                 stats.elapsed = scope.elapsed();
                 stats.cache_hit = true;
@@ -547,7 +568,7 @@ impl BootesPipeline {
         // Feature vector fed to the decision tree (tiny, but every exit path
         // must report the tracker's actual high-water mark, never zero).
         mem.alloc(crate::FEATURE_NAMES.len() * std::mem::size_of::<f64>());
-        let decision = self.decide_with_fp(a, fp.as_ref())?;
+        let decision = self.decide_fingerprinted(a, fp)?;
         // The query sketch computed by a donor probe, reused at cache-put
         // time so the stored sketch does not cost a second O(nnz) pass.
         let mut probed_sketch: Option<SketchArtifact> = None;

@@ -22,6 +22,7 @@
 //! `retry_after_ms` hint — never a dropped connection.
 
 use serde::{Deserialize, Serialize};
+use serde_json::{Lexer, Number};
 
 use bootes_sparse::{CooMatrix, CsrMatrix};
 
@@ -82,9 +83,20 @@ impl MatrixPayload {
     ///
     /// # Errors
     ///
-    /// Returns a protocol-error string on inconsistent lengths, zero
-    /// dimensions with nonzeros, or out-of-range indices.
+    /// See [`MatrixPayload::into_csr`].
     pub fn to_csr(&self) -> Result<CsrMatrix, String> {
+        self.clone().into_csr()
+    }
+
+    /// Validates the triplets and converts to CSR, moving the triplet
+    /// vectors into the conversion instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a protocol-error string on inconsistent lengths, zero
+    /// dimensions with nonzeros, out-of-range indices, or a value that is
+    /// not finite.
+    pub fn into_csr(self) -> Result<CsrMatrix, String> {
         if self.rows.len() != self.cols.len() {
             return Err(format!(
                 "matrix payload: rows/cols length mismatch ({} vs {})",
@@ -102,18 +114,26 @@ impl MatrixPayload {
         if self.nrows == 0 || self.ncols == 0 {
             return Err("matrix payload: nrows and ncols must be positive".to_string());
         }
-        let mut coo = CooMatrix::new(self.nrows, self.ncols);
-        for (k, (&r, &c)) in self.rows.iter().zip(&self.cols).enumerate() {
-            let v = self.vals.get(k).copied().unwrap_or(1.0);
-            coo.push(r, c, v)
-                .map_err(|e| format!("matrix payload: {e}"))?;
+        if let Some(k) = self.vals.iter().position(|v| !v.is_finite()) {
+            return Err(non_finite(k));
         }
+        let vals = if self.vals.is_empty() {
+            vec![1.0; self.rows.len()]
+        } else {
+            self.vals
+        };
+        let coo = CooMatrix::from_triplets(self.nrows, self.ncols, self.rows, self.cols, vals)
+            .map_err(|e| format!("matrix payload: {e}"))?;
         Ok(coo.to_csr())
     }
 }
 
+fn non_finite(k: usize) -> String {
+    format!("matrix payload: vals[{k}] is not a finite number")
+}
+
 /// One client request (see module docs for the operations).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Client-chosen id echoed in the response.
     #[serde(default)]
@@ -274,13 +294,149 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
         .unwrap_or_else(|e| format!("{{\"id\":0,\"ok\":false,\"error\":\"encode: {e}\"}}"))
 }
 
-/// Decodes one protocol line.
+/// A message [`decode`] can read from one protocol line.
+pub trait Decode: Sized {
+    /// Reads one message from `lx`, leaving it after the message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the JSON or type error.
+    fn read(lx: &mut Lexer<'_>) -> serde_json::Result<Self>;
+}
+
+/// Requests are read in one typed pass over the line: the matrix triplets
+/// go straight into their vectors, with no JSON tree in between. The
+/// derived `Deserialize` is the reference it is tested against: the first
+/// occurrence of a repeated key wins and unknown keys are skipped. It
+/// differs on purpose in one place: a `null` or non-finite matrix value is
+/// an error here, where the derived impl reads `null` as NaN.
+impl Decode for Request {
+    fn read(lx: &mut Lexer<'_>) -> serde_json::Result<Self> {
+        let (mut id, mut op, mut tenant, mut matrix, mut deadline_ms) =
+            (None, None, None, None, None);
+        lx.object(|lx, key| {
+            match key.as_ref() {
+                "id" if id.is_none() => id = Some(read_u64(lx)?),
+                "op" if op.is_none() => op = Some(read_string(lx)?),
+                "tenant" if tenant.is_none() => tenant = Some(nullable(lx, read_string)?),
+                "matrix" if matrix.is_none() => matrix = Some(nullable(lx, read_matrix)?),
+                "deadline_ms" if deadline_ms.is_none() => {
+                    deadline_ms = Some(nullable(lx, read_u64)?);
+                }
+                _ => lx.skip_value()?,
+            }
+            Ok(())
+        })?;
+        Ok(Request {
+            id: id.unwrap_or_default(),
+            op: op.unwrap_or_default(),
+            tenant: tenant.flatten(),
+            matrix: matrix.flatten(),
+            deadline_ms: deadline_ms.flatten(),
+        })
+    }
+}
+
+impl Decode for Response {
+    fn read(lx: &mut Lexer<'_>) -> serde_json::Result<Self> {
+        Ok(Response::deserialize(&lx.value()?)?)
+    }
+}
+
+fn read_matrix(lx: &mut Lexer<'_>) -> serde_json::Result<MatrixPayload> {
+    let (mut nrows, mut ncols, mut rows, mut cols, mut vals) = (None, None, None, None, None);
+    lx.object(|lx, key| {
+        match key.as_ref() {
+            "nrows" if nrows.is_none() => nrows = Some(read_usize(lx)?),
+            "ncols" if ncols.is_none() => ncols = Some(read_usize(lx)?),
+            "rows" if rows.is_none() => rows = Some(read_indices(lx)?),
+            "cols" if cols.is_none() => cols = Some(read_indices(lx)?),
+            "vals" if vals.is_none() => vals = Some(read_values(lx)?),
+            _ => lx.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(MatrixPayload {
+        nrows: nrows.unwrap_or_default(),
+        ncols: ncols.unwrap_or_default(),
+        rows: rows.unwrap_or_default(),
+        cols: cols.unwrap_or_default(),
+        vals: vals.unwrap_or_default(),
+    })
+}
+
+/// `None` for a `null`, else what `read` reads.
+fn nullable<T>(
+    lx: &mut Lexer<'_>,
+    read: impl FnOnce(&mut Lexer<'_>) -> serde_json::Result<T>,
+) -> serde_json::Result<Option<T>> {
+    if lx.null()? {
+        Ok(None)
+    } else {
+        read(lx).map(Some)
+    }
+}
+
+fn read_string(lx: &mut Lexer<'_>) -> serde_json::Result<String> {
+    Ok(lx.string()?.into_owned())
+}
+
+/// A `u64` by the vendored serde rules: integral floats in range count.
+fn read_u64(lx: &mut Lexer<'_>) -> serde_json::Result<u64> {
+    match lx.number()? {
+        Number::UInt(u) => Ok(u),
+        Number::Int(i) if i >= 0 => Ok(i as u64),
+        Number::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
+        _ => Err(lx.error("expected u64")),
+    }
+}
+
+fn read_usize(lx: &mut Lexer<'_>) -> serde_json::Result<usize> {
+    let u = read_u64(lx)?;
+    usize::try_from(u).map_err(|_| lx.error("out of range for usize"))
+}
+
+fn read_indices(lx: &mut Lexer<'_>) -> serde_json::Result<Vec<usize>> {
+    let mut out = Vec::new();
+    lx.array(|lx| {
+        out.push(read_usize(lx)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn read_values(lx: &mut Lexer<'_>) -> serde_json::Result<Vec<f64>> {
+    let mut out = Vec::new();
+    lx.array(|lx| {
+        let v = if lx.null()? {
+            f64::NAN
+        } else {
+            match lx.number()? {
+                Number::Float(f) => f,
+                Number::Int(i) => i as f64,
+                Number::UInt(u) => u as f64,
+            }
+        };
+        if !v.is_finite() {
+            return Err(lx.error(non_finite(out.len())));
+        }
+        out.push(v);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Decodes one protocol line: a [`Request`] on the daemon's side, a
+/// [`Response`] on the client's.
 ///
 /// # Errors
 ///
 /// Returns the parse error rendered as text.
-pub fn decode<T: Deserialize>(line: &str) -> Result<T, String> {
-    serde_json::from_str(line).map_err(|e| format!("bad request line: {e}"))
+pub fn decode<T: Decode>(line: &str) -> Result<T, String> {
+    let mut lx = Lexer::new(line);
+    T::read(&mut lx)
+        .and_then(|msg| lx.end().map(|()| msg))
+        .map_err(|e| format!("bad request line: {e}"))
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use bootes_cache::singleflight::{FlightRole, Singleflight};
 use bootes_core::{BootesPipeline, Label};
 use bootes_guard::{fail_point, Budget, TenantBudgets, TenantPermit, TenantPolicy};
-use bootes_sparse::CsrMatrix;
+use bootes_sparse::{CsrMatrix, MatrixFingerprint};
 
 use crate::protocol::{decode, encode, Request, Response, ServerStats};
 
@@ -597,7 +597,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
         if line.trim().is_empty() {
             continue;
         }
-        let (resp, after) = handle_line(shared, &line);
+        let (resp, after) = handle_line(shared, line);
         let write_ok = write_line(&mut writer, &resp).is_ok();
         match after {
             AfterWrite::KeepOpen => {}
@@ -621,13 +621,16 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
 }
 
 /// Handles one request line; the [`AfterWrite`] verdict tells the connection
-/// thread what to do once the response is written.
-fn handle_line(shared: &Arc<Shared>, line: &str) -> (Response, AfterWrite) {
+/// thread what to do once the response is written. The line is consumed:
+/// it is freed once decoded, before any work waits on the queue.
+fn handle_line(shared: &Arc<Shared>, line: String) -> (Response, AfterWrite) {
     if let Err(e) = fail_point("serve.parse") {
         shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
         return (Response::err(0, e.to_string()), AfterWrite::KeepOpen);
     }
-    let req: Request = match decode(line) {
+    let decoded: Result<Request, String> = decode(&line);
+    drop(line);
+    let req = match decoded {
         Ok(r) => r,
         Err(e) => {
             shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
@@ -697,12 +700,14 @@ fn submit_work(shared: &Arc<Shared>, op: WorkOp, req: Request) -> Response {
     let Some(payload) = req.matrix else {
         return Response::err(req.id, format!("{} needs a matrix payload", req.op));
     };
-    let matrix = match payload.to_csr() {
+    let bytes = payload.approx_bytes();
+    // The payload's vectors move into the conversion and are freed with it,
+    // so only the CSR matrix stays resident while the job waits and runs.
+    let matrix = match payload.into_csr() {
         Ok(m) => m,
         Err(e) => return Response::err(req.id, e),
     };
     let tenant = req.tenant.unwrap_or_else(|| "default".to_string());
-    let bytes = payload.approx_bytes();
     let permit = match shared.tenants.try_admit(&tenant, bytes) {
         Ok(p) => p,
         Err(e) => {
@@ -853,9 +858,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
+    // One fingerprint per request: it keys the flight and the pipeline's
+    // cache lookups alike.
+    let fp = MatrixFingerprint::of(&job.matrix);
     let key = match job.op {
-        WorkOp::Preprocess => shared.pipeline.reorder_key(&job.matrix),
-        WorkOp::Decide => shared.pipeline.decision_key(&job.matrix),
+        WorkOp::Preprocess => shared.pipeline.reorder_key_of(&fp),
+        WorkOp::Decide => shared.pipeline.decision_key_of(&fp),
     };
     let (result, role) = shared.flights.run(key, || {
         fail_point("serve.coalesce.leader").map_err(|e| e.to_string())?;
@@ -863,14 +871,14 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
             WorkOp::Decide => {
                 let decision = shared
                     .pipeline
-                    .decide(&job.matrix)
+                    .decide_fingerprinted(&job.matrix, &fp)
                     .map_err(|e| e.to_string())?;
                 Ok(outcome_from_label(decision.label, None, None, false, false))
             }
             WorkOp::Preprocess => {
                 let out = shared
                     .pipeline
-                    .preprocess(&job.matrix)
+                    .preprocess_fingerprinted(&job.matrix, &fp)
                     .map_err(|e| e.to_string())?;
                 Ok(outcome_from_label(
                     out.decision.label,

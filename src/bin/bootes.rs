@@ -283,6 +283,10 @@ impl ProfileOpts {
             if let Some(dir) = cache_dir {
                 cfg = cfg.with_dir(dir);
             }
+            if args.first().map(String::as_str) == Some("serve") {
+                // The daemon runs one pipeline: see `CacheConfig::skip_ritz`.
+                cfg = cfg.without_ritz();
+            }
             let cache = bootes::cache::Cache::new(cfg)
                 .map_err(|e| format!("failed to open artifact cache: {e}"))?;
             bootes::cache::install(cache);

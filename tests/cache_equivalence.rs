@@ -14,7 +14,9 @@ use std::sync::{Mutex, MutexGuard};
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
 use bootes::core::{BootesConfig, BootesPipeline, Label, PipelineOutcome, FEATURE_NAMES};
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
-use bootes::sparse::{CooMatrix, CsrMatrix};
+use bootes::sparse::{CooMatrix, CsrMatrix, MatrixFingerprint};
+use bootes::workloads::drifting_sequence;
+use bootes::workloads::gen::{clustered, GenConfig};
 use proptest::prelude::*;
 
 static GLOBAL_CACHE_LOCK: Mutex<()> = Mutex::new(());
@@ -140,6 +142,59 @@ fn fixture_cold_warm_disk_equivalent() {
         assert_cold_warm_disk_equivalent(&a, threads);
     }
     bootes::par::set_threads(1);
+}
+
+/// `preprocess` and `decide` against their fingerprinted forms, which the
+/// daemon calls with the fingerprint it already took for its singleflight
+/// key: identical permutations, labels and canonical stats on a cold run, a
+/// warm hit and donor resplices.
+#[test]
+fn fingerprinted_forms_match_the_plain_ones() {
+    let _guard = lock_global();
+    bootes::par::set_threads(1);
+    let base = clustered(&GenConfig::new(96, 96).seed(0xD81F7), 4, 0.9).expect("valid generator");
+    let steps = drifting_sequence(&base, 4, 0.03, 0xD81F7).expect("valid drift sequence");
+    // Cold, then a warm hit on the same matrix, then drifted steps whose
+    // exact keys miss and whose predecessor can donate.
+    let inputs: Vec<&CsrMatrix> = std::iter::once(&steps[0].matrix)
+        .chain(steps.iter().map(|s| &s.matrix))
+        .collect();
+    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
+    let run = |fingerprinted: bool| {
+        cache::install(Cache::new(CacheConfig::memory_only(64 << 20)).expect("cache opens"));
+        let outs: Vec<_> = inputs
+            .iter()
+            .map(|&a| {
+                let fp = MatrixFingerprint::of(a);
+                let (out, decision) = if fingerprinted {
+                    (
+                        pipeline.preprocess_fingerprinted(a, &fp),
+                        pipeline.decide_fingerprinted(a, &fp),
+                    )
+                } else {
+                    (pipeline.preprocess(a), pipeline.decide(a))
+                };
+                (out.expect("preprocess"), decision.expect("decide"))
+            })
+            .collect();
+        cache::uninstall();
+        outs
+    };
+    let plain = run(false);
+    let fingerprinted = run(true);
+    assert!(!plain[0].0.stats.cache_hit, "first run is cold");
+    assert!(plain[1].0.stats.cache_hit, "second run hits");
+    assert!(
+        plain.iter().any(|(out, _)| out.stats.rows_respliced > 0),
+        "a drifted step must resplice a donor"
+    );
+    for (i, (p, f)) in plain.iter().zip(&fingerprinted).enumerate() {
+        assert_eq!(p.0.permutation, f.0.permutation, "run {i}");
+        assert_eq!(p.0.decision, f.0.decision, "run {i}");
+        assert_eq!(p.1, f.1, "run {i}");
+        assert_eq!(p.0.stats.cache_hit, f.0.stats.cache_hit, "run {i}");
+        assert_eq!(canon_json(&p.0), canon_json(&f.0), "run {i}");
+    }
 }
 
 /// A corrupted on-disk entry must quarantine (not panic, not deserialize

@@ -399,6 +399,43 @@ fn serve_parse_failpoint_is_a_protocol_error_not_a_hang() {
 }
 
 #[test]
+fn serve_deeply_nested_line_is_a_bad_request_not_an_abort() {
+    use bootes::serve::protocol::{decode, Response};
+    use std::io::{BufRead as _, Write as _};
+    let _fp = no_faults();
+    let (child, stdout, addr) = spawn_serve("nested", &[], None);
+    // 200 000 nested brackets under an unknown key: parsing them recursively
+    // would overflow the connection thread's stack and abort the daemon.
+    let depth = 200_000;
+    let line = format!(
+        "{{\"id\":7,\"op\":\"ping\",\"x\":{}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let path = addr.strip_prefix("unix:").expect("unix address");
+    let mut stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set read timeout");
+    stream.write_all(line.as_bytes()).expect("send the line");
+    let mut reply = String::new();
+    std::io::BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("the line is answered in-band");
+    let resp: Response = decode(reply.trim_end()).expect("well-formed response");
+    assert!(!resp.ok);
+    let err = resp.error.expect("error text present");
+    assert!(err.starts_with("bad request line: "), "{err}");
+    assert!(err.contains("nesting deeper than 128"), "{err}");
+    // The daemon is alive and counted the line as a parse error.
+    let mut client = serve_client(&addr);
+    assert!(client.ping().expect("ping answered").ok);
+    let stats = client.stats().expect("stats").stats.expect("payload");
+    assert_eq!(stats.parse_errors, 1);
+    assert_clean_drain(child, stdout, &addr);
+}
+
+#[test]
 fn serve_accept_failpoint_drops_one_connection_daemon_survives() {
     let _fp = no_faults();
     let (child, stdout, addr) = spawn_serve("accept", &[], Some("serve.accept=err@1"));
