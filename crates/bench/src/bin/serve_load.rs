@@ -34,7 +34,7 @@
 //! `results/history/serve_load.jsonl` ledger. Environment knobs:
 //! `BOOTES_SERVE_REQS` (requests per client per level, default 30),
 //! `BOOTES_SERVE_CONC` (max concurrency, default 8), `BOOTES_SERVE_WORKERS`
-//! (daemon executor threads, default = max concurrency).
+//! (daemon execution slots, default = max concurrency).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -97,7 +97,7 @@ fn unique_matrix(seed: u64) -> CsrMatrix {
 
 /// Herd payload: big enough that the singleflight leader's preprocess spans
 /// many scheduler slices — on a one-core box the followers need that window
-/// to get scheduled, enqueue, and join the flight.
+/// to get scheduled, take a slot, and join the flight.
 fn herd_payload(seed: u64) -> CsrMatrix {
     clustered(
         &GenConfig::new(256, 256).seed(0xBEE5 ^ (seed * 0x9E37)),
@@ -271,7 +271,7 @@ fn main() {
     println!("warm single-request baseline p50: {} ms", f2(warm_p50));
 
     // Singleflight exercise before the sweep. On a one-core box the leader
-    // can run to completion before any follower worker is scheduled (the
+    // can run to completion before any follower's thread is scheduled (the
     // followers then hit the cache the leader filled, never the flight), so
     // rounds repeat on fresh keys until the counters prove a coalesce.
     let mut herd_rounds = 0u64;

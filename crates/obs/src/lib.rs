@@ -86,10 +86,10 @@
 //! | `spgemm.acc_choice{acc=dense}` / `{acc=hash}` / `{acc=merge}` | rows `spgemm` routed to each accumulator variant (`bootes-sparse`) |
 //! | `serve.accepted_conns` | connections accepted by the `bootes serve` daemon |
 //! | `serve.accept.dropped` | connections dropped by the `serve.accept` failpoint |
-//! | `serve.accepted` | work requests admitted into the daemon's bounded queue |
+//! | `serve.accepted` | work requests admitted to wait for one of the daemon's execution slots |
 //! | `serve.completed` | work requests fully executed (response sent) |
 //! | `serve.rejected.admission` | requests rejected by per-tenant admission control |
-//! | `serve.rejected.queue_full` | requests rejected because the bounded queue was full |
+//! | `serve.rejected.queue_full` | requests rejected because `--queue-cap` requests already waited for a slot |
 //! | `serve.rejected.draining` | requests rejected because the daemon was draining |
 //! | `serve.coalesce.hits` | requests served by singleflight-coalescing onto an identical in-flight computation |
 //! | `serve.cache.hits` | daemon requests whose leader was answered from the artifact cache |
@@ -119,7 +119,7 @@
 //! | `cache.bytes` | current byte footprint of the in-memory artifact cache |
 //! | `par.region.imbalance{region=<name>}` | max/mean worker busy time of the last invocation of the named parallel region (1.0 = perfectly balanced) |
 //! | `par.region.utilization{region=<name>}` | Σ busy / (workers × wall) of the last invocation of the named region |
-//! | `serve.queue.depth` | current depth of the `bootes serve` admission queue |
+//! | `serve.queue.depth` | admitted `bootes serve` requests now waiting for an execution slot |
 //!
 //! Histograms (log2 buckets):
 //!
@@ -128,8 +128,8 @@
 //! | `accel.pe_cycles` | per-PE cycle totals of the last simulation |
 //! | `spgemm.row_nnz` | output-row nonzero counts seen by sparse kernels |
 //! | `par.region.chunks_per_worker{region=<name>}` | chunks each worker completed per invocation of the named region |
-//! | `serve.queue.wait_ns` | per-request admission-queue wait (`bootes serve`) |
-//! | `serve.exec_ns` | per-request execution time on a daemon worker |
+//! | `serve.queue.wait_ns` | per-request wait from admission to an execution slot (`bootes serve`) |
+//! | `serve.exec_ns` | per-request execution time in a daemon execution slot |
 
 mod export;
 mod profile;

@@ -6,12 +6,16 @@
 //! `preprocess` / `decide` requests over a Unix or TCP socket, speaking
 //! newline-delimited JSON (see [`protocol`]).
 //!
+//! Each connection has one thread, and it does all of the work for the
+//! requests it reads: parse, admit, wait for an execution slot, run, answer.
 //! Three properties are load-bearing:
 //!
-//! - **Bounded admission** — every request either enters a fixed-capacity
-//!   queue under a per-tenant [`bootes_guard::TenantBudgets`] permit, or is
-//!   rejected *immediately* with a well-formed `retry_after_ms` response.
-//!   There is no unbounded queueing anywhere.
+//! - **Bounded admission** — every request is either admitted under a
+//!   per-tenant [`bootes_guard::TenantBudgets`] permit to wait, in arrival
+//!   order, for one of a fixed number of execution slots, or is rejected
+//!   *immediately* with a well-formed `retry_after_ms` response. The number
+//!   of waiting requests is capped too; there is no unbounded queueing
+//!   anywhere.
 //! - **Singleflight coalescing** — concurrent requests whose inputs hash to
 //!   the same `(kind, pattern, config)` cache key block on one in-flight
 //!   computation and share its result, so a thundering herd of identical
@@ -23,10 +27,10 @@
 //!   completes them cheaply. The shutdown response is sent only after the
 //!   drain, so no admitted request loses its response.
 //!
-//! Observability: the daemon publishes `serve.*` metrics (queue depth and
-//! wait/exec latency histograms, coalesce and cache hits, admission rejects,
-//! per-tenant admitted bytes) through `bootes-obs` when profiling is enabled
-//! — see the metric catalog in `bootes_obs`.
+//! Observability: the daemon publishes `serve.*` metrics (waiting-request
+//! depth and wait/exec latency histograms, coalesce and cache hits,
+//! admission rejects, per-tenant admitted bytes) through `bootes-obs` when
+//! profiling is enabled — see the metric catalog in `bootes_obs`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]

@@ -169,7 +169,7 @@ pub struct ServerStats {
     /// Admission-control rejections (tenant budget exceeded).
     #[serde(default)]
     pub rejected_admission: u64,
-    /// Rejections because the bounded queue was full.
+    /// Rejections because `queue_cap` requests already waited for a slot.
     #[serde(default)]
     pub rejected_queue: u64,
     /// Rejections because the server was draining.
@@ -184,17 +184,18 @@ pub struct ServerStats {
     /// Lines that failed to parse as a request.
     #[serde(default)]
     pub parse_errors: u64,
-    /// Requests rejected at dequeue because their deadline had already
-    /// passed while queued (answered with a typed rejection).
+    /// Requests rejected on taking their execution slot because their
+    /// deadline had already passed while they waited (answered with a typed
+    /// rejection).
     #[serde(default)]
     pub deadline_rejected: u64,
     /// Requests answered in full but after their stated deadline.
     #[serde(default)]
     pub deadline_exceeded: u64,
-    /// Current queue depth.
+    /// Admitted requests now waiting for an execution slot.
     #[serde(default)]
     pub queue_depth: u64,
-    /// Jobs currently executing on workers.
+    /// Requests now holding an execution slot.
     #[serde(default)]
     pub inflight: u64,
     /// Whether the server is draining.
@@ -245,7 +246,7 @@ pub struct Response {
     /// (`ok` is true, result is valid, it just missed the deadline).
     #[serde(default)]
     pub deadline_exceeded: bool,
-    /// Milliseconds spent waiting in the admission queue.
+    /// Milliseconds between admission and taking an execution slot.
     #[serde(default)]
     pub queue_ms: f64,
     /// Milliseconds spent executing.

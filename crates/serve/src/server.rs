@@ -1,49 +1,59 @@
-//! The daemon: listener, admission, bounded queue, executor workers, drain.
+//! The daemon: listener, connection threads, admission, execution slots,
+//! drain.
 //!
 //! ```text
-//! accept loop ──► connection threads ──► bounded queue ──► executor workers
-//!                   │ parse + admission      │ cap = queue_cap   │ singleflight
-//!                   │ (tenant budgets)       ▼                   ▼
-//!                   └──◄─── response ◄── mpsc reply ◄─── pipeline (+ cache)
+//! accept loop ──► one thread per connection, one request at a time:
+//!   read line → parse → admit ─────────► wait for a slot ──► execute ──► write
+//!                       │ tenant budgets   │ cap = workers     │ singleflight
+//!                       │ cap = queue_cap  │ arrival order     │ (+ cache)
 //! ```
 //!
-//! Every stage is bounded: a request is either admitted into the fixed-size
-//! queue under a live [`TenantPermit`], or rejected immediately with a
-//! well-formed `retry_after_ms` response — the daemon never queues
-//! unboundedly. Executor workers run the [`BootesPipeline`]; concurrent
-//! requests for the same `(kind, pattern, config)` cache key coalesce through
-//! a [`Singleflight`] group so a burst of identical inputs costs one
+//! The connection thread that reads a work request does all of the work for
+//! it. A connection answers its requests strictly in order, so an executor
+//! pool behind a queue would add no concurrency, only a cap, and a counter
+//! does that: at most `workers` requests run at once, and at most
+//! `queue_cap` admitted requests wait for a slot. A request is either
+//! admitted under a live [`TenantPermit`](bootes_guard::TenantPermit) or
+//! rejected immediately with a well-formed `retry_after_ms` response — the
+//! daemon never queues unboundedly. Waiting requests take free slots in
+//! arrival order: each draws a ticket at admission, because a plain condvar
+//! wait wakes its waiters in no particular order. Concurrent requests for
+//! the same `(kind, pattern, config)` cache key coalesce through a
+//! [`Singleflight`] group so a burst of identical inputs costs one
 //! computation.
 //!
 //! # Drain
 //!
-//! A `shutdown` request (or [`ServerHandle::shutdown`]) starts a graceful
-//! drain: admission flips to reject-with-`draining`, the already-admitted
-//! queue keeps executing, and once the grace window expires any still-running
-//! work is revoked by arming a zero-time [`bootes_guard::Budget`] — the
-//! degradation chain inside the pipeline then steps the remaining jobs down
-//! to a cheap algorithm instead of abandoning them. Workers replying is only
-//! half the contract: the drain also waits until every seen work request has
-//! had its response *written to its socket* (the connection threads are
-//! detached, so without that wait the process could exit between a worker's
-//! reply and the final write), and the `shutdown` ack itself goes on the wire
-//! before the drain is declared complete. (The daemon is std-only and cannot
-//! trap SIGTERM; the protocol-level `shutdown` op is the supported drain
-//! path.)
+//! A `shutdown` request (or [`ServerHandle::shutdown`]) drains in three
+//! steps:
+//!
+//! 1. Admission closes under the gate lock. A work request read after this
+//!    is rejected with `draining`.
+//! 2. The drain waits through the grace window until every work request
+//!    read so far has its answer *written to its socket*, so process exit
+//!    cannot race the final writes.
+//! 3. If some are still open, it arms a zero-time [`bootes_guard::Budget`] —
+//!    the degradation chain inside the pipeline then steps the remaining
+//!    requests down to a cheap algorithm instead of abandoning them — and
+//!    waits again, up to a 30 s hard deadline. Requests still waiting for a
+//!    slot after that answer with a draining reject.
+//!
+//! The `shutdown` ack itself goes on the wire before the drain is declared
+//! complete. (The daemon is std-only and cannot trap SIGTERM; the
+//! protocol-level `shutdown` op is the supported drain path.)
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bootes_cache::singleflight::{FlightRole, Singleflight};
 use bootes_core::{BootesPipeline, Label};
-use bootes_guard::{fail_point, Budget, TenantBudgets, TenantPermit, TenantPolicy};
+use bootes_guard::{fail_point, Budget, TenantBudgets, TenantPolicy};
 use bootes_sparse::{CsrMatrix, MatrixFingerprint};
 
 use crate::protocol::{decode, encode, Request, Response, ServerStats};
@@ -55,10 +65,11 @@ pub struct ServeConfig {
     /// filesystem path (treated as a Unix socket). `tcp:127.0.0.1:0` binds
     /// an ephemeral port, reported by [`ServerHandle::addr`].
     pub listen: String,
-    /// Executor worker threads (each runs the pipeline, which parallelizes
-    /// its kernels internally).
+    /// Requests executing at once (each runs the pipeline, which
+    /// parallelizes its kernels internally).
     pub workers: usize,
-    /// Bounded admission-queue capacity; a full queue rejects.
+    /// Admitted requests that may wait for an execution slot; past it a
+    /// request is rejected.
     pub queue_cap: usize,
     /// Per-tenant admission policy.
     pub policy: TenantPolicy,
@@ -79,39 +90,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Result of one executed computation, cloned to every coalesced waiter.
-#[derive(Debug, Clone)]
-struct ExecOutcome {
-    label: String,
-    k: Option<u64>,
-    permutation: Option<Vec<usize>>,
-    algorithm: Option<String>,
-    cache_hit: bool,
-    degraded: bool,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WorkOp {
     Preprocess,
     Decide,
 }
 
-struct Job {
-    id: u64,
-    op: WorkOp,
-    matrix: CsrMatrix,
-    // Held for the job's whole queue+execute lifetime; released on drop even
-    // if the worker panics.
-    _permit: TenantPermit,
-    reply: mpsc::Sender<Response>,
-    enqueued: Instant,
-    /// Absolute deadline (from the request's `deadline_ms`, measured at
-    /// admission). Checked at dequeue: past-deadline work is answered with a
-    /// typed rejection instead of burning a worker on an answer nobody
-    /// wants; work that starts in time but finishes late is still answered
-    /// in full, flagged `deadline_exceeded`.
-    deadline: Option<Instant>,
-}
+const DRAINING: &str = "draining: server is shutting down";
 
 #[derive(Default)]
 struct Counters {
@@ -127,50 +112,67 @@ struct Counters {
     deadline_exceeded: AtomicU64,
 }
 
+/// Admission, execution and drain state, under one lock and one condvar.
+#[derive(Default)]
+struct Gate {
+    /// Work requests read and not yet written back.
+    open: u64,
+    /// Admitted requests waiting for an execution slot.
+    waiting: usize,
+    /// Requests holding one of the `workers` execution slots.
+    running: usize,
+    /// Admission is closed; set once, by the drain's owner.
+    draining: bool,
+    /// The drain is complete.
+    drained: bool,
+    /// The ticket the next admitted request draws.
+    next_ticket: u64,
+    /// The ticket whose turn it is to take a free slot.
+    next_turn: u64,
+}
+
 struct Shared {
     pipeline: BootesPipeline,
     config: ServeConfig,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
-    inflight: AtomicU64,
-    /// Idempotence latch: only the first drain() performs the work.
-    drain_started: AtomicBool,
-    /// Admission gate; flipped *under the queue lock* so no request can be
-    /// enqueued concurrently with the drain's emptiness wait.
-    draining: AtomicBool,
-    drained: AtomicBool,
-    stop_workers: AtomicBool,
-    // Workers notify after finishing a job; drain waits here for idleness,
-    // join() waits here for the drained flag.
-    idle: Mutex<()>,
-    idle_cv: Condvar,
-    /// Work (preprocess/decide) requests seen by admission, and work
-    /// responses written back to their sockets. The drain waits for these to
-    /// match: queue-empty + inflight==0 only proves the workers *replied*,
-    /// not that the detached connection threads got the bytes onto the wire
-    /// before the process exits.
-    work_seen: AtomicU64,
-    work_responded: AtomicU64,
-    flights: Singleflight<ExecOutcome>,
+    gate: Mutex<Gate>,
+    gate_cv: Condvar,
+    flights: Singleflight<Response>,
     tenants: Arc<TenantBudgets>,
     counters: Counters,
 }
 
+/// A request's hold on the gate — its `open` count or its execution slot —
+/// given back on drop, so a request thread that unwinds cannot stall the
+/// drain.
+struct Hold<'a>(&'a Shared, fn(&mut Gate));
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        (self.1)(&mut self.0.lock_gate());
+        self.0.gate_cv.notify_all();
+    }
+}
+
 impl Shared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
-        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    fn lock_gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    fn drained(&self) -> bool {
-        self.drained.load(Ordering::Acquire)
+    /// Waits, up to `timeout`, while `busy` holds; returns the gate.
+    fn wait_while(
+        &self,
+        timeout: Duration,
+        busy: impl FnMut(&mut Gate) -> bool,
+    ) -> MutexGuard<'_, Gate> {
+        self.gate_cv
+            .wait_timeout_while(self.lock_gate(), timeout, busy)
+            .unwrap_or_else(|p| p.into_inner())
+            .0
     }
 
     fn stats(&self) -> ServerStats {
         let c = &self.counters;
+        let gate = self.lock_gate();
         ServerStats {
             accepted: c.accepted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -182,127 +184,86 @@ impl Shared {
             parse_errors: c.parse_errors.load(Ordering::Relaxed),
             deadline_rejected: c.deadline_rejected.load(Ordering::Relaxed),
             deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
-            queue_depth: self.lock_queue().len() as u64,
-            inflight: self.inflight.load(Ordering::Relaxed),
-            draining: self.draining(),
+            queue_depth: gate.waiting as u64,
+            inflight: gate.running as u64,
+            draining: gate.draining,
         }
+    }
+
+    /// Waits for `ticket`'s turn at a free execution slot and takes it;
+    /// `None` if the drain completed first.
+    fn take_slot(&self, ticket: u64) -> Option<Hold<'_>> {
+        let workers = self.config.workers.max(1);
+        let mut gate = self.wait_while(Duration::MAX, |g| {
+            !g.drained && (g.next_turn != ticket || g.running >= workers)
+        });
+        gate.waiting -= 1;
+        bootes_obs::gauge_set("serve.queue.depth", gate.waiting as f64);
+        if gate.drained {
+            return None;
+        }
+        gate.running += 1;
+        gate.next_turn += 1;
+        drop(gate);
+        // The next ticket may find a free slot too.
+        self.gate_cv.notify_all();
+        Some(Hold(self, |g| g.running -= 1))
+    }
+
+    fn reject_draining(&self, id: u64) -> Response {
+        self.counters
+            .rejected_draining
+            .fetch_add(1, Ordering::Relaxed);
+        bootes_obs::counter_add("serve.rejected.draining", 1);
+        Response::reject(id, DRAINING, 1_000)
+    }
+
+    /// Closes admission (drain step 1). Returns whether this call closed it,
+    /// i.e. owns the drain.
+    fn close_admission(&self) -> bool {
+        !std::mem::replace(&mut self.lock_gate().draining, true)
     }
 
     /// Executes the drain described in the module docs. Idempotent; only the
     /// first caller performs the work, later callers block until drained.
     fn drain(&self) {
-        if self.drain_started.swap(true, Ordering::AcqRel) {
+        if self.close_admission() {
+            self.drain_work();
+            self.finish_drain();
+        } else {
             self.wait_drained();
-            return;
         }
-        self.drain_work();
-        self.finish_drain();
     }
 
-    /// Blocks until another thread's drain signals completion.
+    /// Blocks until the drain's owner publishes completion.
     fn wait_drained(&self) {
-        let mut guard = self.idle.lock().unwrap_or_else(|p| p.into_inner());
-        while !self.drained() {
-            guard = self.idle_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
+        drop(self.wait_while(Duration::MAX, |g| !g.drained));
     }
 
-    /// The drain owner's work: close admission, execute/revoke/flush the
-    /// admitted jobs, then wait for their responses to reach the sockets.
+    /// Drain steps 2 and 3: wait for every open work request to be answered.
     /// Split from [`Shared::finish_drain`] so the protocol `shutdown` owner
     /// can put its ack on the wire *between* the two — the process's main
     /// thread exits as soon as `drained` is set, and must not exit under the
     /// ack write.
     fn drain_work(&self) {
-        // Close admission under the queue lock: every job enqueued
-        // before this point is visible to the emptiness wait below, and
-        // every submit after this point observes `draining` and rejects.
-        {
-            let _queue = self.lock_queue();
-            self.draining.store(true, Ordering::Release);
+        let grace = Duration::from_millis(self.config.drain_grace_ms);
+        if self.wait_while(grace, |g| g.open > 0).open == 0 {
+            return;
         }
-        // Phase 1: grace window — let admitted work finish normally.
-        let deadline = Instant::now() + Duration::from_millis(self.config.drain_grace_ms);
-        let idle = self.wait_idle_until(deadline);
-        let hard_deadline = Instant::now() + Duration::from_secs(30);
-        // Phase 2: revoke the stragglers. A zero-time budget makes every
-        // cooperative checkpoint in the pipeline report exhaustion, so the
-        // degradation chain steps in-flight jobs down to a cheap algorithm
-        // and they complete (with `degraded` set) instead of running long.
-        if !idle {
-            let _revoked = Budget::unlimited().with_time_ms(0).arm();
-            self.wait_idle_until(hard_deadline);
-        }
-        self.stop_workers.store(true, Ordering::Release);
-        self.queue_cv.notify_all();
-        // Safety net: if the hard deadline also passed with jobs still
-        // queued, answer them with a typed reject so no connection hangs on
-        // a reply channel whose worker has exited.
-        let leftovers: Vec<Job> = self.lock_queue().drain(..).collect();
-        for job in leftovers {
-            let _ = job.reply.send(Response::reject(
-                job.id,
-                "draining: server is shutting down",
-                1_000,
-            ));
-        }
-        // Phase 3: delivery. The replies above (and the workers') sit in
-        // per-job mpsc channels until the detached connection threads write
-        // them out; wait for every seen work request's response to hit its
-        // socket so process exit cannot race the final writes.
-        self.wait_delivered_until(hard_deadline);
+        // Revoke the stragglers. A zero-time budget makes every cooperative
+        // checkpoint in the pipeline report exhaustion, so the degradation
+        // chain steps running requests down to a cheap algorithm and they
+        // complete (with `degraded` set) instead of running long.
+        let _revoked = Budget::unlimited().with_time_ms(0).arm();
+        drop(self.wait_while(Duration::from_secs(30), |g| g.open > 0));
     }
 
     /// Publishes drain completion: unblocks [`ServerHandle::join`], follower
-    /// `shutdown` callers, and the accept loop's exit check.
+    /// `shutdown` callers, requests still waiting for a slot, and the accept
+    /// loop's exit check.
     fn finish_drain(&self) {
-        self.drained.store(true, Ordering::Release);
-        self.idle_cv.notify_all();
-    }
-
-    /// Waits until the queue is empty and no job is executing, or until
-    /// `deadline`. Returns whether idleness was reached.
-    fn wait_idle_until(&self, deadline: Instant) -> bool {
-        let mut guard = self.idle.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            let idle = self.lock_queue().is_empty() && self.inflight.load(Ordering::Acquire) == 0;
-            if idle {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _timeout) = self
-                .idle_cv
-                .wait_timeout(guard, (deadline - now).min(Duration::from_millis(50)))
-                .unwrap_or_else(|p| p.into_inner());
-            guard = g;
-        }
-    }
-
-    /// Waits until every seen work request has had its response written to
-    /// its socket (hung-up clients count as delivered), or until `deadline`.
-    /// `seen` is read live, so draining-rejects still in flight extend the
-    /// wait instead of being lost to process exit.
-    fn wait_delivered_until(&self, deadline: Instant) -> bool {
-        let mut guard = self.idle.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            let delivered = self.work_responded.load(Ordering::Acquire)
-                >= self.work_seen.load(Ordering::Acquire);
-            if delivered {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _timeout) = self
-                .idle_cv
-                .wait_timeout(guard, (deadline - now).min(Duration::from_millis(50)))
-                .unwrap_or_else(|p| p.into_inner());
-            guard = g;
-        }
+        self.lock_gate().drained = true;
+        self.gate_cv.notify_all();
     }
 }
 
@@ -437,7 +398,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: String,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -461,34 +421,22 @@ impl ServerHandle {
     }
 
     /// Waits for the server to drain (via [`ServerHandle::shutdown`] or a
-    /// protocol `shutdown` request) and joins the worker threads. Returns
-    /// the final counters.
+    /// protocol `shutdown` request) and joins the accept thread. Returns the
+    /// final counters.
     pub fn join(mut self) -> ServerStats {
-        {
-            let mut guard = self.shared.idle.lock().unwrap_or_else(|p| p.into_inner());
-            while !self.shared.drained() {
-                guard = self
-                    .shared
-                    .idle_cv
-                    .wait(guard)
-                    .unwrap_or_else(|p| p.into_inner());
-            }
-        }
+        self.shared.wait_drained();
         // Unblock a possibly-parked accept call, then join.
         let _ = connect(&self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
         self.shared.stats()
     }
 }
 
-/// Binds the configured address and starts the accept loop plus the executor
-/// workers. The pipeline (and the process-global artifact cache, if
-/// installed) is shared across all connections.
+/// Binds the configured address and starts the accept loop. The pipeline
+/// (and the process-global artifact cache, if installed) is shared across
+/// all connections.
 ///
 /// # Errors
 ///
@@ -497,34 +445,15 @@ impl ServerHandle {
 pub fn start(config: ServeConfig, pipeline: BootesPipeline) -> std::io::Result<ServerHandle> {
     let (listener, addr) = Listener::bind(&config.listen)?;
     let tenants = Arc::new(TenantBudgets::new(config.policy));
-    let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         pipeline,
         config,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        inflight: AtomicU64::new(0),
-        drain_started: AtomicBool::new(false),
-        draining: AtomicBool::new(false),
-        drained: AtomicBool::new(false),
-        stop_workers: AtomicBool::new(false),
-        idle: Mutex::new(()),
-        idle_cv: Condvar::new(),
-        work_seen: AtomicU64::new(0),
-        work_responded: AtomicU64::new(0),
+        gate: Mutex::new(Gate::default()),
+        gate_cv: Condvar::new(),
         flights: Singleflight::new(),
         tenants,
         counters: Counters::default(),
     });
-    let mut worker_handles = Vec::with_capacity(workers);
-    for slot in 0..workers {
-        let shared = Arc::clone(&shared);
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(format!("serve-exec-{slot}"))
-                .spawn(move || worker_loop(&shared))?,
-        );
-    }
     let accept_thread = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -535,7 +464,6 @@ pub fn start(config: ServeConfig, pipeline: BootesPipeline) -> std::io::Result<S
         shared,
         addr,
         accept_thread: Some(accept_thread),
-        workers: worker_handles,
     })
 }
 
@@ -543,10 +471,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     loop {
         let stream = match listener.accept() {
             Ok(s) => s,
-            Err(_) if shared.drained() => break,
+            Err(_) if shared.lock_gate().drained => break,
             Err(_) => continue,
         };
-        if shared.drained() {
+        if shared.lock_gate().drained {
             break;
         }
         // Deterministic fault injection: a failed accept drops exactly this
@@ -573,12 +501,12 @@ fn write_line(out: &mut impl Write, resp: &Response) -> std::io::Result<()> {
 }
 
 /// What the connection thread does after writing a response.
-enum AfterWrite {
+enum AfterWrite<'a> {
     /// Keep serving this connection.
     KeepOpen,
-    /// A work (preprocess/decide) response: confirm delivery so the drain's
-    /// delivery wait can account for it, then keep serving.
-    ConfirmWork,
+    /// A work (preprocess/decide) response: release its `open` count, so the
+    /// drain sees it answered, then keep serving.
+    Work(Hold<'a>),
     /// Shutdown follower: the drain already completed elsewhere; close.
     Close,
     /// Shutdown owner: the ack is now on the wire; publish drain completion
@@ -586,28 +514,29 @@ enum AfterWrite {
     FinishDrain,
 }
 
-fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
-    let Ok(writer) = stream.try_clone() else {
+fn handle_conn(shared: &Shared, stream: Stream) {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = writer;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    loop {
+        // Bytes, not `String`: a line that is not UTF-8 gets an answer like
+        // any other bad line instead of ending the connection.
+        let mut line = Vec::new();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.trim_ascii().is_empty() {
             continue;
         }
         let (resp, after) = handle_line(shared, line);
         let write_ok = write_line(&mut writer, &resp).is_ok();
         match after {
             AfterWrite::KeepOpen => {}
-            AfterWrite::ConfirmWork => {
-                // Delivery is confirmed even on a failed write: a hung-up
-                // client discharges the obligation, and the drain must not
-                // wait on it.
-                shared.work_responded.fetch_add(1, Ordering::AcqRel);
-                shared.idle_cv.notify_all();
-            }
+            // Released even on a failed write: a hung-up client discharges
+            // the obligation, and the drain must not wait on it.
+            AfterWrite::Work(open) => drop(open),
             AfterWrite::Close => break,
             AfterWrite::FinishDrain => {
                 shared.finish_drain();
@@ -622,13 +551,17 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
 
 /// Handles one request line; the [`AfterWrite`] verdict tells the connection
 /// thread what to do once the response is written. The line is consumed:
-/// it is freed once decoded, before any work waits on the queue.
-fn handle_line(shared: &Arc<Shared>, line: String) -> (Response, AfterWrite) {
+/// it is freed once decoded, before any work waits for a slot.
+fn handle_line(shared: &Shared, line: Vec<u8>) -> (Response, AfterWrite<'_>) {
     if let Err(e) = fail_point("serve.parse") {
         shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
         return (Response::err(0, e.to_string()), AfterWrite::KeepOpen);
     }
-    let decoded: Result<Request, String> = decode(&line);
+    // Trailing whitespace, the `\n` or `\r\n` included, is not part of the
+    // request.
+    let decoded: Result<Request, String> = std::str::from_utf8(line.trim_ascii_end())
+        .map_err(|e| format!("bad request line: {e}"))
+        .and_then(decode);
     drop(line);
     let req = match decoded {
         Ok(r) => r,
@@ -647,17 +580,17 @@ fn handle_line(shared: &Arc<Shared>, line: String) -> (Response, AfterWrite) {
             AfterWrite::KeepOpen,
         ),
         "shutdown" => {
-            if shared.drain_started.swap(true, Ordering::AcqRel) {
-                // A drain is already running (or done); wait, then ack.
-                shared.wait_drained();
-                (Response::ack(req.id), AfterWrite::Close)
-            } else {
+            if shared.close_admission() {
                 // Drain owner: do the work now, but hold back `drained`
                 // until this connection has the ack on the wire — the main
                 // thread exits on `drained` and must not exit under the
                 // write.
                 shared.drain_work();
                 (Response::ack(req.id), AfterWrite::FinishDrain)
+            } else {
+                // A drain is already running (or done); wait, then ack.
+                shared.wait_drained();
+                (Response::ack(req.id), AfterWrite::Close)
             }
         }
         "preprocess" | "decide" => {
@@ -666,7 +599,11 @@ fn handle_line(shared: &Arc<Shared>, line: String) -> (Response, AfterWrite) {
             } else {
                 WorkOp::Decide
             };
-            (submit_work(shared, op, req), AfterWrite::ConfirmWork)
+            // Opened before any verdict: the drain waits for every work
+            // response — completions, errors, and rejects alike.
+            shared.lock_gate().open += 1;
+            let open = Hold(shared, |g| g.open -= 1);
+            (submit_work(shared, op, req), AfterWrite::Work(open))
         }
         other => (
             Response::err(req.id, format!("unknown op {other:?}")),
@@ -675,40 +612,35 @@ fn handle_line(shared: &Arc<Shared>, line: String) -> (Response, AfterWrite) {
     }
 }
 
-/// Backoff hint scaled to the observed load: an empty queue suggests an
-/// immediate retry, a deep one suggests waiting a beat.
+/// Backoff hint scaled to the observed load: no waiting requests suggests an
+/// immediate retry, many suggest waiting a beat.
 fn retry_hint(depth: usize) -> u64 {
     10 + 5 * depth as u64
 }
 
-fn submit_work(shared: &Arc<Shared>, op: WorkOp, req: Request) -> Response {
-    // Counted before any verdict: the drain's delivery wait covers every
-    // work response — completions, errors, and rejects alike.
-    shared.work_seen.fetch_add(1, Ordering::AcqRel);
+/// Admits, runs and answers one work request on the calling connection
+/// thread.
+fn submit_work(shared: &Shared, op: WorkOp, req: Request) -> Response {
     let deadline = req
         .deadline_ms
         .filter(|&ms| ms > 0)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    if shared.draining() {
-        shared
-            .counters
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        bootes_obs::counter_add("serve.rejected.draining", 1);
-        return Response::reject(req.id, "draining: server is shutting down", 1_000);
+    if shared.lock_gate().draining {
+        return shared.reject_draining(req.id);
     }
     let Some(payload) = req.matrix else {
         return Response::err(req.id, format!("{} needs a matrix payload", req.op));
     };
     let bytes = payload.approx_bytes();
     // The payload's vectors move into the conversion and are freed with it,
-    // so only the CSR matrix stays resident while the job waits and runs.
+    // so only the CSR matrix stays resident while the request waits and runs.
     let matrix = match payload.into_csr() {
         Ok(m) => m,
         Err(e) => return Response::err(req.id, e),
     };
     let tenant = req.tenant.unwrap_or_else(|| "default".to_string());
-    let permit = match shared.tenants.try_admit(&tenant, bytes) {
+    // Held until the request has run; released on drop even on unwind.
+    let _permit = match shared.tenants.try_admit(&tenant, bytes) {
         Ok(p) => p,
         Err(e) => {
             shared
@@ -716,51 +648,22 @@ fn submit_work(shared: &Arc<Shared>, op: WorkOp, req: Request) -> Response {
                 .rejected_admission
                 .fetch_add(1, Ordering::Relaxed);
             bootes_obs::counter_add("serve.rejected.admission", 1);
-            let depth = shared.lock_queue().len();
+            let depth = shared.lock_gate().waiting;
             return Response::reject(req.id, e.to_string(), retry_hint(depth));
         }
     };
     bootes_obs::counter_add(&format!("serve.tenant.bytes{{tenant={tenant}}}"), bytes);
-    let (tx, rx) = mpsc::channel();
-    // Rejection decisions and the enqueue happen under the queue lock:
-    // drain() flips `draining` under the same lock, so a request is either
-    // enqueued before the drain's emptiness wait (and gets executed) or
-    // observes `draining` here (and gets rejected) — never lost in between.
-    enum Verdict {
-        Enqueued,
-        Draining,
-        QueueFull(usize),
-    }
-    let verdict = {
-        let mut queue = shared.lock_queue();
-        if shared.draining() {
-            Verdict::Draining
-        } else if queue.len() >= shared.config.queue_cap {
-            Verdict::QueueFull(queue.len())
-        } else {
-            queue.push_back(Job {
-                id: req.id,
-                op,
-                matrix,
-                _permit: permit,
-                reply: tx,
-                enqueued: Instant::now(),
-                deadline,
-            });
-            bootes_obs::gauge_set("serve.queue.depth", queue.len() as f64);
-            Verdict::Enqueued
+    // Admission decides under the gate lock, where the drain closes it: a
+    // request is either admitted before the drain's wait begins (and is
+    // executed) or observes `draining` (and is rejected) — never lost in
+    // between.
+    let ticket = {
+        let mut gate = shared.lock_gate();
+        if gate.draining {
+            return shared.reject_draining(req.id);
         }
-    };
-    match verdict {
-        Verdict::Draining => {
-            shared
-                .counters
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            bootes_obs::counter_add("serve.rejected.draining", 1);
-            return Response::reject(req.id, "draining: server is shutting down", 1_000);
-        }
-        Verdict::QueueFull(depth) => {
+        let depth = gate.waiting;
+        if depth >= shared.config.queue_cap {
             shared
                 .counters
                 .rejected_queue
@@ -772,121 +675,96 @@ fn submit_work(shared: &Arc<Shared>, op: WorkOp, req: Request) -> Response {
                 retry_hint(depth),
             );
         }
-        Verdict::Enqueued => {}
-    }
+        gate.waiting += 1;
+        gate.next_ticket += 1;
+        bootes_obs::gauge_set("serve.queue.depth", gate.waiting as f64);
+        gate.next_ticket - 1
+    };
+    let enqueued = Instant::now();
     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
     bootes_obs::counter_add("serve.accepted", 1);
-    shared.queue_cv.notify_one();
-    // Admitted work always gets its response: drain waits for the queue and
-    // the in-flight jobs (so the worker side of this channel is never
-    // dropped before sending), then for the delivery confirmation the
-    // connection thread issues after writing what we return here.
-    match rx.recv() {
-        Ok(resp) => resp,
-        Err(_) => Response::err(req.id, "internal: executor dropped the request"),
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    bootes_obs::gauge_set("serve.queue.depth", queue.len() as f64);
-                    break Some(job);
-                }
-                if shared.stop_workers.load(Ordering::Acquire) {
-                    break None;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        let Some(job) = job else { return };
-        shared.inflight.fetch_add(1, Ordering::AcqRel);
-        let queue_wait = job.enqueued.elapsed();
-        bootes_obs::histogram_record("serve.queue.wait_ns", queue_wait.as_nanos() as u64);
-        let mut resp = if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            // The deadline passed while the job sat in the queue: answer with
-            // a typed rejection instead of spending a worker on a result the
-            // caller has already given up on. This still counts as completed
-            // — the drain invariant is "every admitted request is answered",
-            // and this is its answer.
+    let Some(_slot) = shared.take_slot(ticket) else {
+        // The drain's hard deadline passed with this request still waiting.
+        return Response::reject(req.id, DRAINING, 1_000);
+    };
+    let queue_wait = enqueued.elapsed();
+    bootes_obs::histogram_record("serve.queue.wait_ns", queue_wait.as_nanos() as u64);
+    let mut resp = if deadline.is_some_and(|d| Instant::now() >= d) {
+        // The deadline passed while the request waited for its slot: answer
+        // with a typed rejection instead of spending the slot on a result
+        // the caller has already given up on. This still counts as
+        // completed — the drain invariant is "every admitted request is
+        // answered", and this is its answer.
+        shared
+            .counters
+            .deadline_rejected
+            .fetch_add(1, Ordering::Relaxed);
+        bootes_obs::counter_add("serve.deadline.rejected", 1);
+        Response {
+            deadline_exceeded: true,
+            ..Response::err(
+                req.id,
+                format!(
+                    "deadline exceeded: waited {:.1} ms in queue",
+                    queue_wait.as_secs_f64() * 1e3
+                ),
+            )
+        }
+    } else {
+        let started = Instant::now();
+        let mut resp = execute(shared, req.id, op, &matrix);
+        let exec = started.elapsed();
+        bootes_obs::histogram_record("serve.exec_ns", exec.as_nanos() as u64);
+        resp.exec_ms = exec.as_secs_f64() * 1e3;
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // Started in time, finished late: the result is valid and is
+            // delivered in full, just flagged so the caller knows.
+            resp.deadline_exceeded = true;
             shared
                 .counters
-                .deadline_rejected
+                .deadline_exceeded
                 .fetch_add(1, Ordering::Relaxed);
-            bootes_obs::counter_add("serve.deadline.rejected", 1);
-            Response {
-                deadline_exceeded: true,
-                ..Response::err(
-                    job.id,
-                    format!(
-                        "deadline exceeded: waited {:.1} ms in queue",
-                        queue_wait.as_secs_f64() * 1e3
-                    ),
-                )
-            }
-        } else {
-            let started = Instant::now();
-            let mut resp = execute(shared, &job);
-            let exec = started.elapsed();
-            bootes_obs::histogram_record("serve.exec_ns", exec.as_nanos() as u64);
-            resp.exec_ms = exec.as_secs_f64() * 1e3;
-            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                // Started in time, finished late: the result is valid and is
-                // delivered in full, just flagged so the caller knows.
-                resp.deadline_exceeded = true;
-                shared
-                    .counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                bootes_obs::counter_add("serve.deadline.exceeded", 1);
-            }
-            resp
-        };
-        resp.queue_ms = queue_wait.as_secs_f64() * 1e3;
-        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-        bootes_obs::counter_add("serve.completed", 1);
-        let _ = job.reply.send(resp);
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared.idle_cv.notify_all();
-    }
+            bootes_obs::counter_add("serve.deadline.exceeded", 1);
+        }
+        resp
+    };
+    resp.queue_ms = queue_wait.as_secs_f64() * 1e3;
+    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+    bootes_obs::counter_add("serve.completed", 1);
+    resp
 }
 
-fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
+fn execute(shared: &Shared, id: u64, op: WorkOp, matrix: &CsrMatrix) -> Response {
     // One fingerprint per request: it keys the flight and the pipeline's
     // cache lookups alike.
-    let fp = MatrixFingerprint::of(&job.matrix);
-    let key = match job.op {
+    let fp = MatrixFingerprint::of(matrix);
+    let key = match op {
         WorkOp::Preprocess => shared.pipeline.reorder_key_of(&fp),
         WorkOp::Decide => shared.pipeline.decision_key_of(&fp),
     };
+    // The flight's answer carries id 0; every caller stamps its own.
     let (result, role) = shared.flights.run(key, || {
         fail_point("serve.coalesce.leader").map_err(|e| e.to_string())?;
-        match job.op {
+        match op {
             WorkOp::Decide => {
                 let decision = shared
                     .pipeline
-                    .decide_fingerprinted(&job.matrix, &fp)
+                    .decide_fingerprinted(matrix, &fp)
                     .map_err(|e| e.to_string())?;
-                Ok(outcome_from_label(decision.label, None, None, false, false))
+                Ok(verdict(decision.label))
             }
             WorkOp::Preprocess => {
                 let out = shared
                     .pipeline
-                    .preprocess_fingerprinted(&job.matrix, &fp)
+                    .preprocess_fingerprinted(matrix, &fp)
                     .map_err(|e| e.to_string())?;
-                Ok(outcome_from_label(
-                    out.decision.label,
-                    Some(out.permutation.as_slice().to_vec()),
-                    Some(out.stats.algorithm.clone()),
-                    out.stats.cache_hit,
-                    out.stats.is_degraded(),
-                ))
+                Ok(Response {
+                    permutation: Some(out.permutation.into()),
+                    cache_hit: out.stats.cache_hit,
+                    degraded: out.stats.is_degraded(),
+                    algorithm: Some(out.stats.algorithm),
+                    ..verdict(out.decision.label)
+                })
             }
         }
     });
@@ -896,47 +774,34 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
         bootes_obs::counter_add("serve.coalesce.hits", 1);
     }
     match result {
-        Ok(outcome) => {
-            if outcome.cache_hit && !coalesced {
+        Ok(resp) => {
+            if resp.cache_hit && !coalesced {
                 shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 bootes_obs::counter_add("serve.cache.hits", 1);
             }
             Response {
-                label: Some(outcome.label),
-                k: outcome.k,
-                permutation: outcome.permutation,
-                algorithm: outcome.algorithm,
-                cache_hit: outcome.cache_hit,
+                id,
                 coalesced,
-                degraded: outcome.degraded,
-                ..Response::ack(job.id)
+                ..resp
             }
         }
         Err(e) => Response {
             coalesced,
-            ..Response::err(job.id, e)
+            ..Response::err(id, e)
         },
     }
 }
 
-fn outcome_from_label(
-    label: Label,
-    permutation: Option<Vec<usize>>,
-    algorithm: Option<String>,
-    cache_hit: bool,
-    degraded: bool,
-) -> ExecOutcome {
+/// A successful answer carrying the cost model's verdict.
+fn verdict(label: Label) -> Response {
     let (name, k) = match label {
         Label::NoReorder => ("no-reorder", None),
         Label::Reorder(k) => ("reorder", Some(k as u64)),
     };
-    ExecOutcome {
-        label: name.to_string(),
+    Response {
+        label: Some(name.to_string()),
         k,
-        permutation,
-        algorithm,
-        cache_hit,
-        degraded,
+        ..Response::ack(0)
     }
 }
 
@@ -1003,8 +868,17 @@ mod tests {
         let snap = stats.stats.expect("stats payload");
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.completed, 2);
+        // Answered means off the books: nothing waits, nothing runs.
+        assert_eq!((snap.queue_depth, snap.inflight), (0, 0));
 
+        // An idle daemon drains at once, without waiting out its 2 s grace.
+        let asked = Instant::now();
         assert!(client.shutdown().expect("shutdown answers").ok);
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "idle drain took {:?}",
+            asked.elapsed()
+        );
         let final_stats = handle.join();
         assert_eq!(final_stats.completed, 2);
     }

@@ -390,7 +390,7 @@ fn run(args: &[String], prof: &ProfileOpts) -> Result<(), String> {
         "features" => cmd_features(&args[1..]),
         "simulate" => cmd_simulate(&args[1..], prof.no_fallback),
         "train" => cmd_train(&args[1..]),
-        "decide" => cmd_decide(&args[1..], prof.drift.clone()),
+        "decide" => cmd_decide(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
         "perf" => cmd_perf(&args[1..]),
         "serve" => cmd_serve(&args[1..], prof.drift.clone()),
@@ -985,7 +985,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_decide(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Result<(), String> {
+fn cmd_decide(args: &[String]) -> Result<(), String> {
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
@@ -993,9 +993,7 @@ fn cmd_decide(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Resu
     let model_path = flag(args, "--model").ok_or("decide needs --model <model.json>")?;
     let a = load(input)?;
     let tree = load_model(&model_path)?;
-    let pipeline = BootesPipeline::new(tree, BootesConfig::default())
-        .map_err(|e| e.to_string())?
-        .with_drift(drift);
+    let pipeline = BootesPipeline::new(tree, BootesConfig::default()).map_err(|e| e.to_string())?;
     let decision = pipeline.decide(&a).map_err(|e| e.to_string())?;
     match decision.label {
         Label::NoReorder => println!("{input}: do not reorder"),

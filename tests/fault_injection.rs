@@ -578,6 +578,83 @@ fn serve_drain_with_inflight_work_exits_zero_and_loses_nothing() {
 }
 
 #[test]
+fn serve_non_utf8_line_is_a_bad_request_not_a_hangup() {
+    use bootes::serve::protocol::{decode, Response};
+    use std::io::{BufRead as _, Write as _};
+    let _fp = no_faults();
+    let (child, stdout, addr) = spawn_serve("utf8", &[], None);
+    let path = addr.strip_prefix("unix:").expect("unix address");
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set read timeout");
+    let mut reader = std::io::BufReader::new(&stream);
+    let mut answer = |line: &[u8]| -> Result<Response, String> {
+        (&stream).write_all(line).map_err(|e| e.to_string())?;
+        let mut reply = String::new();
+        reader.read_line(&mut reply).map_err(|e| e.to_string())?;
+        decode(reply.trim_end()).map_err(|e| format!("{e}: {reply:?}"))
+    };
+    let bad = answer(b"{\"id\":1,\"op\":\"ping\",\"x\":\"\xff\"}\n");
+    // The connection lives on, and `\r\n` still ends a line.
+    let ping = answer(b"{\"id\":2,\"op\":\"ping\"}\r\n");
+    let stats = answer(b"{\"id\":3,\"op\":\"stats\"}\n");
+    assert_clean_drain(child, stdout, &addr);
+    let bad = bad.expect("the line is answered in-band");
+    assert!(!bad.ok);
+    let err = bad.error.expect("error text present");
+    assert!(err.starts_with("bad request line: "), "{err}");
+    assert!(ping.expect("ping answered").ok);
+    let stats = stats.expect("stats answered").stats.expect("payload");
+    assert_eq!(stats.parse_errors, 1);
+}
+
+#[test]
+fn serve_waiting_requests_run_in_arrival_order() {
+    use std::sync::{Arc, Mutex};
+    let _fp = no_faults();
+    // One slot, and every Lanczos restart held for 100 ms: each cold request
+    // keeps the slot long enough for the ones behind it to wait.
+    let (child, stdout, addr) = spawn_serve(
+        "order",
+        &["--serve-workers", "1"],
+        Some("lanczos.restart=delay:100ms"),
+    );
+    let arrivals = Arc::new(Mutex::new(Vec::new()));
+    // Request 0 takes the slot; 1, 2 and 3 follow 40 ms apart, each on its
+    // own connection, and queue behind it.
+    let senders: Vec<_> = (0..4u64)
+        .map(|i| {
+            let a = clustered(&GenConfig::new(96, 96).seed(300 + i), 4, 0.95)
+                .expect("valid generator config");
+            let payload = MatrixPayload::from_csr(&a);
+            let mut client = serve_client(&addr);
+            let arrivals = Arc::clone(&arrivals);
+            if i > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+            }
+            std::thread::spawn(move || {
+                let resp = client.preprocess(payload, Some("fi"));
+                arrivals.lock().unwrap().push(i);
+                resp
+            })
+        })
+        .collect();
+    let answers: Vec<_> = senders.into_iter().map(|h| h.join()).collect();
+    // Drained before asserting, so a failure leaves no daemon behind.
+    assert_clean_drain(child, stdout, &addr);
+    for (i, answer) in answers.into_iter().enumerate() {
+        let resp = answer.expect("sender joins").expect("request answered");
+        assert!(resp.ok, "request {i} failed: {:?}", resp.error);
+        assert!(
+            i == 0 || resp.queue_ms > 0.0,
+            "request {i} never waited for the slot"
+        );
+    }
+    assert_eq!(*arrivals.lock().unwrap(), [0, 1, 2, 3]);
+}
+
+#[test]
 fn cli_no_fallback_fails_loudly_under_faults() {
     let _fp = no_faults();
     let dir = std::env::temp_dir();
