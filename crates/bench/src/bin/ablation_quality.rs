@@ -1,20 +1,36 @@
-//! Quality-side ablations for the design decisions in `DESIGN.md` (the
-//! `ablations` Criterion bench measures their cost; this harness measures
-//! what each choice buys in traffic / accuracy).
+//! Ablations for the design decisions in `DESIGN.md`: what each choice
+//! costs in time and what it buys in traffic or accuracy.
 //!
 //! - D1: chain-refined permutation vs plain cluster grouping,
 //! - D1b: extra embedding dimensions vs exactly-k,
+//! - D2: thick-restart vs plain Lanczos,
 //! - D4: balanced vs unbalanced decision-tree training,
 //! - extension: recursive spectral bisection vs flat spectral clustering.
+//!
+//! Every time is a [`bootes_perf::Runner`] median, appended to
+//! `results/history/ablation_quality.jsonl`.
 
 use bootes_accel::simulate_spgemm;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_bench::{b_operand, build_dataset, results_dir, scaled_configs, suite_scale};
+use bootes_bench::{
+    b_operand, build_dataset, measure_last, results_dir, scaled_configs, suite_scale,
+};
 use bootes_core::{BootesConfig, RecursiveSpectralReorderer, SpectralReorderer};
+use bootes_linalg::lanczos::{lanczos_plain, lanczos_smallest, LanczosConfig};
+use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_model::{DecisionTree, TreeConfig};
+use bootes_perf::Runner;
 use bootes_reorder::Reorderer;
+use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use bootes_workloads::suite::table3_suite;
 use serde::Serialize;
+
+#[derive(Serialize)]
+struct Ablations {
+    permutation: Vec<AblationRow>,
+    eigensolver: Vec<SolverRow>,
+    tree_training: Vec<TrainingRow>,
+}
 
 #[derive(Serialize)]
 struct AblationRow {
@@ -23,6 +39,20 @@ struct AblationRow {
     total_bytes: u64,
     preprocess_ms: f64,
     peak_kib: u64,
+}
+
+#[derive(Serialize)]
+struct SolverRow {
+    solver: String,
+    median_ms: f64,
+}
+
+#[derive(Serialize)]
+struct TrainingRow {
+    training: String,
+    fit_ms: f64,
+    accuracy: f64,
+    macro_f1: f64,
 }
 
 fn main() {
@@ -58,6 +88,7 @@ fn main() {
         ),
     ];
 
+    let mut runner = Runner::new("ablation_quality");
     let mut rows = Vec::new();
     let mut t = Table::new([
         "matrix",
@@ -75,7 +106,9 @@ fn main() {
         let b = b_operand(&a);
         let mut default_bytes = 0u64;
         for (name, algo) in &variants {
-            let out = algo.reorder(&a).expect("reorder");
+            let (out, seconds) = measure_last(&mut runner, &format!("{id}/{name}"), || {
+                algo.reorder(&a).expect("reorder")
+            });
             let rep = simulate_spgemm(&out.permutation.apply_rows(&a).expect("sized"), &b, &accel)
                 .expect("simulate");
             if *name == "bootes (default)" {
@@ -85,50 +118,106 @@ fn main() {
                 entry.name.to_string(),
                 name.to_string(),
                 f2(rep.total_bytes() as f64 / default_bytes as f64),
-                format!("{:.1}", out.stats.elapsed.as_secs_f64() * 1e3),
+                format!("{:.1}", seconds * 1e3),
                 (out.stats.peak_bytes as u64 / 1024).to_string(),
             ]);
             rows.push(AblationRow {
                 matrix: entry.name.to_string(),
                 variant: name.to_string(),
                 total_bytes: rep.total_bytes(),
-                preprocess_ms: out.stats.elapsed.as_secs_f64() * 1e3,
+                preprocess_ms: seconds * 1e3,
                 peak_kib: out.stats.peak_bytes as u64 / 1024,
             });
         }
     }
     t.print("permutation-quality ablations (traffic relative to the full default)");
 
+    // D2: 12 eigenpairs of a 1024-row, 8-cluster matrix's implicit Laplacian.
+    let a = clustered_with_density(&GenConfig::new(1024, 1024).seed(1), 8, 0.92, 16.0 / 1024.0)
+        .expect("valid parameters");
+    let op = ImplicitNormalizedLaplacian::new(&a);
+    let cfg = LanczosConfig {
+        tol: 1e-3,
+        max_restarts: 12,
+        allow_unconverged: true,
+        converge_k: 8,
+        ..LanczosConfig::default()
+    };
+    let mut solvers = Vec::new();
+    let mut d2 = Table::new(["eigensolver", "ms"]);
+    for (solver, plain) in [
+        ("thick restart (default)", false),
+        ("plain Lanczos, 48 steps", true),
+    ] {
+        let median_ms = runner
+            .measure(&format!("d2/{solver}"), || {
+                if plain {
+                    lanczos_plain(&op, 12, 48, 7)
+                } else {
+                    lanczos_smallest(&op, 12, &cfg)
+                }
+                .expect("eigensolve")
+            })
+            .summary
+            .median
+            / 1e6;
+        d2.row([solver.to_string(), format!("{median_ms:.1}")]);
+        solvers.push(SolverRow {
+            solver: solver.to_string(),
+            median_ms,
+        });
+    }
+    d2.print("D2: eigensolver cost");
+
     // D4: balanced vs unbalanced class weights on the same labeled corpus.
     println!("\nD4: decision-tree class balancing (labeling a training corpus, ~1 min)...");
     let ds = build_dataset(&accel, 136, 77);
     let (train, test) = ds.split(0.7, 7).expect("valid fraction");
-    let fit = |weights: Option<Vec<f64>>| {
-        let mut m = DecisionTree::fit(
-            &train,
-            &TreeConfig {
-                max_depth: 10,
-                min_samples_leaf: 2,
-                class_weights: weights,
-                ..TreeConfig::default()
-            },
-        )
-        .expect("train");
+    let mut trainings = Vec::new();
+    let mut d4 = Table::new(["training", "fit ms", "accuracy", "macro F1"]);
+    for (training, weights) in [
+        ("balanced (paper)", Some(train.balanced_class_weights())),
+        ("unbalanced", None),
+    ] {
+        let cfg = TreeConfig {
+            max_depth: 10,
+            min_samples_leaf: 2,
+            class_weights: weights,
+            ..TreeConfig::default()
+        };
+        let (mut m, seconds) = measure_last(&mut runner, &format!("d4/{training}"), || {
+            DecisionTree::fit(&train, &cfg).expect("train")
+        });
         m.prune();
         let preds: Vec<usize> = (0..test.len())
             .map(|i| m.predict(test.features(i)).expect("predict"))
             .collect();
-        (
-            bootes_model::eval::accuracy(test.labels(), &preds),
-            bootes_model::eval::macro_f1(test.labels(), &preds, ds.n_classes()),
-        )
-    };
-    let (acc_b, f1_b) = fit(Some(train.balanced_class_weights()));
-    let (acc_u, f1_u) = fit(None);
-    let mut d4 = Table::new(["training", "accuracy", "macro F1"]);
-    d4.row(["balanced (paper)".to_string(), f2(acc_b), f2(f1_b)]);
-    d4.row(["unbalanced".to_string(), f2(acc_u), f2(f1_u)]);
+        let row = TrainingRow {
+            training: training.to_string(),
+            fit_ms: seconds * 1e3,
+            accuracy: bootes_model::eval::accuracy(test.labels(), &preds),
+            macro_f1: bootes_model::eval::macro_f1(test.labels(), &preds, ds.n_classes()),
+        };
+        d4.row([
+            training.to_string(),
+            format!("{:.2}", row.fit_ms),
+            f2(row.accuracy),
+            f2(row.macro_f1),
+        ]);
+        trainings.push(row);
+    }
     d4.print("D4: class balancing (macro F1 exposes minority-class recall)");
 
-    save_json(&results_dir(), "ablation_quality.json", &rows);
+    save_json(
+        &results_dir(),
+        "ablation_quality.json",
+        &Ablations {
+            permutation: rows,
+            eigensolver: solvers,
+            tree_training: trainings,
+        },
+    );
+    runner
+        .finish(&results_dir())
+        .expect("append ablation_quality history");
 }

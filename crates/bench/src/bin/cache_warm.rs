@@ -1,30 +1,35 @@
 //! Warm-vs-cold preprocessing time with the artifact cache.
 //!
 //! Runs the full pipeline (features → decision tree → spectral reorder) on a
-//! clustered matrix of `BOOTES_CACHE_N` rows (default 4000) three ways:
+//! clustered matrix of `BOOTES_CACHE_N` rows (default 4000) three ways, each
+//! timed through the [`bootes_perf::Runner`] (warmup + repeats, median/MAD):
 //!
-//! 1. **cold** — empty cache, everything computed,
+//! 1. **cold** — every execution starts from an empty cache in a fresh
+//!    directory, so everything is computed,
 //! 2. **warm (memory)** — identical input again, served from the in-memory
-//!    store (verified bit-identical to the cold permutation),
-//! 3. **warm (disk)** — a fresh process-equivalent cache over the same
-//!    `--cache-dir`, served from the on-disk layer.
+//!    store the last cold execution populated,
+//! 3. **warm (disk)** — every execution installs a fresh memory layer over
+//!    that directory, so each one is served from the on-disk layer.
 //!
-//! Writes `results/cache_warm.json`.
+//! Every execution is checked: cold ones miss, warm ones hit, and each
+//! permutation equals the first cold one. Writes the Runner medians to
+//! `results/cache_warm.json` and appends `results/history/cache_warm.jsonl`.
 
-use std::time::Instant;
+use std::path::Path;
 
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
 use bootes_cache::{Cache, CacheConfig};
 use bootes_core::{BootesConfig, BootesPipeline, Label, FEATURE_NAMES};
 use bootes_model::{Dataset, DecisionTree, TreeConfig};
+use bootes_perf::Runner;
 use bootes_workloads::gen::{clustered, GenConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct ScenarioResult {
     scenario: String,
-    elapsed_ms: f64,
+    median_ms: f64,
     speedup_vs_cold: f64,
     cache_hit: bool,
 }
@@ -55,99 +60,95 @@ fn main() {
         .unwrap_or(4000);
     // Weak-ish cluster coherence: the cold eigensolve needs a thick restart.
     let a = clustered(&GenConfig::new(n, n).seed(0x0B007E5), 8, 0.6).expect("valid generator");
-    let dir = std::env::temp_dir().join(format!("bootes-cache-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let root = std::env::temp_dir().join(format!("bootes-cache-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
     println!(
-        "cache_warm: {n} x {n} matrix, {} nnz, cache dir {}",
+        "cache_warm: {n} x {n} matrix, {} nnz, cache dirs under {}",
         a.nnz(),
-        dir.display()
+        root.display()
     );
-
-    let cache_cfg = || CacheConfig::memory_only(256 << 20).with_dir(&dir);
-    let mut results: Vec<ScenarioResult> = Vec::new();
-    let mut table = Table::new(["scenario", "ms", "speedup", "hit"]);
-    let record = |results: &mut Vec<ScenarioResult>,
-                  table: &mut Table,
-                  scenario: &str,
-                  ms: f64,
-                  cold_ms: f64,
-                  hit: bool| {
-        table.row([
-            scenario.to_string(),
-            f2(ms),
-            f2(cold_ms / ms),
-            hit.to_string(),
-        ]);
-        results.push(ScenarioResult {
-            scenario: scenario.to_string(),
-            elapsed_ms: ms,
-            speedup_vs_cold: cold_ms / ms,
-            cache_hit: hit,
-        });
+    let open = |dir: &Path| {
+        bootes_cache::install(
+            Cache::new(CacheConfig::memory_only(256 << 20).with_dir(dir)).expect("cache opens"),
+        );
     };
+    let mut runner = Runner::new("cache_warm");
 
-    // 1. Cold: empty store, populate memory + disk.
-    bootes_cache::install(Cache::new(cache_cfg()).expect("cache opens"));
-    let t = Instant::now();
-    let cold = pipeline.preprocess(&a).expect("cold preprocess");
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(!cold.stats.cache_hit);
-    record(&mut results, &mut table, "cold", cold_ms, cold_ms, false);
-
-    // 2. Warm from memory: same input, same installed cache.
-    let t = Instant::now();
-    let warm = pipeline.preprocess(&a).expect("warm preprocess");
-    let warm_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(warm.stats.cache_hit, "second run must hit the cache");
-    assert_eq!(
-        warm.permutation, cold.permutation,
-        "hit must be bit-identical"
-    );
-    record(
-        &mut results,
-        &mut table,
-        "warm (memory)",
-        warm_ms,
-        cold_ms,
-        true,
+    // 1. Cold: a fresh directory and an empty cache per execution.
+    let mut dirs = 0;
+    let mut cold = Vec::new();
+    runner.measure_with_setup(
+        "cold",
+        || {
+            dirs += 1;
+            open(&root.join(format!("cold-{dirs}")));
+        },
+        |()| cold.push(pipeline.preprocess(&a).expect("cold preprocess")),
     );
 
-    // 3. Warm from disk: new cache instance over the same directory.
-    bootes_cache::install(Cache::new(cache_cfg()).expect("cache reopens"));
-    let t = Instant::now();
-    let disk = pipeline.preprocess(&a).expect("disk preprocess");
-    let disk_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(disk.stats.cache_hit, "disk reload must hit the cache");
-    assert_eq!(
-        disk.permutation, cold.permutation,
-        "hit must be bit-identical"
-    );
-    record(
-        &mut results,
-        &mut table,
+    // 2. Warm from memory: the last cold execution's cache stays installed.
+    let mut memory = Vec::new();
+    runner.measure("warm (memory)", || {
+        memory.push(pipeline.preprocess(&a).expect("warm preprocess"));
+    });
+
+    // 3. Warm from disk: a fresh memory layer over the populated directory
+    //    per execution; otherwise every execution after the first would be
+    //    a memory hit.
+    let populated = root.join(format!("cold-{dirs}"));
+    let mut disk = Vec::new();
+    runner.measure_with_setup(
         "warm (disk)",
-        disk_ms,
-        cold_ms,
-        true,
+        || open(&populated),
+        |()| disk.push(pipeline.preprocess(&a).expect("disk preprocess")),
     );
+    bootes_cache::uninstall();
+    let _ = std::fs::remove_dir_all(&root);
 
-    let final_stats = bootes_cache::uninstall().expect("cache installed").stats();
-    table.print("Preprocessing time: cold vs cached (see results/cache_warm.json)");
-    println!(
-        "cache counters: {} hits, {} misses, {} evictions, {} bytes",
-        final_stats.hits, final_stats.misses, final_stats.evictions, final_stats.bytes
-    );
-    save_json(&results_dir(), "cache_warm.json", &results);
-    // The cold/warm scenarios are one-shot by nature (a repeat of "cold" is
-    // warm), so record the single-sample timings into the perf history
-    // ledger instead of re-running them through the repeat loop.
-    let mut runner = bootes_perf::Runner::new("cache_warm");
-    for r in &results {
-        runner.record_samples(&r.scenario, vec![r.elapsed_ms * 1e6]);
+    let first = &cold[0].permutation;
+    let scenarios = [
+        ("cold", &cold, false),
+        ("warm (memory)", &memory, true),
+        ("warm (disk)", &disk, true),
+    ];
+    for (scenario, outcomes, hit) in scenarios {
+        for out in outcomes {
+            assert_eq!(
+                out.stats.cache_hit, hit,
+                "{scenario}: cache_hit must be {hit}"
+            );
+            assert_eq!(
+                &out.permutation, first,
+                "{scenario}: every permutation must equal the first cold one"
+            );
+        }
     }
-    runner
+
+    let measurements = runner
         .finish(&results_dir())
         .expect("append cache_warm history");
-    let _ = std::fs::remove_dir_all(&dir);
+    let cold_ms = measurements[0].summary.median / 1e6;
+    let mut table = Table::new(["scenario", "median ms", "speedup", "hit"]);
+    let results: Vec<ScenarioResult> = measurements
+        .iter()
+        .zip(scenarios)
+        .map(|(m, (_, _, cache_hit))| {
+            let median_ms = m.summary.median / 1e6;
+            table.row([
+                m.case.clone(),
+                f2(median_ms),
+                f2(cold_ms / median_ms),
+                cache_hit.to_string(),
+            ]);
+            ScenarioResult {
+                scenario: m.case.clone(),
+                median_ms,
+                speedup_vs_cold: cold_ms / median_ms,
+                cache_hit,
+            }
+        })
+        .collect();
+    table.print("Preprocessing time: cold vs cached (see results/cache_warm.json)");
+    save_json(&results_dir(), "cache_warm.json", &results);
 }

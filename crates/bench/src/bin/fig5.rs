@@ -4,11 +4,13 @@
 //! The paper reports geomean preprocessing-time speedups of 10.2x / 1.95x /
 //! 11.61x for Bootes over Gamma / Graph / Hier, and memory-footprint
 //! reductions of 2.63x / 1.35x / 2.10x, with Bootes scaling best as matrices
-//! grow and densify.
+//! grow and densify. Each time is a [`bootes_perf::Runner`] median, appended
+//! to `results/history/fig5.jsonl`.
 
 use bootes_bench::table::{f2, f3, human_bytes, save_json, Table};
-use bootes_bench::{geomean, results_dir};
+use bootes_bench::{geomean, measure_last, results_dir};
 use bootes_core::{BootesConfig, SpectralReorderer};
+use bootes_perf::Runner;
 use bootes_reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
@@ -18,6 +20,7 @@ struct ScalePoint {
     rows: usize,
     density: f64,
     algorithm: String,
+    /// Runner median of the preprocessing time.
     seconds: f64,
     peak_bytes: usize,
 }
@@ -42,6 +45,7 @@ fn main() {
         Box::new(HierReorderer::default()),
     ];
 
+    let mut runner = Runner::new("fig5");
     let mut points = Vec::new();
     let mut time_table = Table::new(
         ["rows x degree".to_string()]
@@ -68,14 +72,16 @@ fn main() {
             let mut time_cells = vec![format!("{n} x {deg}")];
             let mut mem_cells = vec![format!("{n} x {deg}")];
             for algo in &algos {
-                let out = algo.reorder(&a).expect("reorder");
-                time_cells.push(format!("{:.1}", out.stats.elapsed.as_secs_f64() * 1e3));
+                let case = format!("{}/n{n}_d{deg}", algo.name());
+                let (out, seconds) =
+                    measure_last(&mut runner, &case, || algo.reorder(&a).expect("reorder"));
+                time_cells.push(format!("{:.1}", seconds * 1e3));
                 mem_cells.push(human_bytes(out.stats.peak_bytes as u64));
                 points.push(ScalePoint {
                     rows: n,
                     density,
                     algorithm: algo.name().to_string(),
-                    seconds: out.stats.elapsed.as_secs_f64(),
+                    seconds,
                     peak_bytes: out.stats.peak_bytes,
                 });
             }
@@ -83,7 +89,7 @@ fn main() {
             mem_table.row(mem_cells);
         }
     }
-    time_table.print("preprocessing time");
+    time_table.print("preprocessing time (Runner median)");
     mem_table.print("memory footprint (explicit accounting)");
 
     // Geomean ratios of each baseline over Bootes.
@@ -110,4 +116,5 @@ fn main() {
     summary.print("geomean preprocessing cost of baselines relative to Bootes (paper: time 10.2/1.95/11.61x, memory 2.63/1.35/2.10x)");
 
     save_json(&results_dir(), "fig5_scalability.json", &points);
+    runner.finish(&results_dir()).expect("append fig5 history");
 }

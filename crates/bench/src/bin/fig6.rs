@@ -4,13 +4,16 @@
 //! The paper reports that Bootes reduces the preprocessing-to-compute ratio
 //! by 13.41x / 1.96x / 10.34x versus Gamma / Graph / Hier, and shows
 //! per-matrix end-to-end speedup bars of Bootes over each prior method.
+//! Preprocessing times are [`bootes_perf::Runner`] medians, appended to
+//! `results/history/fig6.jsonl`; compute times are simulated cycles.
 
 use bootes_bench::table::{f2, save_json, Table};
 use bootes_bench::{
-    b_operand, baseline_reorderers, geomean, results_dir, run_reordered, scaled_configs,
+    b_operand, baseline_reorderers, geomean, measure_last, results_dir, scaled_configs,
     suite_scale, trained_model,
 };
 use bootes_core::{BootesConfig, BootesPipeline};
+use bootes_perf::Runner;
 use bootes_workloads::suite::table3_suite;
 use serde::Serialize;
 
@@ -18,6 +21,7 @@ use serde::Serialize;
 struct EndToEnd {
     matrix: String,
     method: String,
+    /// Runner median of the host preprocessing time.
     preprocess_seconds: f64,
     compute_seconds: f64,
 }
@@ -34,6 +38,7 @@ fn main() {
         accel.name
     );
 
+    let mut runner = Runner::new("fig6");
     let mut records: Vec<EndToEnd> = Vec::new();
     let mut t = Table::new([
         "matrix",
@@ -49,20 +54,23 @@ fn main() {
         let b = b_operand(&a);
 
         let mut run_method = |name: &str| -> (f64, f64) {
-            let (prep, report): (f64, _) = if name == "bootes" {
-                let out = pipeline.preprocess(&a).expect("pipeline");
-                let permuted = out.permutation.apply_rows(&a).expect("sized");
-                let report =
-                    bootes_accel::simulate_spgemm(&permuted, &b, &accel).expect("simulate");
-                (out.stats.elapsed.as_secs_f64(), report)
+            let case = format!("{name}/{}", entry.name);
+            let (permutation, prep) = if name == "bootes" {
+                let (out, prep) = measure_last(&mut runner, &case, || {
+                    pipeline.preprocess(&a).expect("pipeline")
+                });
+                (out.permutation, prep)
             } else {
                 let algo = baseline_reorderers()
                     .into_iter()
                     .find(|r| r.name() == name)
                     .expect("known baseline");
-                let (stats, report) = run_reordered(&a, &b, &*algo, &accel);
-                (stats.elapsed.as_secs_f64(), report)
+                let (out, prep) =
+                    measure_last(&mut runner, &case, || algo.reorder(&a).expect("reorder"));
+                (out.permutation, prep)
             };
+            let permuted = permutation.apply_rows(&a).expect("sized");
+            let report = bootes_accel::simulate_spgemm(&permuted, &b, &accel).expect("simulate");
             let compute = report.seconds(accel.clock_hz);
             records.push(EndToEnd {
                 matrix: entry.name.to_string(),
@@ -111,4 +119,5 @@ fn main() {
     summary.print("preprocessing-to-compute ratio reduction (paper: 13.41/1.96/10.34x)");
 
     save_json(&results_dir(), "fig6_endtoend.json", &records);
+    runner.finish(&results_dir()).expect("append fig6 history");
 }

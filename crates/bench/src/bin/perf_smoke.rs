@@ -1,19 +1,24 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (SpGEMM, SpMV,
-//! similarity, k-means assignment via the pipeline's clustering step) on
-//! small fixed inputs through the [`bootes_perf::Runner`] (warmup + repeats,
-//! median/MAD), appends the run to `results/history/perf_smoke.jsonl`, and
+//! Measures the hot kernels (row-wise and tiled SpGEMM, SpMV, similarity,
+//! one implicit-Laplacian application, the Lanczos eigensolve, and
+//! `kmeans_threads` on synthetic points) on small fixed inputs through the
+//! [`bootes_perf::Runner`] (warmup + repeats, median/MAD), appends the run
+//! to `results/history/perf_smoke.jsonl`, and
 //! blesses `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
 //! `bootes perf diff` then gates later runs against the blessed medians with
 //! noise-aware (MAD-scaled) thresholds.
 //!
-//! Sized to finish in a few seconds: the gate's job is catching order-of-
-//! allowance regressions in kernels, not reproducing paper figures.
+//! Sized to finish in about ten seconds, most of it the tiled SpGEMM: the
+//! gate's job is catching order-of-allowance regressions in kernels, not
+//! reproducing paper figures.
 
 use bootes_bench::results_dir;
-use bootes_linalg::{kmeans_threads, KMeansConfig};
-use bootes_sparse::ops::{similarity_matrix, spgemm};
+use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
+use bootes_linalg::{
+    kmeans_threads, lanczos_smallest, KMeansConfig, LanczosConfig, LinearOperator,
+};
+use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -41,6 +46,12 @@ fn main() {
     runner.measure(&format!("spgemm/t{threads}"), || {
         spgemm(&a, &a, threads).expect("valid operands").nnz()
     });
+    // The TileSpGEMM-style 16x16 block kernel; the CSR-to-tile conversion
+    // stays outside the timed region.
+    let tiled = BlockSparseMatrix::from_csr(&a, 16).expect("valid block size");
+    runner.measure(&format!("spgemm_tiled/t{threads}"), || {
+        block_spgemm(&tiled, &tiled).expect("valid operands").nnz()
+    });
     runner.measure(&format!("similarity/t{threads}"), || {
         similarity_matrix(&a, threads)
             .expect("no worker faults")
@@ -51,6 +62,25 @@ fn main() {
     runner.measure(&format!("spmv/t{threads}"), || {
         a.par_matvec_into(&x, &mut y, threads);
         y[0]
+    });
+    // One application of the implicit normalized Laplacian, then the
+    // eigensolve that runs on it: 16 vectors, 8 of them gated on `tol`.
+    let laplacian = ImplicitNormalizedLaplacian::new(&a);
+    runner.measure(&format!("matvec_implicit/t{threads}"), || {
+        laplacian.apply(&x, &mut y);
+        y[0]
+    });
+    let lanczos = LanczosConfig {
+        tol: 1e-3,
+        max_restarts: 12,
+        allow_unconverged: true,
+        converge_k: 8,
+        ..LanczosConfig::default()
+    };
+    runner.measure(&format!("lanczos/t{threads}"), || {
+        lanczos_smallest(&laplacian, 16, &lanczos)
+            .expect("valid eigensolve")
+            .eigenvalues[0]
     });
     // K-means assignment over a modest point set (d=8, k=8).
     let pts: Vec<f64> = (0..(1024 * 8))

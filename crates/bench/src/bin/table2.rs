@@ -2,7 +2,8 @@
 //! validated empirically: measure preprocessing time across a size sweep at
 //! fixed per-row degree and fit the growth exponent `time ~ N^alpha`
 //! (log-log least squares), then across a degree sweep at fixed size for the
-//! density exponent `time ~ q^beta`.
+//! density exponent `time ~ q^beta`. Every point is a [`bootes_perf::Runner`]
+//! median, appended to `results/history/table2.jsonl`.
 //!
 //! Paper claims: Gamma `O(N log N · Q²)` (poor with density), Graph
 //! `O(r · q²)` (density-squared), Hier `O(E log E)` (moderate), Bootes
@@ -11,6 +12,7 @@
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
 use bootes_core::{BootesConfig, SpectralReorderer};
+use bootes_perf::Runner;
 use bootes_reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
@@ -20,6 +22,10 @@ struct Fit {
     algorithm: String,
     size_exponent: f64,
     density_exponent: f64,
+    /// Runner median per size-sweep point, in seconds.
+    size_sweep_seconds: Vec<f64>,
+    /// Runner median per degree-sweep point, in seconds.
+    density_sweep_seconds: Vec<f64>,
 }
 
 /// Least-squares slope of ln(y) vs ln(x).
@@ -34,7 +40,9 @@ fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
     cov / var
 }
 
-fn time_of(algo: &dyn Reorderer, n: usize, deg: usize) -> f64 {
+/// Runner median, in seconds, of `algo` on the `n`-row, degree-`deg`
+/// sweep matrix.
+fn time_of(runner: &mut Runner, algo: &dyn Reorderer, n: usize, deg: usize) -> f64 {
     let a = clustered_with_density(
         &GenConfig::new(n, n).seed(n as u64 ^ (deg as u64) << 7),
         16,
@@ -42,18 +50,13 @@ fn time_of(algo: &dyn Reorderer, n: usize, deg: usize) -> f64 {
         deg as f64 / n as f64,
     )
     .expect("valid parameters");
-    // Median of 3 runs for stability.
-    let mut times: Vec<f64> = (0..3)
-        .map(|_| {
-            algo.reorder(&a)
-                .expect("reorder")
-                .stats
-                .elapsed
-                .as_secs_f64()
+    runner
+        .measure(&format!("{}/n{n}_d{deg}", algo.name()), || {
+            algo.reorder(&a).expect("reorder")
         })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[1]
+        .summary
+        .median
+        * 1e-9
 }
 
 fn main() {
@@ -98,14 +101,23 @@ fn main() {
         "density exponent (time ~ q^b)",
         "paper claim",
     ]);
+    let mut runner = Runner::new("table2");
     for (algo, claim) in &algos {
         let size_times: Vec<f64> = sizes
             .iter()
-            .map(|&n| time_of(algo.as_ref(), n, fixed_deg))
+            .map(|&n| time_of(&mut runner, algo.as_ref(), n, fixed_deg))
             .collect();
+        // The sweeps share the (fixed_n, fixed_deg) corner: measure it once.
+        let corner = *size_times.last().expect("nonempty sweep");
         let deg_times: Vec<f64> = degrees
             .iter()
-            .map(|&d| time_of(algo.as_ref(), fixed_n, d))
+            .map(|&d| {
+                if d == fixed_deg {
+                    corner
+                } else {
+                    time_of(&mut runner, algo.as_ref(), fixed_n, d)
+                }
+            })
             .collect();
         let a = loglog_slope(
             &sizes.iter().map(|&n| n as f64).collect::<Vec<_>>(),
@@ -120,10 +132,15 @@ fn main() {
             algorithm: algo.name().to_string(),
             size_exponent: a,
             density_exponent: b,
+            size_sweep_seconds: size_times,
+            density_sweep_seconds: deg_times,
         });
     }
     t.print("fitted growth exponents");
     println!("\nExpectation: Bootes' density exponent is the smallest of the four, and its");
     println!("size exponent stays near 1 (linear), matching the paper's scalability column.");
     save_json(&results_dir(), "table2_complexity.json", &fits);
+    runner
+        .finish(&results_dir())
+        .expect("append table2 history");
 }

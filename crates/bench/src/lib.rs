@@ -12,7 +12,9 @@
 //!   decision tree for one accelerator by labeling a synthetic corpus with
 //!   measured traffic, exactly the §3.2 procedure,
 //! - [`run_reordered`]: reorder → permute → simulate, the inner loop of
-//!   Figures 4 and 6,
+//!   the traffic labeling and Figure 3,
+//! - [`measure_last`]: times a call through the [`bootes_perf::Runner`]
+//!   and keeps what its last execution produced,
 //! - [`viz`]: ASCII density rendering of sparsity patterns (Figure 2),
 //! - [`table`]: plain-text table printing and JSON result persistence.
 
@@ -23,6 +25,7 @@ use bootes_core::{
     BootesConfig, Label, MatrixFeatures, SpectralReorderer, CANDIDATE_KS, FEATURE_NAMES,
 };
 use bootes_model::{Dataset, DecisionTree, TreeConfig};
+use bootes_perf::Runner;
 use bootes_reorder::{ReorderStats, Reorderer};
 
 use bootes_sparse::CsrMatrix;
@@ -113,14 +116,17 @@ pub fn baseline_reorderers() -> Vec<Box<dyn Reorderer>> {
     ]
 }
 
-/// End-to-end seconds: host preprocessing time plus simulated accelerator
-/// compute time.
-pub fn end_to_end_seconds(
-    stats: &ReorderStats,
-    report: &TrafficReport,
-    accel: &AcceleratorConfig,
-) -> f64 {
-    stats.elapsed.as_secs_f64() + report.seconds(accel.clock_hz)
+/// Times `f` through `runner` under `case` (warmup + repeats) and returns
+/// the output of its last execution with the Runner's median in seconds,
+/// for harnesses that report what the timed call produced (a permutation,
+/// its memory high-water mark, a fitted model) next to how long it took.
+pub fn measure_last<R>(runner: &mut Runner, case: &str, mut f: impl FnMut() -> R) -> (R, f64) {
+    let mut last = None;
+    let median_ns = runner.measure(case, || last = Some(f())).summary.median;
+    (
+        last.expect("the Runner executes every case at least once"),
+        median_ns * 1e-9,
+    )
 }
 
 /// Measures the traffic of `a` reordered with spectral clustering at a fixed
@@ -369,7 +375,19 @@ mod tests {
         let (stats, report) = run_reordered(&a, &b, &bootes_reorder::OriginalOrder, accel);
         assert_eq!(stats.algorithm, "original");
         assert!(report.total_bytes() > 0);
-        assert!(end_to_end_seconds(&stats, &report, accel) > 0.0);
+    }
+
+    #[test]
+    fn measure_last_keeps_the_last_output_and_the_median() {
+        let mut runner = Runner::new("unit_test").with_counts(1, 3);
+        let mut calls = 0;
+        let (last, secs) = measure_last(&mut runner, "count", || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(last, 4);
+        let m = &runner.into_measurements()[0];
+        assert_eq!(secs, m.summary.median * 1e-9);
     }
 
     #[test]

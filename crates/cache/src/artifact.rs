@@ -1,4 +1,4 @@
-//! The three cached artifact families and their serialized form.
+//! The four cached artifact families and their serialized form.
 
 use bootes_linalg::Eigenpairs;
 use bootes_reorder::ReorderStats;
@@ -17,8 +17,7 @@ pub struct ReorderArtifact {
 }
 
 /// Cached converged Ritz pairs of a normalized-Laplacian eigensolve, reused
-/// either verbatim (exact key hit) or as a warm-start seed for a new solve on
-/// a recurring sparsity pattern.
+/// verbatim on an exact key hit.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RitzArtifact {
     /// The stored eigenpairs (values, vectors, residuals, solve counters).

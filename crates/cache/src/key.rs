@@ -44,15 +44,15 @@ impl ArtifactKind {
 
 /// Content-addressed key of one cache entry.
 ///
-/// `pattern` is the [`MatrixFingerprint::pattern`] hash — all three artifact
+/// `pattern` is the [`MatrixFingerprint::pattern`] hash — all four artifact
 /// kinds are functions of the sparsity pattern only (the spectral reorderer
-/// works on the *binary* similarity graph and every cost-model feature is
-/// structural), so matrices that differ only in their numerical values share
-/// entries by construction. `config` hashes every configuration knob the
-/// artifact depends on (e.g. the [`bootes_core` `BootesConfig`] for a
-/// permutation, the Lanczos parameters for Ritz pairs, the decision-tree
-/// identity for a prediction), so changing a knob can never serve a stale
-/// artifact.
+/// works on the *binary* similarity graph, every cost-model feature is
+/// structural, and a drift sketch hashes nonzero positions), so matrices
+/// that differ only in their numerical values share entries by
+/// construction. `config` hashes every configuration knob the artifact
+/// depends on (e.g. the [`bootes_core` `BootesConfig`] for a permutation,
+/// the Lanczos parameters for Ritz pairs, the decision-tree identity for a
+/// prediction), so changing a knob can never serve a stale artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Which artifact family the entry belongs to.

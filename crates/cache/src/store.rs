@@ -156,8 +156,8 @@ impl MemoryStore {
     }
 
     /// Runs `f` over every `(key, artifact)` pair until it returns `Some`,
-    /// scanning shards in index order. Used for same-pattern (any-config)
-    /// warm-start lookups; does not refresh recency.
+    /// scanning shards in index order. Used to enumerate drift donors for
+    /// [`crate::Cache::sketch_candidates`]; does not refresh recency.
     pub fn scan<R>(&self, mut f: impl FnMut(&CacheKey, &Artifact) -> Option<R>) -> Option<R> {
         for shard in &self.shards {
             let guard = match shard.lock() {

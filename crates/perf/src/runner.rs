@@ -129,18 +129,18 @@ fn env_count(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
         .unwrap_or(default)
 }
 
 impl Runner {
     /// Creates a runner for the named bench. Repeat counts come from
-    /// `BOOTES_PERF_REPS` (default 5) and `BOOTES_PERF_WARMUP` (default 1).
+    /// `BOOTES_PERF_REPS` (default 5, at least 1) and `BOOTES_PERF_WARMUP`
+    /// (default 1; 0 runs no warmup).
     pub fn new(bench: &str) -> Self {
         Runner {
             bench: bench.to_string(),
             warmup: env_count("BOOTES_PERF_WARMUP", 1),
-            reps: env_count("BOOTES_PERF_REPS", 5),
+            reps: env_count("BOOTES_PERF_REPS", 5).max(1),
             env: BenchEnv::capture(),
             records: Vec::new(),
         }
@@ -161,13 +161,27 @@ impl Runner {
     /// Runs `f` `warmup` times untimed, then `reps` times timed, and records
     /// the robust summary under `case`. Returns the new measurement.
     pub fn measure<R>(&mut self, case: &str, mut f: impl FnMut() -> R) -> &Measurement {
+        self.measure_with_setup(case, || (), |()| f())
+    }
+
+    /// [`Runner::measure`] for a case whose every execution needs fresh
+    /// state (an empty cache, a new directory): before each of the warmup
+    /// and timed executions, `setup` runs untimed and its output is handed
+    /// to `f`, and only `f` is timed.
+    pub fn measure_with_setup<S, R>(
+        &mut self,
+        case: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> R,
+    ) -> &Measurement {
         for _ in 0..self.warmup {
-            std::hint::black_box(f());
+            std::hint::black_box(f(setup()));
         }
         let mut samples = Vec::with_capacity(self.reps);
         for _ in 0..self.reps {
+            let state = setup();
             let start = Instant::now();
-            std::hint::black_box(f());
+            std::hint::black_box(f(state));
             samples.push(start.elapsed().as_nanos() as f64);
         }
         self.records.push(Measurement {
@@ -254,6 +268,23 @@ mod tests {
         assert!(m.summary.min <= m.summary.median);
         assert!(m.summary.median <= m.summary.max);
         assert_eq!(m.unit, "ns");
+    }
+
+    #[test]
+    fn measure_with_setup_hands_every_execution_fresh_state() {
+        let mut runner = Runner::new("unit_test").with_counts(2, 3);
+        let mut made = 0;
+        let mut seen = Vec::new();
+        let m = runner.measure_with_setup(
+            "fresh",
+            || {
+                made += 1;
+                made
+            },
+            |state| seen.push(state),
+        );
+        assert_eq!((m.warmup, m.reps, m.samples.len()), (2, 3, 3));
+        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
