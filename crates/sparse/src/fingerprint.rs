@@ -16,6 +16,14 @@
 //! logical matrix — stable across platforms of either endianness, across
 //! serialization round-trips, and across process runs (FNV is unkeyed; no
 //! per-process hash seeding is involved).
+//!
+//! A word's zero high bytes are folded as one multiply: FNV-1a turns a zero
+//! byte into `h · P` (`h ^ 0 = h`), so `k` trailing zero bytes are exactly
+//! `h · Pᵏ`. Column indices and row lengths fill one or two of their eight
+//! bytes, which makes the serial multiply chain about 3× shorter. Every hash
+//! value is unchanged by this — it is the same byte-at-a-time FNV-1a, only
+//! computed in fewer steps — so `bootes-cache`'s `FORMAT_VERSION` stays and
+//! existing disk caches stay valid.
 
 use crate::csr::CsrMatrix;
 
@@ -23,6 +31,17 @@ use crate::csr::CsrMatrix;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `PRIME_POW[k] = FNV_PRIME^k` (wrapping): folding `k` zero bytes.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// Incremental FNV-1a 64-bit hasher over little-endian words.
 ///
@@ -55,7 +74,12 @@ impl Fnv1a {
 
     /// Folds one `u64` in little-endian byte order.
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
+        // Bytes up to the highest nonzero one go through the byte loop; the
+        // zero bytes above it fold into a single multiply by a prime power.
+        let live = 8 - (v.leading_zeros() / 8) as usize;
+        self.write_bytes(&v.to_le_bytes()[..live]);
+        self.0 = self.0.wrapping_mul(PRIME_POW[8 - live]);
+        self
     }
 
     /// Folds one `usize` widened to `u64` (so 32- and 64-bit targets agree).
@@ -130,6 +154,7 @@ impl CsrMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use proptest::prelude::*;
 
     fn sample() -> CsrMatrix {
         CsrMatrix::try_new(
@@ -189,6 +214,39 @@ mod tests {
         let c = CsrMatrix::try_new(2, 3, vec![0, 1, 1], vec![0], vec![1.0]).unwrap();
         assert_ne!(a.fingerprint().pattern, b.fingerprint().pattern);
         assert_ne!(a.fingerprint().pattern, c.fingerprint().pattern);
+    }
+
+    /// Plain byte-at-a-time FNV-1a over `v`'s little-endian bytes: the
+    /// definition the folded `write_u64` must agree with.
+    fn fold_bytes(mut h: u64, v: u64) -> u64 {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The zero-byte fold equals the byte-at-a-time fold for any word
+        /// from any start state. `shift` strips high bytes so every count of
+        /// zero bytes is drawn; 0, `u64::MAX` and every power of two are
+        /// checked from each drawn start state as well.
+        #[test]
+        fn write_u64_equals_the_byte_fold(
+            start in 0u64..u64::MAX,
+            word in 0u64..u64::MAX,
+            shift in 0u32..65,
+        ) {
+            let drawn = word.checked_shr(shift).unwrap_or(0);
+            let edges = [0, u64::MAX].into_iter().chain((0..64).map(|k| 1u64 << k));
+            for v in std::iter::once(drawn).chain(edges) {
+                let mut h = Fnv1a(start);
+                h.write_u64(v);
+                prop_assert_eq!(h.finish(), fold_bytes(start, v), "word {:#x} from {:#x}", v, start);
+            }
+        }
     }
 
     #[test]

@@ -94,13 +94,27 @@ pub fn jaccard(a: &CsrMatrix, i: usize, j: usize) -> f64 {
 /// Average and variance of the intersection size between *adjacent* rows
 /// `(i, i+1)` — the structural-overlap "fingerprint" features of §3.2.
 /// Returns `(0.0, 0.0)` for matrices with fewer than two rows.
+///
+/// One pass over the nonzeros: each row counts the columns stamped by the
+/// row before it, then stamps its own (a row's columns are distinct, so
+/// probing and stamping a column in one step cannot see its own stamp).
 pub fn adjacent_intersection_stats(a: &CsrMatrix) -> (f64, f64) {
     if a.nrows() < 2 {
         return (0.0, 0.0);
     }
-    let counts: Vec<usize> = (0..a.nrows() - 1)
-        .map(|i| row_intersection(a, i, i + 1))
-        .collect();
+    // stamp[c] = 1 + the last row seen holding column c; 0 = none yet.
+    let mut stamp = vec![0usize; a.ncols()];
+    let mut counts = Vec::with_capacity(a.nrows() - 1);
+    for r in 0..a.nrows() {
+        let mut shared = 0;
+        for &c in a.row(r).0 {
+            shared += usize::from(stamp[c] == r);
+            stamp[c] = r + 1;
+        }
+        if r > 0 {
+            counts.push(shared);
+        }
+    }
     (mean(&counts), variance(&counts))
 }
 
@@ -117,6 +131,8 @@ pub fn bandwidth(a: &CsrMatrix) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
+    use proptest::prelude::*;
 
     fn sample() -> CsrMatrix {
         // [1 1 0 0]
@@ -177,6 +193,32 @@ mod tests {
             adjacent_intersection_stats(&CsrMatrix::zeros(1, 1)),
             (0.0, 0.0)
         );
+    }
+
+    fn random_matrix() -> impl Strategy<Value = CsrMatrix> {
+        (1usize..24, 1usize..16).prop_flat_map(|(r, c)| {
+            proptest::collection::vec((0..r, 0..c), 0..4 * r).prop_map(move |t| {
+                let mut coo = CooMatrix::new(r, c);
+                for (i, j) in t {
+                    coo.push(i, j, 1.0).unwrap();
+                }
+                coo.to_csr()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stamped pass equals the mean and variance of the merge-based
+        /// `row_intersection` over every adjacent pair, bit for bit.
+        #[test]
+        fn adjacent_stats_match_pairwise_intersections(a in random_matrix()) {
+            let pairs: Vec<usize> = (1..a.nrows())
+                .map(|i| row_intersection(&a, i - 1, i))
+                .collect();
+            prop_assert_eq!(adjacent_intersection_stats(&a), (mean(&pairs), variance(&pairs)));
+        }
     }
 
     #[test]
