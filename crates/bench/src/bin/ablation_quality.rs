@@ -4,8 +4,7 @@
 //! - D1: chain-refined permutation vs plain cluster grouping,
 //! - D1b: extra embedding dimensions vs exactly-k,
 //! - D2: thick-restart vs plain Lanczos,
-//! - D4: balanced vs unbalanced decision-tree training,
-//! - extension: recursive spectral bisection vs flat spectral clustering.
+//! - D4: balanced vs unbalanced decision-tree training.
 //!
 //! Every time is a [`bootes_perf::Runner`] median, appended to
 //! `results/history/ablation_quality.jsonl`.
@@ -15,7 +14,7 @@ use bootes_bench::table::{f2, save_json, Table};
 use bootes_bench::{
     b_operand, build_dataset, measure_last, results_dir, scaled_configs, suite_scale,
 };
-use bootes_core::{BootesConfig, RecursiveSpectralReorderer, SpectralReorderer};
+use bootes_core::{BootesConfig, SpectralReorderer};
 use bootes_linalg::lanczos::{lanczos_plain, lanczos_smallest, LanczosConfig};
 use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_model::{DecisionTree, TreeConfig};
@@ -81,10 +80,6 @@ fn main() {
                 extra_embed: 0,
                 ..BootesConfig::default().with_k(8)
             })),
-        ),
-        (
-            "extension: recursive bisection",
-            Box::new(RecursiveSpectralReorderer::default()),
         ),
     ];
 

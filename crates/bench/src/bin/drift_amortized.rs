@@ -72,9 +72,9 @@ struct Summary {
     per_step: Vec<StepResult>,
 }
 
-/// The usual two-point synthetic tree: k = 16 for sparse inputs (a deep
-/// recursive split, so the cold baseline pays a realistic full-pipeline
-/// cost; the resplice path is k-independent).
+/// The usual two-point synthetic tree: k = 16 for sparse inputs (a flat
+/// spectral clustering with 16 eigenvectors, so the cold baseline pays a
+/// realistic full-pipeline cost; the resplice path is k-independent).
 fn toy_model() -> DecisionTree {
     let mut x = Vec::new();
     let mut y = Vec::new();

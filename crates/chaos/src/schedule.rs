@@ -74,7 +74,6 @@ const PIPELINE_SITES: &[&str] = &[
     "lanczos.restart",
     "kmeans.iter",
     "spectral.cluster",
-    "recursive.bisect",
     "hier.merge",
     "par.worker",
 ];

@@ -36,7 +36,6 @@
 pub mod config;
 pub mod features;
 pub mod pipeline;
-pub mod recursive;
 pub mod spectral;
 
 pub use bootes_drift::DriftConfig;
@@ -46,5 +45,4 @@ pub use pipeline::{
     BootesPipeline, Decision, FallbackReorderer, Label, PipelineError, PipelineOutcome,
     CANDIDATE_KS,
 };
-pub use recursive::RecursiveSpectralReorderer;
 pub use spectral::SpectralReorderer;

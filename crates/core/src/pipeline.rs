@@ -27,7 +27,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::BootesConfig;
 use crate::features::MatrixFeatures;
-use crate::recursive::RecursiveSpectralReorderer;
 use crate::spectral::SpectralReorderer;
 
 /// The candidate cluster counts of the paper (§3.1.2).
@@ -167,9 +166,8 @@ pub struct PipelineOutcome {
 /// tries each rung in order of decreasing quality and decreasing cost:
 ///
 /// 1. [`SpectralReorderer`] — the paper's Algorithm 4 (name `"bootes"`),
-/// 2. [`RecursiveSpectralReorderer`] — Fiedler bisection, no `k` needed,
-/// 3. [`HierReorderer`] — LSH + agglomerative clustering, no eigensolve,
-/// 4. [`OriginalOrder`] — the identity permutation, which cannot fail.
+/// 2. [`HierReorderer`] — LSH + agglomerative clustering, no eigensolve,
+/// 3. [`OriginalOrder`] — the identity permutation, which cannot fail.
 ///
 /// Every rung runs under `catch_unwind`, so a panic escaping a rung (e.g.
 /// from a worker thread without an error channel) degrades instead of
@@ -220,9 +218,8 @@ impl Reorderer for FallbackReorderer {
 
     fn reorder(&self, a: &CsrMatrix) -> Result<ReorderOutcome, ReorderError> {
         let _span = bootes_obs::span!("reorder.fallback");
-        let rungs: [Box<dyn Reorderer>; 4] = [
+        let rungs: [Box<dyn Reorderer>; 3] = [
             Box::new(SpectralReorderer::new(self.config.clone())),
-            Box::new(RecursiveSpectralReorderer::default()),
             Box::new(HierReorderer::default()),
             Box::new(OriginalOrder),
         ];

@@ -40,7 +40,7 @@ pub struct SpectralReorderer {
 /// Maps a linear-algebra failure into the reorder error space, keeping guard
 /// failures (budget exhaustion, injected faults) typed rather than collapsing
 /// them into an opaque numerical-error string.
-pub(crate) fn numerical(e: LinalgError) -> ReorderError {
+fn numerical(e: LinalgError) -> ReorderError {
     match e {
         LinalgError::Guard(g) => ReorderError::Guard(g),
         other => ReorderError::Numerical(other.to_string()),

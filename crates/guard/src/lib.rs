@@ -10,9 +10,8 @@
 //! - [`Budget`] / [`Watchdog`]: a wall-clock deadline (shared start
 //!   [`std::time::Instant`]), an iteration cap, and a byte ceiling, checked
 //!   *cooperatively* — long-running loops call [`checkpoint`] at natural
-//!   yield points (Lanczos restarts, Lloyd iterations, bisection levels,
-//!   agglomerative merges) and get back
-//!   [`GuardError::BudgetExceeded`] once a limit is crossed.
+//!   yield points (Lanczos restarts, Lloyd iterations, agglomerative merges)
+//!   and get back [`GuardError::BudgetExceeded`] once a limit is crossed.
 //! - [`GuardError`]: the typed failure vocabulary shared by every layer, so
 //!   a panic caught in a `par` worker, an injected fault, and an exhausted
 //!   budget all travel the same degradation path in `core::pipeline`.

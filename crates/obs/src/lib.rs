@@ -32,9 +32,8 @@
 //! |------|-------------|
 //! | `pipeline.preprocess` | `bootes-core` — full preprocessing pass |
 //! | `pipeline.decide` | `bootes-core` — model-driven label decision |
-//! | `reorder.gamma` / `reorder.graph` / `reorder.hier` / `reorder.spectral` / `reorder.recursive` | each `Reorderer::reorder` implementation |
+//! | `reorder.gamma` / `reorder.graph` / `reorder.hier` / `reorder.spectral` | each `Reorderer::reorder` implementation |
 //! | `spectral.laplacian` / `spectral.lanczos` / `spectral.kmeans` / `spectral.order` | spectral clustering stages |
-//! | `spectral.bisect` | recursive bisection levels |
 //! | `lanczos.restart` | `bootes-linalg` — one thick-restart outer iteration |
 //! | `lanczos.sweep` | `bootes-linalg` — one plain (non-restarted) Lanczos sweep |
 //! | `lanczos.dense_fallback` | `bootes-linalg` — dense eigensolver fallback |

@@ -20,8 +20,7 @@
 //!   balances nnz/flop work across chunks, plus [`chunk_count`] for the
 //!   standard oversubscription factor fed to it,
 //! - ordered-merge parallel combinators ([`map_ranges`], [`map_indices`],
-//!   [`for_each_chunk_mut`], [`join`]) whose results are stitched back in
-//!   chunk order.
+//!   [`for_each_chunk_mut`]) whose results are stitched back in chunk order.
 //!
 //! # Determinism
 //!
@@ -40,11 +39,11 @@
 //!
 //! # Nested regions
 //!
-//! A parallel region started *from* a pool worker (e.g. the recursive
-//! bisection halves each running parallel kernels) runs inline on that
-//! worker instead of re-entering the pool — dispatching to the pool from
-//! inside it could deadlock, and outer-level parallelism already owns the
-//! cores. [`join`] spawns its own scoped thread and is unaffected.
+//! A parallel region started *from* a pool worker (e.g. the per-`k`
+//! `label.sweep` sweep, whose candidates each run parallel kernels) runs
+//! inline on that worker instead of re-entering the pool — dispatching to
+//! the pool from inside it could deadlock, and outer-level parallelism
+//! already owns the cores.
 //!
 //! # Per-worker attribution
 //!
@@ -63,20 +62,19 @@
 //! with profiling on but the timeline off, workers time their whole loop
 //! once instead of every chunk, and no `ChunkRecord` is pushed. With
 //! profiling disabled the attribution path costs one relaxed atomic load per
-//! region — no clock reads, no allocation. [`join`] is a control-flow fork,
-//! not a region, and takes no name.
+//! region — no clock reads, no allocation.
 //!
 //! # Panic isolation
 //!
-//! Every chunk closure and each side of a [`join`] runs inside
-//! [`std::panic::catch_unwind`] and hits the `par.worker` guard failpoint
-//! first. All four combinators return a panicking or fault-injected chunk as
-//! a typed [`GuardError`] instead of aborting the process; callers map it
-//! into their own error type. The one caller without an error channel, the
-//! SpMV behind the Lanczos operator, re-raises it as a panic, which the
-//! fallback chain in `bootes-core` catches at the rung boundary. When
-//! multiple chunks fail, the error reported is the failing chunk with the
-//! lowest index, keeping the observed failure deterministic.
+//! Every chunk closure runs inside [`std::panic::catch_unwind`] and hits the
+//! `par.worker` guard failpoint first. All three combinators return a
+//! panicking or fault-injected chunk as a typed [`GuardError`] instead of
+//! aborting the process; callers map it into their own error type. The one
+//! caller without an error channel, the SpMV behind the Lanczos operator,
+//! re-raises it as a panic, which the fallback chain in `bootes-core` catches
+//! at the rung boundary. When multiple chunks fail, the error reported is the
+//! failing chunk with the lowest index, keeping the observed failure
+//! deterministic.
 
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -241,7 +239,7 @@ struct WorkerStats {
 
 /// Runs `f` behind the `par.worker` failpoint and a panic isolation
 /// boundary, converting both failure modes to [`GuardError`]. Every chunk of
-/// every region and both sides of a [`join`] run through here.
+/// every region runs through here.
 fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, GuardError> {
     std::panic::catch_unwind(AssertUnwindSafe(|| {
         bootes_guard::fail_point("par.worker")?;
@@ -496,38 +494,6 @@ where
     Ok(())
 }
 
-/// Runs `fa` and `fb`, concurrently when `parallel` is true, and returns both
-/// results as `(a, b)` — the deterministic two-way fork for recursive
-/// divide-and-conquer (e.g. spectral bisection halves). The `a` side runs on
-/// its own scoped thread (not the pool: a join is a control-flow fork, and
-/// its halves routinely start pool regions of their own), so a join has no
-/// region to attribute.
-///
-/// # Errors
-///
-/// If either side panics or trips the `par.worker` failpoint, the `a` side's
-/// error is reported first (deterministically), and the process survives.
-pub fn join<A, B, FA, FB>(parallel: bool, fa: FA, fb: FB) -> Result<(A, B), GuardError>
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    if !parallel {
-        return Ok((isolated(fa)?, isolated(fb)?));
-    }
-    std::thread::scope(|scope| {
-        let ha = scope.spawn(move || {
-            let _span = bootes_obs::span!("par.worker");
-            isolated(fa)
-        });
-        let b = isolated(fb);
-        let a = ha.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        Ok((a?, b?))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,15 +625,6 @@ mod tests {
     fn for_each_chunk_mut_rejects_gaps() {
         let mut data = vec![0usize; 4];
         let _ = for_each_chunk_mut("test", 2, &mut data, &[0..1, 2..4], |_, _, _| {});
-    }
-
-    #[test]
-    fn join_runs_both_sides() {
-        let _fp = no_faults();
-        for parallel in [false, true] {
-            let (a, b) = join(parallel, || 1 + 1, || "x".to_string() + "y").unwrap();
-            assert_eq!((a, b.as_str()), (2, "xy"));
-        }
     }
 
     #[test]
@@ -888,18 +845,5 @@ mod tests {
         let _ = map_ranges("test.off", 4, &ranges, |i, _| i);
         assert!(bootes_obs::worker_chunks().is_empty());
         assert!(bootes_obs::snapshot().gauges.is_empty());
-    }
-
-    #[test]
-    fn join_reports_a_side_first() {
-        let _fp = no_faults();
-        for parallel in [false, true] {
-            let err = join::<i32, i32, _, _>(parallel, || panic!("left"), || 5).unwrap_err();
-            match err {
-                GuardError::Panic { message, .. } => assert!(message.contains("left")),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(join(true, || 1, || 2).unwrap(), (1, 2));
     }
 }

@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! - `reorder <in.mtx> [-o out.mtx] [--algo A] [--k K]` — reorder a Matrix
-//!   Market file (`bootes`, `gamma`, `graph`, `hier`, `recursive`),
+//!   Market file (`bootes`, `gamma`, `graph`, `hier`),
 //! - `features <in.mtx>` — print the §3.2 structural feature vector,
 //! - `simulate <in.mtx> [--accel NAME] [--cache BYTES] [--reorder ALGO]` —
 //!   simulate the row-wise SpGEMM `A·A` (or `A·Aᵀ`), reorder the rows
@@ -56,8 +56,8 @@ use std::process::ExitCode;
 
 use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
 use bootes::core::{
-    BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures,
-    RecursiveSpectralReorderer, SpectralReorderer, CANDIDATE_KS, FEATURE_NAMES,
+    BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures, SpectralReorderer,
+    CANDIDATE_KS, FEATURE_NAMES,
 };
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
@@ -92,10 +92,10 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  bootes reorder  <in.mtx> [-o out.mtx] [--algo bootes|gamma|graph|hier|recursive] [--k K]
+  bootes reorder  <in.mtx> [-o out.mtx] [--algo bootes|gamma|graph|hier] [--k K]
   bootes features <in.mtx>
   bootes simulate <in.mtx> [--accel flexagon|gamma|trapezoid] [--cache BYTES]
-                  [--reorder bootes|gamma|graph|hier|recursive|none] [--k K]
+                  [--reorder bootes|gamma|graph|hier|none] [--k K]
   bootes train    [--corpus N] [--accel NAME] [--cache BYTES] [--seed S] -o model.json
   bootes decide   <in.mtx> --model model.json   (a tree from `bootes train` or
                   a committed results/models/<accel>.json)
@@ -134,8 +134,6 @@ global flags (any subcommand):
                           runs on matrices with a recurring sparsity pattern
   --cache-mem-mb MB       in-memory artifact cache ceiling (default: 256)
   --no-cache              disable the artifact cache entirely
-  --no-fallback           disable the graceful-degradation chain: a failed or
-                          over-budget spectral reorder becomes a hard error
   --drift-threshold F     rows-changed fraction above which a cached donor
                           permutation is abandoned for a full recompute
                           (default: 0.25; 0 always recomputes, 1 always
@@ -149,14 +147,13 @@ global flags (any subcommand):
    BOOTES_FAILPOINTS=\"site=err@N,...\" injects deterministic faults)";
 
 /// The global flags (`--profile`, `--threads`, the guard budgets,
-/// `--no-fallback`, ...), stripped from the argument list before subcommand
+/// `--cache-dir`, ...), stripped from the argument list before subcommand
 /// dispatch. Holding the struct keeps the armed budget alive for the whole
 /// run; it disarms on drop.
 struct ProfileOpts {
     enabled: bool,
     profile_out: Option<String>,
     trace_out: Option<String>,
-    no_fallback: bool,
     drift: Option<bootes::core::DriftConfig>,
     _budget: Option<bootes::guard::ArmedBudget>,
 }
@@ -166,7 +163,6 @@ impl ProfileOpts {
         let mut enabled = false;
         let mut profile_out = None;
         let mut trace_out = None;
-        let mut no_fallback = false;
         let mut no_donor = false;
         let mut drift_threshold: Option<f64> = None;
         let mut use_cache = true;
@@ -178,10 +174,6 @@ impl ProfileOpts {
             match args[i].as_str() {
                 "--profile" => {
                     enabled = true;
-                    args.remove(i);
-                }
-                "--no-fallback" => {
-                    no_fallback = true;
                     args.remove(i);
                 }
                 "--no-cache" => {
@@ -311,7 +303,6 @@ impl ProfileOpts {
                 enabled,
                 profile_out,
                 trace_out,
-                no_fallback,
                 drift,
                 _budget: armed,
             },
@@ -386,9 +377,9 @@ fn run(args: &[String], prof: &ProfileOpts) -> Result<(), String> {
         return Err("missing subcommand".to_string());
     };
     match cmd.as_str() {
-        "reorder" => cmd_reorder(&args[1..], prof.no_fallback),
+        "reorder" => cmd_reorder(&args[1..]),
         "features" => cmd_features(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..], prof.no_fallback),
+        "simulate" => cmd_simulate(&args[1..]),
         "train" => cmd_train(&args[1..]),
         "decide" => cmd_decide(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
@@ -403,7 +394,7 @@ fn run(args: &[String], prof: &ProfileOpts) -> Result<(), String> {
     }
 }
 
-fn cmd_reorder(args: &[String], no_fallback: bool) -> Result<(), String> {
+fn cmd_reorder(args: &[String]) -> Result<(), String> {
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
@@ -414,7 +405,7 @@ fn cmd_reorder(args: &[String], no_fallback: bool) -> Result<(), String> {
         Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
         None => 8,
     };
-    let algo = reorderer_from(&algo_name, k, no_fallback)?;
+    let algo = reorderer_from(&algo_name, k)?;
     let out = algo.reorder(&a).map_err(|e| e.to_string())?;
     if let (Some(from), Some(reason)) = (&out.stats.degraded_from, &out.stats.degrade_reason) {
         eprintln!("note: output produced by fallback ({from} failed: {reason})");
@@ -430,7 +421,7 @@ fn cmd_reorder(args: &[String], no_fallback: bool) -> Result<(), String> {
         a.nrows(),
         a.ncols(),
         a.nnz(),
-        algo.name(),
+        out.stats.algorithm,
         out.stats.elapsed.as_secs_f64() * 1e3,
         out.stats.peak_bytes / 1024,
         out_path
@@ -438,15 +429,10 @@ fn cmd_reorder(args: &[String], no_fallback: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn reorderer_from(name: &str, k: usize, no_fallback: bool) -> Result<Box<dyn Reorderer>, String> {
+fn reorderer_from(name: &str, k: usize) -> Result<Box<dyn Reorderer>, String> {
     Ok(match name {
-        // "bootes" routes through the graceful-degradation chain unless the
-        // user asked for hard errors with --no-fallback.
-        "bootes" if no_fallback => {
-            Box::new(SpectralReorderer::new(BootesConfig::default().with_k(k)))
-        }
+        // "bootes" routes through the graceful-degradation chain.
         "bootes" => Box::new(FallbackReorderer::new(BootesConfig::default().with_k(k))),
-        "recursive" => Box::new(RecursiveSpectralReorderer::default()),
         "gamma" => Box::new(GammaReorderer::default()),
         "graph" => Box::new(GraphReorderer::default()),
         "hier" => Box::new(HierReorderer::default()),
@@ -464,7 +450,7 @@ fn cmd_features(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String], no_fallback: bool) -> Result<(), String> {
+fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let input = args
         .first()
         .filter(|a| !a.starts_with('-'))
@@ -481,7 +467,7 @@ fn cmd_simulate(args: &[String], no_fallback: bool) -> Result<(), String> {
             Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
             None => 8,
         };
-        Some(reorderer_from(&algo_name, k, no_fallback)?)
+        Some(reorderer_from(&algo_name, k)?)
     };
     let b = if a.nrows() == a.ncols() {
         a.clone()
@@ -498,7 +484,7 @@ fn cmd_simulate(args: &[String], no_fallback: bool) -> Result<(), String> {
         let after = simulate_spgemm(&permuted, &b, &accel).map_err(|e| e.to_string())?;
         println!(
             "after {} reordering ({:.2} ms, peak {} KiB):",
-            algo.name(),
+            out.stats.algorithm,
             out.stats.elapsed.as_secs_f64() * 1e3,
             out.stats.peak_bytes / 1024
         );

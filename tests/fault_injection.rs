@@ -5,9 +5,10 @@
 //! Failpoints, budgets, thread counts and the obs registry are all
 //! process-global, so every test holds a [`ScopedFailpoints`] for its whole
 //! body: scopes take a process-wide lock, and tests that inject nothing arm
-//! an empty spec ([`no_faults`]). The CI fault-injection job runs this file
-//! alone (`cargo test --test fault_injection`) so the env-var matrix cannot
-//! leak into other suites.
+//! an empty spec ([`no_faults`]). A scope replaces any `BOOTES_FAILPOINTS`
+//! spec from the environment while it lives, and the subprocess helpers set
+//! or clear that variable for their children, so the CI fault-injection
+//! job's env matrix checks that this suite ignores ambient faults.
 
 use bootes::core::{BootesConfig, BootesPipeline, FallbackReorderer, Label, SpectralReorderer};
 use bootes::guard::{Budget, GuardError, ScopedFailpoints};
@@ -32,15 +33,24 @@ fn chain() -> FallbackReorderer {
     FallbackReorderer::new(BootesConfig::default().with_k(4))
 }
 
+/// The rungs a `degrade_reason` names, in the order they failed: the chain
+/// joins one `"<rung>: <error>"` entry per failed rung with `"; "`.
+fn failed_rungs(reason: &str) -> Vec<&str> {
+    reason
+        .split("; ")
+        .map(|entry| entry.split_once(": ").map_or(entry, |(rung, _)| rung))
+        .collect()
+}
+
 #[test]
-fn lanczos_failpoint_degrades_to_recursive() {
-    // @1 fires exactly once: the spectral rung consumes it, the recursive
-    // rung's own Lanczos call runs clean. The scoped guard restores the
-    // previous (empty) spec when the test ends, pass or fail.
+fn lanczos_failpoint_degrades_to_hier() {
+    // @1 fires exactly once: the spectral rung consumes it and the LSH rung,
+    // which needs no eigensolve, produces the ordering. The scoped guard
+    // restores the previous (empty) spec when the test ends, pass or fail.
     let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
-    assert_eq!(out.stats.algorithm, "bootes-recursive");
+    assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     let reason = out.stats.degrade_reason.expect("reason recorded");
     assert!(reason.contains("injected fault"), "{reason}");
@@ -48,26 +58,39 @@ fn lanczos_failpoint_degrades_to_recursive() {
 }
 
 #[test]
-fn kmeans_failpoint_degrades_to_recursive() {
+fn kmeans_failpoint_degrades_to_hier() {
     let _fp = ScopedFailpoints::arm("kmeans.iter=err@1").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
-    assert_eq!(out.stats.algorithm, "bootes-recursive");
+    assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
 }
 
 #[test]
 fn persistent_lanczos_fault_falls_through_to_hier() {
-    // No @N: fires on every hit, so both eigensolver rungs fail and the
-    // chain lands on the LSH reorderer, which needs no eigensolve.
+    // No @N: fires on every hit, so the spectral rung fails and the chain
+    // lands on the LSH reorderer, which needs no eigensolve.
     let _fp = ScopedFailpoints::arm("lanczos.restart=err").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
     assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     let reason = out.stats.degrade_reason.expect("reason recorded");
-    assert!(reason.contains("bootes-recursive"), "{reason}");
+    assert_eq!(failed_rungs(&reason), ["bootes"], "{reason}");
     assert_eq!(out.permutation.len(), a.nrows());
+}
+
+#[test]
+fn spectral_and_hier_faults_land_on_original_order() {
+    // Both ordering rungs fail, so only the identity rung is left.
+    let _fp = ScopedFailpoints::arm("lanczos.restart=err,hier.merge=err").unwrap();
+    let a = matrix();
+    let out = chain().reorder(&a).expect("chain must absorb the faults");
+    assert_eq!(out.stats.algorithm, "original");
+    assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
+    let reason = out.stats.degrade_reason.expect("reason recorded");
+    assert_eq!(failed_rungs(&reason), ["bootes", "hier"], "{reason}");
+    assert!(out.permutation.is_identity());
 }
 
 #[test]
@@ -109,19 +132,20 @@ fn iteration_cap_lands_on_original_order() {
 }
 
 #[test]
-fn byte_budget_degrades_spectral_but_keeps_quality_rungs() {
+fn byte_budget_lands_on_original_order() {
     let _fp = no_faults();
     let a = matrix();
-    // 1 byte: the spectral embedding's explicit accounting trips
-    // immediately, but the recursive rung stays within its (unaccounted)
-    // checkpoint-only path and still produces a quality ordering.
+    // 1 byte: the explicit accounting of both the spectral embedding and
+    // the LSH signatures trips at once, so only the identity rung is left.
     let armed = Budget::unlimited().with_bytes(1).arm();
     let out = chain().reorder(&a).expect("budget exhaustion must degrade");
     drop(armed);
+    assert_eq!(out.stats.algorithm, "original");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     let reason = out.stats.degrade_reason.expect("reason recorded");
+    assert_eq!(failed_rungs(&reason), ["bootes", "hier"], "{reason}");
     assert!(reason.contains("bytes"), "{reason}");
-    assert_eq!(out.permutation.len(), a.nrows());
+    assert!(out.permutation.is_identity());
 }
 
 #[test]
@@ -275,6 +299,9 @@ fn cli_reorder_exits_zero_under_persistent_faults() {
     assert_eq!(reordered.nrows(), 96);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("degraded"), "stderr: {stderr}");
+    // The summary names the rung that produced the permutation.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("with hier in"), "stdout: {stdout}");
 }
 
 #[test]
@@ -652,19 +679,4 @@ fn serve_waiting_requests_run_in_arrival_order() {
         );
     }
     assert_eq!(*arrivals.lock().unwrap(), [0, 1, 2, 3]);
-}
-
-#[test]
-fn cli_no_fallback_fails_loudly_under_faults() {
-    let _fp = no_faults();
-    let dir = std::env::temp_dir();
-    let input = dir.join("bootes_nofallback_in.mtx");
-    write_test_matrix(&input);
-    let out = run_cli(
-        &["reorder", input.to_str().unwrap(), "--no-fallback"],
-        Some("lanczos.restart=err"),
-    );
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("injected fault"), "stderr: {stderr}");
 }
