@@ -3,7 +3,6 @@
 //!
 //! - D1: chain-refined permutation vs plain cluster grouping,
 //! - D1b: extra embedding dimensions vs exactly-k,
-//! - D2: thick-restart vs plain Lanczos,
 //! - D4: balanced vs unbalanced decision-tree training.
 //!
 //! Every time is a [`bootes_perf::Runner`] median, appended to
@@ -15,19 +14,15 @@ use bootes_bench::{
     b_operand, build_dataset, measure_last, results_dir, scaled_configs, suite_scale,
 };
 use bootes_core::{BootesConfig, SpectralReorderer};
-use bootes_linalg::lanczos::{lanczos_plain, lanczos_smallest, LanczosConfig};
-use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_model::{DecisionTree, TreeConfig};
 use bootes_perf::Runner;
 use bootes_reorder::Reorderer;
-use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use bootes_workloads::suite::table3_suite;
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Ablations {
     permutation: Vec<AblationRow>,
-    eigensolver: Vec<SolverRow>,
     tree_training: Vec<TrainingRow>,
 }
 
@@ -38,12 +33,6 @@ struct AblationRow {
     total_bytes: u64,
     preprocess_ms: f64,
     peak_kib: u64,
-}
-
-#[derive(Serialize)]
-struct SolverRow {
-    solver: String,
-    median_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -127,46 +116,9 @@ fn main() {
     }
     t.print("permutation-quality ablations (traffic relative to the full default)");
 
-    // D2: 12 eigenpairs of a 1024-row, 8-cluster matrix's implicit Laplacian.
-    let a = clustered_with_density(&GenConfig::new(1024, 1024).seed(1), 8, 0.92, 16.0 / 1024.0)
-        .expect("valid parameters");
-    let op = ImplicitNormalizedLaplacian::new(&a);
-    let cfg = LanczosConfig {
-        tol: 1e-3,
-        max_restarts: 12,
-        allow_unconverged: true,
-        converge_k: 8,
-        ..LanczosConfig::default()
-    };
-    let mut solvers = Vec::new();
-    let mut d2 = Table::new(["eigensolver", "ms"]);
-    for (solver, plain) in [
-        ("thick restart (default)", false),
-        ("plain Lanczos, 48 steps", true),
-    ] {
-        let median_ms = runner
-            .measure(&format!("d2/{solver}"), || {
-                if plain {
-                    lanczos_plain(&op, 12, 48, 7)
-                } else {
-                    lanczos_smallest(&op, 12, &cfg)
-                }
-                .expect("eigensolve")
-            })
-            .summary
-            .median
-            / 1e6;
-        d2.row([solver.to_string(), format!("{median_ms:.1}")]);
-        solvers.push(SolverRow {
-            solver: solver.to_string(),
-            median_ms,
-        });
-    }
-    d2.print("D2: eigensolver cost");
-
     // D4: balanced vs unbalanced class weights on the same labeled corpus.
     println!("\nD4: decision-tree class balancing (labeling a training corpus, ~1 min)...");
-    let ds = build_dataset(&accel, 136, 77);
+    let ds = build_dataset(&accel, 136, 77, bootes_par::threads());
     let (train, test) = ds.split(0.7, 7).expect("valid fraction");
     let mut trainings = Vec::new();
     let mut d4 = Table::new(["training", "fit ms", "accuracy", "macro F1"]);
@@ -208,7 +160,6 @@ fn main() {
         "ablation_quality.json",
         &Ablations {
             permutation: rows,
-            eigensolver: solvers,
             tree_training: trainings,
         },
     );

@@ -12,7 +12,7 @@
 //!   decision tree for one accelerator by labeling a synthetic corpus with
 //!   measured traffic, exactly the §3.2 procedure,
 //! - [`run_reordered`]: reorder → permute → simulate, the inner loop of
-//!   the traffic labeling and Figure 3,
+//!   Figure 3,
 //! - [`measure_last`]: times a call through the [`bootes_perf::Runner`]
 //!   and keeps what its last execution produced,
 //! - [`viz`]: ASCII density rendering of sparsity patterns (Figure 2),
@@ -21,9 +21,7 @@
 use std::path::PathBuf;
 
 use bootes_accel::{configs, simulate_spgemm, AcceleratorConfig, TrafficReport};
-use bootes_core::{
-    BootesConfig, Label, MatrixFeatures, SpectralReorderer, CANDIDATE_KS, FEATURE_NAMES,
-};
+use bootes_core::{Label, MatrixFeatures, FEATURE_NAMES};
 use bootes_model::{Dataset, DecisionTree, TreeConfig};
 use bootes_perf::Runner;
 use bootes_reorder::{ReorderStats, Reorderer};
@@ -129,59 +127,16 @@ pub fn measure_last<R>(runner: &mut Runner, case: &str, mut f: impl FnMut() -> R
     )
 }
 
-/// Measures the traffic of `a` reordered with spectral clustering at a fixed
-/// `k` (or unreordered for `k = None`) on `accel`.
-fn traffic_at(a: &CsrMatrix, b: &CsrMatrix, k: Option<usize>, accel: &AcceleratorConfig) -> u64 {
-    match k {
-        None => simulate_spgemm(a, b, accel)
-            .expect("valid operands")
-            .total_bytes(),
-        Some(k) => {
-            let algo = SpectralReorderer::new(BootesConfig::default().with_k(k));
-            let (_, rep) = run_reordered(a, b, &algo, accel);
-            rep.total_bytes()
-        }
-    }
-}
-
-/// Finds the best label for one matrix on one accelerator by measuring:
-/// reorder with the best candidate `k` if it cuts total traffic by more than
-/// the paper's 10% threshold, otherwise `NoReorder` (§3.2 labeling).
-///
-/// # Panics
-///
-/// Panics if a candidate sweep fails (a panicking worker or an armed
-/// `par.worker` failpoint).
-pub fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
+/// Labels `a` for `accel` by [`bootes_core::measure_label`], pricing each
+/// ordering of `a` by its simulated SpGEMM traffic against `a`'s
+/// [`b_operand`].
+fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, String> {
     let b = b_operand(a);
-    let base = traffic_at(a, &b, None, accel);
-    // Each candidate k is an independent reorder+simulate pipeline; fan them
-    // out and fold the winner in k order, so the chosen label is the same for
-    // any thread count (strict `<` keeps the first-smallest-k tie-break).
-    let sweeps = bootes_par::map_indices(
-        "label.sweep",
-        bootes_par::threads().min(CANDIDATE_KS.len()),
-        CANDIDATE_KS.len(),
-        |i| {
-            let k = CANDIDATE_KS[i];
-            if k + 1 >= a.nrows() {
-                None
-            } else {
-                Some((k, traffic_at(a, &b, Some(k), accel)))
-            }
-        },
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    let mut best: Option<(usize, u64)> = None;
-    for (k, t) in sweeps.into_iter().flatten() {
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((k, t));
-        }
-    }
-    match best {
-        Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
-        _ => Label::NoReorder,
-    }
+    bootes_core::measure_label(a, |m| {
+        simulate_spgemm(m, &b, accel)
+            .map(|report| report.total_bytes())
+            .map_err(|e| e.to_string())
+    })
 }
 
 /// Number of corpus matrices used for training (kept modest so harnesses run
@@ -193,7 +148,9 @@ pub fn corpus_size() -> usize {
         .unwrap_or(408)
 }
 
-/// Builds the labeled training dataset for one accelerator.
+/// Builds the labeled training dataset for one accelerator, labeling the
+/// corpus on up to `threads` pool workers (the result is the same for any
+/// count).
 ///
 /// Half the corpus consists of fresh same-family instances of the Table-3
 /// and Figure-3 suite entries (different seeds and jittered scales, so the
@@ -204,8 +161,14 @@ pub fn corpus_size() -> usize {
 ///
 /// # Panics
 ///
-/// Panics if corpus generation fails (built-in parameters are valid).
-pub fn build_dataset(accel: &AcceleratorConfig, count: usize, seed: u64) -> Dataset {
+/// Panics if corpus generation or labeling fails (built-in parameters are
+/// valid).
+pub fn build_dataset(
+    accel: &AcceleratorConfig,
+    count: usize,
+    seed: u64,
+    threads: usize,
+) -> Dataset {
     let mut corpus: Vec<CsrMatrix> = Vec::with_capacity(count);
     // Suite-like half: cycle through the evaluation families with fresh
     // seeds and mildly jittered scales.
@@ -225,35 +188,18 @@ pub fn build_dataset(accel: &AcceleratorConfig, count: usize, seed: u64) -> Data
         corpus.push(m);
     }
     // Labeling is embarrassingly parallel (5 reorders + 6 simulations per
-    // matrix); fan out across cores with scoped threads.
-    let threads = std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .min(16);
-    let chunk = corpus.len().div_ceil(threads.max(1));
-    let mut results: Vec<(Vec<f64>, usize)> = Vec::with_capacity(corpus.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = corpus
-            .chunks(chunk.max(1))
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|m| {
-                            (
-                                MatrixFeatures::extract(m).to_vec(),
-                                measure_label(m, accel)
-                                    .to_class()
-                                    .expect("measured label uses candidate k"),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.extend(h.join().expect("labeling thread panicked"));
-        }
-    });
-    let (x, y): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    // matrix): one region over the corpus, whose nested `label.sweep`
+    // regions run inline on their worker.
+    let rows = bootes_par::map_indices("label.corpus", threads, corpus.len(), |i| {
+        let class = measure_label(&corpus[i], accel)?
+            .to_class()
+            .map_err(|e| e.to_string())?;
+        Ok((MatrixFeatures::extract(&corpus[i]).to_vec(), class))
+    })
+    .map_err(|e| e.to_string())
+    .and_then(|rows| rows.into_iter().collect::<Result<Vec<_>, String>>())
+    .unwrap_or_else(|e| panic!("labeling the training corpus failed: {e}"));
+    let (x, y): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
     Dataset::new(x, y, names, Label::N_CLASSES).expect("consistent dataset")
 }
@@ -289,7 +235,7 @@ pub fn trained_model(accel: &AcceleratorConfig, seed: u64) -> (DecisionTree, f64
             }
         }
     }
-    let ds = build_dataset(accel, corpus_size(), seed);
+    let ds = build_dataset(accel, corpus_size(), seed, bootes_par::threads());
     // Model selection over several split seeds: labeling dominates the cost,
     // so fitting a handful of trees and keeping the best validated one is
     // nearly free and removes most seed-to-seed variance.
@@ -397,6 +343,17 @@ mod tests {
         let a = clustered(&GenConfig::new(600, 600).seed(3), 4, 0.97).unwrap();
         let mut accel = scaled_configs(0.02).remove(0);
         accel.cache_bytes = 4096;
-        assert!(matches!(measure_label(&a, &accel), Label::Reorder(_)));
+        assert!(matches!(measure_label(&a, &accel), Ok(Label::Reorder(_))));
+    }
+
+    #[test]
+    fn build_dataset_is_the_same_for_any_thread_count() {
+        let accel = &scaled_configs(0.02)[0];
+        let serial = build_dataset(accel, 8, 5, 1);
+        let pooled = build_dataset(accel, 8, 5, 4);
+        assert_eq!(serial.labels(), pooled.labels());
+        for i in 0..serial.len() {
+            assert_eq!(serial.features(i), pooled.features(i));
+        }
     }
 }

@@ -11,7 +11,8 @@
 //! 2. **Decision** ([`pipeline`]): a trained decision tree predicts whether
 //!    reordering will reduce memory traffic enough to justify the
 //!    preprocessing (threshold 10% in the paper) and, if so, which cluster
-//!    count `k ∈ {2, 4, 8, 16, 32}` to use.
+//!    count `k ∈ {2, 4, 8, 16, 32}` to use. [`measure_label`] produces the
+//!    tree's training labels by the same 10% rule on measured traffic.
 //! 3. **Spectral reordering** ([`spectral`], Algorithm 4): build the binary
 //!    similarity matrix `S = Ā·Āᵀ`, form the normalized Laplacian
 //!    `L = I − D^{-1/2} S D^{-1/2}`, extract the `k` smallest eigenvectors
@@ -42,7 +43,7 @@ pub use bootes_drift::DriftConfig;
 pub use config::BootesConfig;
 pub use features::{MatrixFeatures, FEATURE_NAMES};
 pub use pipeline::{
-    BootesPipeline, Decision, FallbackReorderer, Label, PipelineError, PipelineOutcome,
-    CANDIDATE_KS,
+    measure_label, BootesPipeline, Decision, FallbackReorderer, Label, PipelineError,
+    PipelineOutcome, CANDIDATE_KS,
 };
 pub use spectral::SpectralReorderer;

@@ -3,8 +3,8 @@
 //! Before SpGEMM execution, Bootes extracts structural features, feeds them
 //! to the trained decision tree, and either reorders with the predicted
 //! cluster count or leaves the matrix untouched. The tree is trained offline
-//! (see the `fig3` benchmark binary) on labels measured on the target
-//! accelerator.
+//! (see the `fig3` benchmark binary) on labels that [`measure_label`]
+//! measures on the target accelerator.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -91,6 +91,55 @@ impl Label {
                 })
         }
     }
+}
+
+/// Labels `a` by measurement, the §3.2 training rule: reorder with the
+/// candidate `k` whose spectral ordering `traffic` prices lowest if that cuts
+/// the unreordered price by more than 10%, else [`Label::NoReorder`].
+///
+/// `traffic` prices a matrix, e.g. the simulated SpGEMM bytes of it times a
+/// fixed `B` operand. It is called on `a` itself first, then once per
+/// candidate `k` with `k + 1 < a.nrows()` on `a` reordered with that `k`.
+/// The candidates run in one `label.sweep` region of `bootes-par` and fold
+/// in `k` order with a strict `<`, so ties keep the smallest `k` and the
+/// label is the same for any thread count.
+///
+/// # Errors
+///
+/// The first error, as text, of `traffic`, of a candidate's reorder, or of
+/// a sweep worker that panicked.
+pub fn measure_label(
+    a: &CsrMatrix,
+    traffic: impl Fn(&CsrMatrix) -> Result<u64, String> + Sync,
+) -> Result<Label, String> {
+    let base = traffic(a)?;
+    let ks: Vec<usize> = CANDIDATE_KS
+        .into_iter()
+        .filter(|&k| k + 1 < a.nrows())
+        .collect();
+    let priced = bootes_par::map_indices(
+        "label.sweep",
+        bootes_par::threads().min(ks.len()),
+        ks.len(),
+        |i| {
+            let out = SpectralReorderer::new(BootesConfig::default().with_k(ks[i]))
+                .reorder(a)
+                .map_err(|e| e.to_string())?;
+            traffic(&out.permutation.apply_rows(a).map_err(|e| e.to_string())?)
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    let mut best: Option<(usize, u64)> = None;
+    for (k, t) in ks.into_iter().zip(priced) {
+        let t = t?;
+        if best.is_none_or(|(_, bt)| t < bt) {
+            best = Some((k, t));
+        }
+    }
+    Ok(match best {
+        Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
+        _ => Label::NoReorder,
+    })
 }
 
 /// The pipeline's verdict for one matrix.
@@ -677,6 +726,7 @@ mod tests {
     use super::*;
     use crate::FEATURE_NAMES;
     use bootes_model::{Dataset, TreeConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A tree that predicts class = 0 (NoReorder) when global_sparsity > 0.5
     /// and class 2 (k=4) otherwise.
@@ -714,6 +764,67 @@ mod tests {
             Label::Reorder(7).to_class(),
             Err(ModelError::InvalidLabel(_))
         ));
+    }
+
+    /// A matrix with enough rows for every candidate `k`.
+    fn labeled_input() -> CsrMatrix {
+        bootes_workloads::gen::clustered(
+            &bootes_workloads::gen::GenConfig::new(64, 64).seed(2),
+            4,
+            0.9,
+        )
+        .unwrap()
+    }
+
+    /// Runs [`measure_label`] with a traffic closure that prices the first
+    /// matrix it sees (the base) at 1000 and every later one at `reordered`;
+    /// returns the label and the number of matrices priced.
+    fn label_with(a: &CsrMatrix, reordered: Result<u64, String>) -> (Result<Label, String>, usize) {
+        let calls = AtomicUsize::new(0);
+        let label = measure_label(a, |_| match calls.fetch_add(1, Ordering::SeqCst) {
+            0 => Ok(1000),
+            _ => reordered.clone(),
+        });
+        (label, calls.into_inner())
+    }
+
+    #[test]
+    fn exactly_ten_percent_cheaper_is_no_reorder() {
+        let priced = 1 + CANDIDATE_KS.len();
+        assert_eq!(
+            label_with(&labeled_input(), Ok(900)),
+            (Ok(Label::NoReorder), priced)
+        );
+    }
+
+    #[test]
+    fn ties_keep_the_smallest_k() {
+        assert_eq!(
+            label_with(&labeled_input(), Ok(890)).0,
+            Ok(Label::Reorder(2))
+        );
+    }
+
+    #[test]
+    fn too_few_rows_for_any_k_prices_only_the_base() {
+        assert_eq!(
+            label_with(&CsrMatrix::identity(3), Ok(0)),
+            (Ok(Label::NoReorder), 1)
+        );
+    }
+
+    #[test]
+    fn traffic_errors_are_returned() {
+        let a = labeled_input();
+        let no_simulator = Err("no simulator".to_string());
+        assert_eq!(
+            measure_label(&a, |_| no_simulator.clone()),
+            Err("no simulator".to_string())
+        );
+        assert_eq!(
+            label_with(&a, no_simulator).0,
+            Err("no simulator".to_string())
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    pipeline alongside every permutation) against the incoming matrix's
 //!    sketch and returns the nearest *donor* whose estimated Jaccard
 //!    similarity clears the floor.
-//! 3. [`resplice`] — given the donor's permutation and the set of rows whose
+//! 3. [`resplice()`] — given the donor's permutation and the set of rows whose
 //!    pattern changed, re-clusters only those rows (exact column-support
 //!    Jaccard against the unchanged rows sharing a column, via an inverted
 //!    index scoped to the changed rows' columns) and splices them next to

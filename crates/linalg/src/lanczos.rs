@@ -1,14 +1,12 @@
-//! Lanczos eigensolvers for symmetric operators.
+//! The Lanczos eigensolver for symmetric operators.
 //!
 //! [`lanczos_smallest`] is a thick-restart Lanczos method (Wu & Simon) with
 //! full reorthogonalization — the same family of algorithm behind
 //! `scipy.sparse.linalg.eigsh`, which the paper calls on Algorithm 4 line 15.
 //! It computes the `k` algebraically smallest eigenpairs of a symmetric
 //! operator, which for the normalized Laplacian yields the spectral embedding.
-//!
-//! [`lanczos_plain`] is the non-restarted variant (single Krylov sweep +
-//! tridiagonal solve), kept as the ablation point for design decision D2 in
-//! `DESIGN.md`.
+//! It is the crate's only iterative eigensolver (design decision D2 in
+//! `DESIGN.md`).
 
 use bootes_sparse::DenseMatrix;
 use rand::rngs::StdRng;
@@ -17,7 +15,6 @@ use rand::{RngExt, SeedableRng};
 use crate::error::LinalgError;
 use crate::jacobi::jacobi_eigen;
 use crate::operator::LinearOperator;
-use crate::tridiag::tridiag_eigen;
 use crate::vecops::{all_finite, axpy, dot, normalize};
 
 /// Configuration for [`lanczos_smallest`].
@@ -57,7 +54,7 @@ impl Default for LanczosConfig {
     }
 }
 
-/// Converged eigenpairs returned by the eigensolvers.
+/// Converged eigenpairs returned by [`lanczos_smallest`].
 ///
 /// Serializable so the preprocessing artifact cache (`bootes-cache`) can
 /// persist converged Ritz pairs and reuse them on an exact key hit.
@@ -350,98 +347,6 @@ fn dense_fallback<A: LinearOperator + ?Sized>(
     })
 }
 
-/// Plain (non-restarted) Lanczos: one Krylov sweep of `steps` iterations with
-/// full reorthogonalization, followed by a tridiagonal Rayleigh–Ritz solve.
-///
-/// Unlike [`lanczos_smallest`] this gives no convergence guarantee — it is the
-/// ablation baseline (design decision D2) and is also useful when a rough
-/// spectral embedding is acceptable.
-///
-/// # Errors
-///
-/// - [`LinalgError::InvalidArgument`] if `k == 0` or `k > a.dim()`.
-/// - [`LinalgError::NumericalBreakdown`] on non-finite operator output.
-pub fn lanczos_plain<A: LinearOperator + ?Sized>(
-    a: &A,
-    k: usize,
-    steps: usize,
-    seed: u64,
-) -> Result<Eigenpairs, LinalgError> {
-    let n = a.dim();
-    if k == 0 {
-        return Err(LinalgError::InvalidArgument(
-            "k must be at least 1".to_string(),
-        ));
-    }
-    if k > n {
-        return Err(LinalgError::InvalidArgument(format!(
-            "k = {k} exceeds operator dimension {n}"
-        )));
-    }
-    let m = steps.clamp(k, n);
-    if n <= k + 1 {
-        return dense_fallback(a, k, n);
-    }
-    let _sweep_span = bootes_obs::span!("lanczos.sweep");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut alpha = Vec::with_capacity(m);
-    let mut beta = Vec::with_capacity(m.saturating_sub(1));
-    let mut v = random_unit(n, &mut rng);
-    let mut matvecs = 0;
-    for j in 0..m {
-        basis.push(std::mem::take(&mut v));
-        let mut w = vec![0.0; n];
-        a.apply(&basis[j], &mut w);
-        matvecs += 1;
-        if !all_finite(&w) {
-            return Err(LinalgError::NumericalBreakdown(
-                "operator produced non-finite values".to_string(),
-            ));
-        }
-        let mut coeffs = vec![0.0; j + 1];
-        orthogonalize(&mut w, &basis, &mut coeffs);
-        alpha.push(coeffs[j]);
-        let b = normalize(&mut w);
-        if j + 1 < m {
-            if b <= 1e-12 {
-                // Invariant subspace reached; truncate the sweep.
-                break;
-            }
-            beta.push(b);
-            v = w;
-        }
-    }
-    let dim = basis.len();
-    let (theta, y) = tridiag_eigen(&alpha[..dim], &beta[..dim.saturating_sub(1)])?;
-    let kk = k.min(dim);
-    let mut vectors = Vec::with_capacity(kk);
-    for i in 0..kk {
-        let mut x = vec![0.0; n];
-        for (j, bv) in basis.iter().enumerate() {
-            axpy(y[(j, i)], bv, &mut x);
-        }
-        normalize(&mut x);
-        vectors.push(x);
-    }
-    let mut residuals = Vec::with_capacity(kk);
-    for (val, x) in theta.iter().take(kk).zip(&vectors) {
-        let mut w = vec![0.0; n];
-        a.apply(x, &mut w);
-        matvecs += 1;
-        axpy(-val, x, &mut w);
-        residuals.push(crate::vecops::norm2(&w));
-    }
-    record_solve_metrics(matvecs, dim, 0, &residuals);
-    Ok(Eigenpairs {
-        eigenvalues: theta[..kk].to_vec(),
-        eigenvectors: vectors,
-        matvecs,
-        restarts: 0,
-        residuals,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,16 +442,6 @@ mod tests {
         let a = CsrMatrix::identity(4);
         assert!(lanczos_smallest(&a, 0, &LanczosConfig::default()).is_err());
         assert!(lanczos_smallest(&a, 5, &LanczosConfig::default()).is_err());
-        assert!(lanczos_plain(&a, 0, 4, 0).is_err());
-    }
-
-    #[test]
-    fn plain_lanczos_reasonable() {
-        let diag: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let a = CsrMatrix::from_diagonal(&diag);
-        let eig = lanczos_plain(&a, 2, 60, 7).unwrap();
-        assert!(eig.eigenvalues[0] < 0.5);
-        assert!(eig.eigenvalues[1] < 1.5);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! - [`lanczos::lanczos_smallest`]: thick-restart Lanczos with full
 //!   reorthogonalization for the `k` algebraically smallest eigenpairs of a
 //!   symmetric operator,
-//! - [`tridiag::tridiag_eigen`]: implicit-QL eigensolver for the Lanczos
-//!   tridiagonal matrices (plain, non-restarted path),
 //! - [`jacobi::jacobi_eigen`]: cyclic Jacobi for the small dense projected
-//!   matrices of the thick-restart path,
+//!   matrices of the thick restart and for operators small enough to solve
+//!   densely,
 //! - [`kmeans::kmeans`]: Lloyd iterations with k-means++ seeding,
 //! - [`operator::LinearOperator`]: the matrix-free operator abstraction.
 //!
@@ -37,7 +36,6 @@ pub mod kmeans;
 pub mod lanczos;
 pub mod laplacian;
 pub mod operator;
-pub mod tridiag;
 pub mod vecops;
 
 pub use error::LinalgError;

@@ -5,8 +5,8 @@ use bootes_sparse::CsrMatrix;
 /// A square linear operator `y = A x` applied matrix-free.
 ///
 /// The Lanczos eigensolver only touches the operator through this trait, so
-/// callers can pass an explicit [`CsrMatrix`] (the Laplacian) or any implicit
-/// operator (e.g. a shifted or composed one) without materializing it.
+/// callers can pass an explicit [`CsrMatrix`] or an implicit operator (the
+/// normalized Laplacian of spectral ordering) without materializing it.
 ///
 /// Implementations must be *symmetric*: `xᵀ(Ay) == yᵀ(Ax)`. The eigensolver
 /// does not verify this; violating it silently yields garbage eigenpairs.
@@ -35,37 +35,6 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// The operator `alpha * I + beta * A`, applied without materialization.
-///
-/// Useful for spectral transformations, e.g. mapping the smallest eigenvalues
-/// of a Laplacian (spectrum in `[0, 2]`) to the largest of `2I − L`.
-#[derive(Debug, Clone)]
-pub struct ShiftedOperator<'a, A: LinearOperator> {
-    alpha: f64,
-    beta: f64,
-    inner: &'a A,
-}
-
-impl<'a, A: LinearOperator> ShiftedOperator<'a, A> {
-    /// Creates the operator `alpha * I + beta * inner`.
-    pub fn new(alpha: f64, beta: f64, inner: &'a A) -> Self {
-        ShiftedOperator { alpha, beta, inner }
-    }
-}
-
-impl<A: LinearOperator> LinearOperator for ShiftedOperator<'_, A> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = self.alpha * xi + self.beta * *yi;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,15 +46,5 @@ mod tests {
         a.apply(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![2.0, 3.0]);
         assert_eq!(LinearOperator::dim(&a), 2);
-    }
-
-    #[test]
-    fn shifted_operator_shifts() {
-        let a = CsrMatrix::from_diagonal(&[2.0, 3.0]);
-        // 10*I - 1*A
-        let s = ShiftedOperator::new(10.0, -1.0, &a);
-        let mut y = vec![0.0; 2];
-        s.apply(&[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![8.0, 14.0]);
     }
 }

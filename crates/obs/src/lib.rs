@@ -35,7 +35,6 @@
 //! | `reorder.gamma` / `reorder.graph` / `reorder.hier` / `reorder.spectral` | each `Reorderer::reorder` implementation |
 //! | `spectral.laplacian` / `spectral.lanczos` / `spectral.kmeans` / `spectral.order` | spectral clustering stages |
 //! | `lanczos.restart` | `bootes-linalg` — one thick-restart outer iteration |
-//! | `lanczos.sweep` | `bootes-linalg` — one plain (non-restarted) Lanczos sweep |
 //! | `lanczos.dense_fallback` | `bootes-linalg` — dense eigensolver fallback |
 //! | `kmeans.run` | `bootes-linalg` — one seeded k-means attempt |
 //! | `accel.simulate` | `bootes-accel` — full SpGEMM simulation |

@@ -24,7 +24,7 @@
 //!   instead — outer-level parallelism wins, nested regions degrade to the
 //!   serial (still bit-identical) path.
 //! - **Borrowed closures.** Jobs carry a lifetime-erased pointer to the
-//!   region's slot closure. This is sound because [`run`] blocks on the latch
+//!   region's slot closure. This is sound because `run` blocks on the latch
 //!   until every dispatched job has finished, so the pointee strictly
 //!   outlives every dereference (the classic scoped-pool argument).
 

@@ -1,12 +1,11 @@
-//! Sparse kernels: SpGEMM, transposition, similarity products.
+//! Sparse kernels: row-wise and block-tiled SpGEMM, transposition, and the
+//! binary `A·Aᵀ` similarity product.
 
 pub mod block;
-pub mod elementwise;
 pub mod similarity;
 pub mod spgemm;
 pub mod transpose;
 
 pub use block::{block_spgemm, BlockSparseMatrix};
-pub use elementwise::{add_scaled, frobenius_norm, scale, spmm};
 pub use similarity::similarity_matrix;
 pub use spgemm::{dataflow_costs, spgemm, spgemm_flops, DataflowCost};

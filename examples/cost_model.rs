@@ -9,51 +9,30 @@
 
 use bootes::accel::{configs, simulate_spgemm};
 use bootes::core::{
-    BootesConfig, BootesPipeline, Label, MatrixFeatures, SpectralReorderer, CANDIDATE_KS,
-    FEATURE_NAMES,
+    measure_label, BootesConfig, BootesPipeline, Label, MatrixFeatures, FEATURE_NAMES,
 };
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
-use bootes::reorder::Reorderer;
-use bootes::sparse::CsrMatrix;
 use bootes::workloads::suite::training_corpus;
-
-/// Label one matrix by measurement: best candidate k if it cuts total
-/// traffic by >10% (the paper's threshold), else NoReorder.
-fn measure_label(
-    a: &CsrMatrix,
-    accel: &bootes::accel::AcceleratorConfig,
-) -> Result<Label, Box<dyn std::error::Error>> {
-    let base = simulate_spgemm(a, a, accel)?.total_bytes();
-    let mut best: Option<(usize, u64)> = None;
-    for &k in &CANDIDATE_KS {
-        if k + 1 >= a.nrows() {
-            continue;
-        }
-        let algo = SpectralReorderer::new(BootesConfig::default().with_k(k));
-        let permuted = algo.reorder(a)?.permutation.apply_rows(a)?;
-        let t = simulate_spgemm(&permuted, a, accel)?.total_bytes();
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((k, t));
-        }
-    }
-    Ok(match best {
-        Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
-        _ => Label::NoReorder,
-    })
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut accel = configs::flexagon();
     accel.cache_bytes = 8 << 10; // small cache at this matrix scale
 
-    // 1. Labeled corpus: 60 synthetic matrices across the generator classes.
+    // 1. Labeled corpus: 60 synthetic matrices across the generator classes,
+    //    each labeled with the best candidate k if it cuts the simulated A·A
+    //    traffic by >10% (the paper's threshold), else NoReorder.
     println!("labeling 60 corpus matrices by measurement...");
     let corpus = training_corpus(60, 11, 384)?;
     let mut x = Vec::new();
     let mut y = Vec::new();
     for (_, m) in &corpus {
         x.push(MatrixFeatures::extract(m).to_vec());
-        y.push(measure_label(m, &accel)?.to_class()?);
+        let label = measure_label(m, |reordered| {
+            simulate_spgemm(reordered, m, &accel)
+                .map(|report| report.total_bytes())
+                .map_err(|e| e.to_string())
+        })?;
+        y.push(label.to_class()?);
     }
     let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
     let ds = Dataset::new(x, y, names, Label::N_CLASSES)?;

@@ -10,14 +10,11 @@
 //! Run with: `cargo run --release --example model_comparison`
 
 use bootes::accel::{configs, simulate_spgemm};
-use bootes::core::{
-    BootesConfig, Label, MatrixFeatures, SpectralReorderer, CANDIDATE_KS, FEATURE_NAMES,
-};
+use bootes::core::{measure_label, Label, MatrixFeatures, FEATURE_NAMES};
 use bootes::model::{
     accuracy, Dataset, DecisionTree, ForestConfig, GbtConfig, GradientBoostedTrees, LinearSvm,
     RandomForest, SvmConfig, TreeConfig,
 };
-use bootes::reorder::Reorderer;
 use bootes::workloads::suite::training_corpus;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,23 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut y = Vec::new();
     for (_, m) in &corpus {
         x.push(MatrixFeatures::extract(m).to_vec());
-        let base = simulate_spgemm(m, m, &accel)?.total_bytes();
-        let mut best: Option<(usize, u64)> = None;
-        for &k in &CANDIDATE_KS {
-            if k + 1 >= m.nrows() {
-                continue;
-            }
-            let algo = SpectralReorderer::new(BootesConfig::default().with_k(k));
-            let perm = algo.reorder(m)?.permutation;
-            let t = simulate_spgemm(&perm.apply_rows(m)?, m, &accel)?.total_bytes();
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((k, t));
-            }
-        }
-        let label = match best {
-            Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
-            _ => Label::NoReorder,
-        };
+        let label = measure_label(m, |reordered| {
+            simulate_spgemm(reordered, m, &accel)
+                .map(|report| report.total_bytes())
+                .map_err(|e| e.to_string())
+        })?;
         y.push(label.to_class()?);
     }
     let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();

@@ -56,8 +56,8 @@ use std::process::ExitCode;
 
 use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
 use bootes::core::{
-    BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures, SpectralReorderer,
-    CANDIDATE_KS, FEATURE_NAMES,
+    measure_label, BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures,
+    FEATURE_NAMES,
 };
 use bootes::model::{Dataset, DecisionTree, TreeConfig};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
@@ -531,11 +531,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let mut y = Vec::new();
     for (_, m) in &corpus {
         x.push(MatrixFeatures::extract(m).to_vec());
-        y.push(
-            measure_label(m, &accel)?
-                .to_class()
-                .map_err(|e| e.to_string())?,
-        );
+        // Training matrices are square, so each ordering is priced as A·A.
+        let label = measure_label(m, |reordered| {
+            simulate_spgemm(reordered, m, &accel)
+                .map(|report| report.total_bytes())
+                .map_err(|e| e.to_string())
+        })?;
+        y.push(label.to_class().map_err(|e| e.to_string())?);
     }
     let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
     let ds = Dataset::new(x, y, names, Label::N_CLASSES).map_err(|e| e.to_string())?;
@@ -564,50 +566,6 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         tree.serialized_size()
     );
     Ok(())
-}
-
-fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, String> {
-    let b = if a.nrows() == a.ncols() {
-        a.clone()
-    } else {
-        a.transpose()
-    };
-    let base = simulate_spgemm(a, &b, accel)
-        .map_err(|e| e.to_string())?
-        .total_bytes();
-    // Candidate-k sweeps are independent; fan them out (folding in k order
-    // keeps the label identical for any thread count).
-    let sweeps = bootes::par::map_indices(
-        "label.sweep",
-        bootes::par::threads().min(CANDIDATE_KS.len()),
-        CANDIDATE_KS.len(),
-        |i| -> Result<Option<(usize, u64)>, String> {
-            let k = CANDIDATE_KS[i];
-            if k + 1 >= a.nrows() {
-                return Ok(None);
-            }
-            let algo = SpectralReorderer::new(BootesConfig::default().with_k(k));
-            let out = algo.reorder(a).map_err(|e| e.to_string())?;
-            let permuted = out.permutation.apply_rows(a).map_err(|e| e.to_string())?;
-            let t = simulate_spgemm(&permuted, &b, accel)
-                .map_err(|e| e.to_string())?
-                .total_bytes();
-            Ok(Some((k, t)))
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let mut best: Option<(usize, u64)> = None;
-    for sweep in sweeps {
-        if let Some((k, t)) = sweep? {
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((k, t));
-            }
-        }
-    }
-    Ok(match best {
-        Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
-        _ => Label::NoReorder,
-    })
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {

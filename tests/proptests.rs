@@ -4,7 +4,7 @@
 use bootes::linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes::linalg::{kmeans, normalized_laplacian, KMeansConfig, LinearOperator};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
-use bootes::sparse::ops::{add_scaled, block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
+use bootes::sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes::sparse::{CooMatrix, CsrMatrix, DenseMatrix, Permutation};
 use proptest::prelude::*;
 
@@ -182,17 +182,6 @@ proptest! {
         let tiled = block_spgemm(&ab, &ab).expect("square");
         let reference = spgemm(&a, &a, 1).expect("square");
         prop_assert!(tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-9);
-    }
-
-    /// Sparse addition is commutative and `a - a = 0`.
-    #[test]
-    fn add_scaled_algebra(a in square_matrix(16, 50), b in square_matrix(16, 50)) {
-        prop_assume!(a.shape() == b.shape());
-        let ab = add_scaled(1.0, &a, 1.0, &b).expect("same shape");
-        let ba = add_scaled(1.0, &b, 1.0, &a).expect("same shape");
-        prop_assert_eq!(ab, ba);
-        let zero = add_scaled(1.0, &a, -1.0, &a).expect("same shape");
-        prop_assert_eq!(zero.nnz(), 0);
     }
 
     /// Reuse-profile invariants: cold + re-accesses = accesses; hit rate is
