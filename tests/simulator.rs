@@ -111,3 +111,154 @@ fn rmat_graphs_flow_through_the_full_pipeline() {
     assert!(rep.total_bytes() > 0);
     assert_eq!(rep.macs, bootes::sparse::ops::spgemm_flops(&m, &a).unwrap());
 }
+
+// ---------------------------------------------------------------------------
+// Golden snapshot of the row-wise simulator: every `TrafficReport` field, one
+// JSON line per (input, config, row order). Inputs are the checked-in
+// fixtures, four Table-3 stand-ins at scale 0.02 (two rectangular) and one
+// synthetic operand whose B rows span more cache lines than the scaled
+// configs have sets, so one row's line range wraps onto a set twice. Configs
+// are the scaled evaluation presets and the three full-size ones. Any change
+// to the cache model, the PE schedule or the nnz(C) count shows up as a diff
+// against tests/fixtures/simulate.golden. Regenerate deliberately with
+// BOOTES_BLESS=1.
+// ---------------------------------------------------------------------------
+
+mod golden {
+    use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
+    use bootes::sparse::io::read_matrix_market;
+    use bootes::sparse::{CooMatrix, CsrMatrix};
+    use bootes::workloads::scramble_rows;
+    use bootes::workloads::suite::table3_suite;
+    use serde::Serialize as _;
+    use std::path::PathBuf;
+
+    /// The repository's evaluation scale (`bootes_bench::suite_scale`).
+    const SCALE: f64 = 0.02;
+
+    fn fixture_dir() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+    }
+
+    /// `A · A` for square `A`, `A · Aᵀ` otherwise (`bootes_bench::b_operand`).
+    fn b_operand(a: &CsrMatrix) -> CsrMatrix {
+        if a.nrows() == a.ncols() {
+            a.clone()
+        } else {
+            a.transpose()
+        }
+    }
+
+    /// The presets with caches scaled as `bootes_bench::scaled_configs`
+    /// does, labelled with their scale, then the full-size presets.
+    fn golden_configs() -> Vec<(String, AcceleratorConfig)> {
+        let scaled = configs::all().into_iter().map(|mut c| {
+            c.cache_bytes = ((c.cache_bytes as f64 * SCALE) as usize).max(4096);
+            (format!("{}@{SCALE}", c.name), c)
+        });
+        let full = configs::all()
+            .into_iter()
+            .map(|c| (format!("{}@1", c.name), c));
+        scaled.chain(full).collect()
+    }
+
+    /// A 160 × 40 `A` over a 40 × 1600 `B` whose rows hold 250 to 1420
+    /// nonzeros: the even rows contiguous runs, the odd rows runs of stride
+    /// 3 or 7 (coprime to 1600, so no column repeats). At 12 bytes per
+    /// nonzero every row spans 47 to 267 lines, more than the 40 sets of the
+    /// scaled Flexagon and, from row 21 on, the 163 of the scaled Trapezoid.
+    fn wide_rows() -> (CsrMatrix, CsrMatrix) {
+        let (k, n) = (40, 1600);
+        let mut b = CooMatrix::new(k, n);
+        for r in 0..k {
+            let nnz = 250 + 30 * r;
+            let stride = [1, 3, 1, 7][r % 4];
+            for t in 0..nnz {
+                b.push(r, (7 * r + t * stride) % n, 1.0).unwrap();
+            }
+        }
+        let mut a = CooMatrix::new(160, k);
+        let mut state = 0x51A7u64;
+        for r in 0..160 {
+            for _ in 0..3 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                a.push(r, ((state >> 33) % k as u64) as usize, 1.0).ok();
+            }
+        }
+        (a.to_csr(), b.to_csr())
+    }
+
+    fn inputs() -> Vec<(String, CsrMatrix, CsrMatrix)> {
+        let mut out = Vec::new();
+        for name in ["banded_64", "clustered_96", "dense_16"] {
+            let path = fixture_dir().join(format!("{name}.mtx"));
+            let file = std::fs::File::open(&path)
+                .unwrap_or_else(|e| panic!("open fixture {}: {e}", path.display()));
+            let a = read_matrix_market(std::io::BufReader::new(file)).expect("valid fixture");
+            let b = b_operand(&a);
+            out.push((name.to_string(), a, b));
+        }
+        for entry in table3_suite() {
+            if ["Oregon-1", "fome20", "mri2", "sme3Da"].contains(&entry.name) {
+                let a = entry.generate(SCALE).expect("suite entry generates");
+                let b = b_operand(&a);
+                out.push((entry.name.to_string(), a, b));
+            }
+        }
+        let (a, b) = wide_rows();
+        out.push(("wide_rows".to_string(), a, b));
+        out
+    }
+
+    fn snapshot() -> String {
+        let configs = golden_configs();
+        let mut lines = Vec::new();
+        for (input, a, b) in inputs() {
+            let orders = [
+                ("original", a.clone()),
+                ("scrambled", scramble_rows(&a, 0x5C)),
+            ];
+            for (label, cfg) in &configs {
+                for (order, a) in &orders {
+                    let report = simulate_spgemm(a, &b, cfg).expect("valid operands");
+                    let value = serde::Value::Object(vec![
+                        ("input".to_string(), serde::Value::Str(input.clone())),
+                        ("config".to_string(), serde::Value::Str(label.clone())),
+                        ("order".to_string(), serde::Value::Str(order.to_string())),
+                        ("report".to_string(), report.serialize()),
+                    ]);
+                    lines.push(serde_json::to_string(&value).expect("report serializes"));
+                }
+            }
+        }
+        lines.join("\n")
+    }
+
+    #[test]
+    fn golden_simulate_reports() {
+        let got = snapshot();
+        let golden_path = fixture_dir().join("simulate.golden");
+        if std::env::var("BOOTES_BLESS").is_ok_and(|v| v == "1") {
+            std::fs::write(&golden_path, format!("{got}\n"))
+                .unwrap_or_else(|e| panic!("bless {}: {e}", golden_path.display()));
+            return;
+        }
+        let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden file {} ({e}); run `BOOTES_BLESS=1 cargo test` to create it",
+                golden_path.display()
+            )
+        });
+        for (line, (w, g)) in want.trim_end().lines().zip(got.lines()).enumerate() {
+            assert_eq!(
+                w,
+                g,
+                "simulator report on line {} diverged from {}; if the change is \
+                 intended, regenerate with `BOOTES_BLESS=1 cargo test`",
+                line + 1,
+                golden_path.display()
+            );
+        }
+        assert_eq!(want.trim_end().lines().count(), got.lines().count());
+    }
+}
