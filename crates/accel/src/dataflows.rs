@@ -18,6 +18,7 @@ use bootes_sparse::{CsrMatrix, SparseError};
 
 use crate::cache::LruCache;
 use crate::configs::AcceleratorConfig;
+use crate::engine::fiber_first_lines;
 use crate::error::AccelError;
 use crate::report::TrafficReport;
 
@@ -56,14 +57,7 @@ pub fn simulate_inner(
     let b_csc = b.to_csc();
 
     // Column j of B occupies a contiguous, column-aligned line range.
-    let mut col_first_line = Vec::with_capacity(b.ncols() + 1);
-    let mut next_line = 0u64;
-    col_first_line.push(0u64);
-    for j in 0..b.ncols() {
-        let bytes = b_csc.col_nnz(j) as u64 * cfg.elem_bytes as u64;
-        next_line += bytes.div_ceil(cfg.line_bytes as u64);
-        col_first_line.push(next_line);
-    }
+    let col_first_line = fiber_first_lines(b_csc.indptr(), cfg);
 
     let mut cache = LruCache::new(cfg.num_sets(), cfg.ways);
     let mut macs = 0u64;
@@ -76,9 +70,7 @@ pub fn simulate_inner(
         pe_cycles[pe] += 1;
         for j in 0..b.ncols() {
             let (brows, bvals) = b_csc.col(j);
-            for line in col_first_line[j]..col_first_line[j + 1] {
-                cache.access(line);
-            }
+            cache.access_range(col_first_line[j]..col_first_line[j + 1]);
             // Merge-intersect the sorted index lists; the intersection cost
             // is charged to the PE's cycle count.
             pe_cycles[pe] += (acols.len() + brows.len()) as u64;

@@ -10,6 +10,12 @@
 //! Timing is a roofline over (a) the busiest PE's MAC count including load
 //! imbalance and (b) total DRAM bytes over the bandwidth, whichever is the
 //! bottleneck.
+//!
+//! Two kernels do the host work of a call. Each `B`-row fetch is one
+//! [`LruCache::access_range`] over the row's lines, whose per-line scan has
+//! no data-dependent branches (see [`crate::cache`]). The output size
+//! nnz(C) comes from `symbolic_nnz`, which merges `B` rows into a bitset
+//! 64 columns per word operation where a row is dense enough to pay for it.
 
 use bootes_sparse::{CsrMatrix, SparseError};
 
@@ -57,15 +63,7 @@ pub fn simulate_spgemm(
     }
     let _span = bootes_obs::span!("accel.simulate");
 
-    // Map each row of B to a contiguous, row-aligned range of cache lines.
-    let mut row_first_line = Vec::with_capacity(b.nrows() + 1);
-    let mut next_line = 0u64;
-    row_first_line.push(0u64);
-    for r in 0..b.nrows() {
-        let bytes = b.row_nnz(r) as u64 * cfg.elem_bytes as u64;
-        next_line += bytes.div_ceil(cfg.line_bytes as u64);
-        row_first_line.push(next_line);
-    }
+    let row_first_line = fiber_first_lines(b.indptr(), cfg);
 
     let mut cache = LruCache::new(cfg.num_sets(), cfg.ways);
     let mut macs = 0u64;
@@ -85,9 +83,7 @@ pub fn simulate_spgemm(
         }
         bootes_sparse::schedule::PeEvent::Access { pe, col: k, .. } => {
             // Fetch every line of B row k through the shared cache.
-            for line in row_first_line[k]..row_first_line[k + 1] {
-                cache.access(line);
-            }
+            cache.access_range(row_first_line[k]..row_first_line[k + 1]);
             let fiber = b.row_nnz(k) as u64;
             macs += fiber;
             // One MAC per cycle per PE; an empty fiber still costs the lookup.
@@ -146,17 +142,84 @@ pub fn simulate_spgemm(
     })
 }
 
+/// Maps fibers laid out back to back, each starting on a fresh line, to
+/// their cache lines: fiber `f`, holding `ptr[f + 1] - ptr[f]` nonzeros of
+/// `cfg.elem_bytes` each, occupies lines `first[f]..first[f + 1]` of the
+/// returned `first`. `ptr` is a CSR row pointer or a CSC column pointer.
+pub(crate) fn fiber_first_lines(ptr: &[usize], cfg: &AcceleratorConfig) -> Vec<u64> {
+    let mut first = Vec::with_capacity(ptr.len());
+    let mut next_line = 0u64;
+    first.push(0);
+    for fiber in ptr.windows(2) {
+        let bytes = (fiber[1] - fiber[0]) as u64 * cfg.elem_bytes as u64;
+        next_line += bytes.div_ceil(cfg.line_bytes as u64);
+        first.push(next_line);
+    }
+    first
+}
+
+/// The words a dense `B` row sets in the nnz(C) bitset: `len` words from
+/// word `first` on, stored at `start` in the span pool.
+#[derive(Clone, Copy)]
+struct Span {
+    first: usize,
+    start: usize,
+    len: usize,
+}
+
 /// Counts `nnz(A · B)` without materializing values (symbolic Gustavson).
+///
+/// Row `i` of `C` collects its columns in a bitset of `ceil(ncols / 64)`
+/// words. Each word is tagged with the row that last wrote it, so a word
+/// left by an earlier row reads as empty and no clearing pass is needed.
+///
+/// A `B` row whose columns span fewer 64-bit words than it has nonzeros is
+/// precomputed once per call as a span bitset; merging it ORs a word at a
+/// time and counts the bits each word adds, `(add & !cur).count_ones()`.
+/// Every other row sets its bits one at a time, without branches. The
+/// choice is per row, from that row's own nonzero count and span, so the
+/// span bitsets together hold fewer words than `B` has nonzeros.
 pub(crate) fn symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
-    let n = b.ncols();
-    let mut stamp = vec![usize::MAX; n];
+    let mut pool = Vec::new();
+    let spans: Vec<Option<Span>> = (0..b.nrows())
+        .map(|k| {
+            let cols = b.row(k).0;
+            let (&lo, &hi) = (cols.first()?, cols.last()?);
+            let (first, len) = (lo / 64, hi / 64 - lo / 64 + 1);
+            if len >= cols.len() {
+                return None;
+            }
+            let start = pool.len();
+            pool.resize(start + len, 0u64);
+            for &j in cols {
+                pool[start + j / 64 - first] |= 1 << (j % 64);
+            }
+            Some(Span { first, start, len })
+        })
+        .collect();
+
+    // (owning row, bits) per word of row i's bitset.
+    let mut acc = vec![(usize::MAX, 0u64); b.ncols().div_ceil(64)];
     let mut count = 0u64;
     for i in 0..a.nrows() {
         for &k in a.row(i).0 {
-            for &j in b.row(k).0 {
-                if stamp[j] != i {
-                    stamp[j] = i;
-                    count += 1;
+            match spans[k] {
+                Some(span) => {
+                    let words = &mut acc[span.first..span.first + span.len];
+                    for (slot, &add) in words.iter_mut().zip(&pool[span.start..]) {
+                        let cur = if slot.0 == i { slot.1 } else { 0 };
+                        count += u64::from((add & !cur).count_ones());
+                        *slot = (i, cur | add);
+                    }
+                }
+                None => {
+                    for &j in b.row(k).0 {
+                        let slot = &mut acc[j / 64];
+                        let bit = 1u64 << (j % 64);
+                        let cur = if slot.0 == i { slot.1 } else { 0 };
+                        count += u64::from(cur & bit == 0);
+                        *slot = (i, cur | bit);
+                    }
                 }
             }
         }
@@ -168,7 +231,53 @@ pub(crate) fn symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
 mod tests {
     use super::*;
     use crate::configs;
-    use bootes_sparse::{ops, CooMatrix};
+    use bootes_sparse::{ops, CooMatrix, Permutation};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngExt, SeedableRng};
+
+    /// The stamp-per-column count the bitset one replaced, kept as the
+    /// reference it must match.
+    fn reference_symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
+        let n = b.ncols();
+        let mut stamp = vec![usize::MAX; n];
+        let mut count = 0u64;
+        for i in 0..a.nrows() {
+            for &k in a.row(i).0 {
+                for &j in b.row(k).0 {
+                    if stamp[j] != i {
+                        stamp[j] = i;
+                        count += 1;
+                    }
+                }
+            }
+        }
+        count
+    }
+
+    /// A random `rows × cols` operand mixing empty rows, full-width rows,
+    /// contiguous runs and scattered columns.
+    fn mixed_rows(rows: usize, cols: usize, rng: &mut StdRng) -> CsrMatrix {
+        let mut coo = CooMatrix::new(rows, cols);
+        for r in 0..rows {
+            match rng.random_range(0..4u32) {
+                0 => {}
+                1 => (0..cols).for_each(|c| coo.push(r, c, 1.0).unwrap()),
+                2 => {
+                    let lo = rng.random_range(0..cols);
+                    let hi = rng.random_range(lo..cols) + 1;
+                    (lo..hi).for_each(|c| coo.push(r, c, 1.0).unwrap());
+                }
+                _ => {
+                    for _ in 0..rng.random_range(1..12usize) {
+                        coo.push(r, rng.random_range(0..cols), 1.0).unwrap();
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
 
     /// n rows, each touching the same `span` columns of B starting at a
     /// row-group-dependent offset.
@@ -305,19 +414,10 @@ mod tests {
         for cfg in [configs::gamma(), configs::flexagon()] {
             let report = simulate_spgemm(&a, &b, &cfg).unwrap();
 
-            let mut row_first_line = Vec::with_capacity(b.nrows() + 1);
-            let mut next_line = 0u64;
-            row_first_line.push(0u64);
-            for r in 0..b.nrows() {
-                let bytes = b.row_nnz(r) as u64 * cfg.elem_bytes as u64;
-                next_line += bytes.div_ceil(cfg.line_bytes as u64);
-                row_first_line.push(next_line);
-            }
+            let row_first_line = fiber_first_lines(b.indptr(), &cfg);
             let mut cache = LruCache::new(cfg.num_sets(), cfg.ways);
             for k in bootes_sparse::schedule::scheduled_b_row_stream(&a, cfg.num_pes) {
-                for line in row_first_line[k]..row_first_line[k + 1] {
-                    cache.access(line);
-                }
+                cache.access_range(row_first_line[k]..row_first_line[k + 1]);
             }
             assert_eq!(
                 (cache.hits(), cache.misses()),
@@ -362,5 +462,36 @@ mod tests {
         assert!(r.cycles >= r.dram_cycles);
         assert!(r.cycles >= r.max_pe_cycles);
         assert_eq!(r.cycles, r.dram_cycles.max(r.max_pe_cycles));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The span-bitset count matches the stamp reference on random
+        /// operands: empty and full-width rows, a rectangular `B`, and column
+        /// counts that are mostly not multiples of 64.
+        #[test]
+        fn symbolic_nnz_matches_reference(
+            (m, k, n, seed) in (1usize..48, 1usize..40, 1usize..400, 0u64..1 << 32),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = mixed_rows(m, k, &mut rng);
+            let b = mixed_rows(k, n, &mut rng);
+            prop_assert_eq!(symbolic_nnz(&a, &b), reference_symbolic_nnz(&a, &b));
+        }
+
+        /// nnz(C) does not depend on the order of A's rows.
+        #[test]
+        fn symbolic_nnz_is_row_order_invariant(
+            (m, k, n, seed) in (1usize..48, 1usize..40, 1usize..400, 0u64..1 << 32),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = mixed_rows(m, k, &mut rng);
+            let b = mixed_rows(k, n, &mut rng);
+            let mut order: Vec<usize> = (0..m).collect();
+            order.shuffle(&mut rng);
+            let permuted = Permutation::try_new(order).unwrap().apply_rows(&a).unwrap();
+            prop_assert_eq!(symbolic_nnz(&permuted, &b), symbolic_nnz(&a, &b));
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
 //! Measures the hot kernels (row-wise and tiled SpGEMM, SpMV, similarity,
-//! one implicit-Laplacian application, the Lanczos eigensolve, and
-//! `kmeans_threads` on synthetic points) on small fixed inputs through the
+//! one implicit-Laplacian application, the Lanczos eigensolve,
+//! `kmeans_threads` on synthetic points, and the accelerator simulator's
+//! `A · A` on Flexagon) on small fixed inputs through the
 //! [`bootes_perf::Runner`] (warmup + repeats, median/MAD), appends the run
 //! to `results/history/perf_smoke.jsonl`, and
 //! blesses `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
@@ -13,6 +14,7 @@
 //! gate's job is catching order-of-allowance regressions in kernels, not
 //! reproducing paper figures.
 
+use bootes_accel::{configs, simulate_spgemm};
 use bootes_bench::results_dir;
 use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_linalg::{
@@ -96,6 +98,15 @@ fn main() {
         kmeans_threads(&points, 8, &cfg, threads)
             .expect("valid kmeans input")
             .inertia
+    });
+
+    // The row-wise simulator, which runs on one thread whatever the pool
+    // size: the PE schedule, the LRU range fetches and the nnz(C) count.
+    let flexagon = configs::flexagon();
+    runner.measure(&format!("simulate/t{threads}"), || {
+        simulate_spgemm(&a, &a, &flexagon)
+            .expect("valid operands")
+            .cycles
     });
 
     for m in runner
