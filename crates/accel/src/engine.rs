@@ -17,6 +17,8 @@
 //! nnz(C) comes from `symbolic_nnz`, which merges `B` rows into a bitset
 //! 64 columns per word operation where a row is dense enough to pay for it.
 
+use std::hint::select_unpredictable;
+
 use bootes_sparse::{CsrMatrix, SparseError};
 
 use crate::cache::LruCache;
@@ -198,7 +200,10 @@ pub(crate) fn symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
         })
         .collect();
 
-    // (owning row, bits) per word of row i's bitset.
+    // (owning row, bits) per word of row i's bitset. Whether a word is
+    // already row i's follows no pattern, and a plain `if` here compiles to
+    // a branch because one arm is a load, so the select is marked
+    // unpredictable to get a conditional move.
     let mut acc = vec![(usize::MAX, 0u64); b.ncols().div_ceil(64)];
     let mut count = 0u64;
     for i in 0..a.nrows() {
@@ -207,7 +212,7 @@ pub(crate) fn symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
                 Some(span) => {
                     let words = &mut acc[span.first..span.first + span.len];
                     for (slot, &add) in words.iter_mut().zip(&pool[span.start..]) {
-                        let cur = if slot.0 == i { slot.1 } else { 0 };
+                        let cur = select_unpredictable(slot.0 == i, slot.1, 0);
                         count += u64::from((add & !cur).count_ones());
                         *slot = (i, cur | add);
                     }
@@ -216,7 +221,7 @@ pub(crate) fn symbolic_nnz(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
                     for &j in b.row(k).0 {
                         let slot = &mut acc[j / 64];
                         let bit = 1u64 << (j % 64);
-                        let cur = if slot.0 == i { slot.1 } else { 0 };
+                        let cur = select_unpredictable(slot.0 == i, slot.1, 0);
                         count += u64::from(cur & bit == 0);
                         *slot = (i, cur | bit);
                     }
