@@ -355,20 +355,64 @@ impl CsrMatrix {
     /// backs has no error channel, so the fallback chain catches it at its
     /// rung boundary.
     pub fn par_matvec_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
+        // Multiply + add per nonzero; traffic reads value + column index +
+        // gathered x element per nonzero and writes y once.
+        self.spmv_chunks(x, y, threads, 2, 24, |start, chunk| {
+            for (off, yr) in chunk.iter_mut().enumerate() {
+                *yr = self.row_dot(start + off, x);
+            }
+        });
+    }
+
+    /// `y[r] = Σ x[j]` over the columns `j` of row `r`, ignoring the stored
+    /// values: the product of the matrix's binary pattern with `x`.
+    ///
+    /// Each row sums in column-index order from `0.0`, so on a matrix whose
+    /// values are all `1.0` (a [`Self::to_binary`] pattern) this equals
+    /// [`Self::par_matvec_into`] bit for bit (`1.0 · v == v`), without
+    /// loading a value or multiplying. Four rows advance side by side over
+    /// their common length, then each finishes its own tail, so four
+    /// independent add chains overlap. Chunking, the serial fallback, the
+    /// `spmv` region and the panic on a worker fault are those of
+    /// [`Self::par_matvec_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::par_matvec_into`].
+    pub fn par_pattern_matvec_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
+        // One add per nonzero; traffic reads the column index and the
+        // gathered x element per nonzero and writes y once.
+        self.spmv_chunks(x, y, threads, 1, 16, |start, chunk| {
+            self.pattern_rows(start, x, chunk);
+        });
+    }
+
+    /// The chunk driver behind both SpMVs: checks the lengths, counts
+    /// `flops_per_nnz`/`bytes_per_nnz` (plus one `y` write per row) under
+    /// `kernel=spmv`, and runs `rows(start, chunk)` over nnz-weighted row
+    /// chunks of `y`, serially at 1 thread or below 2^14 nonzeros.
+    fn spmv_chunks(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        threads: usize,
+        flops_per_nnz: u64,
+        bytes_per_nnz: u64,
+        rows: impl Fn(usize, &mut [f64]) + Sync,
+    ) {
         assert_eq!(x.len(), self.ncols, "matvec input length");
         assert_eq!(y.len(), self.nrows, "matvec output length");
         if bootes_obs::enabled() {
-            // Multiply + add per nonzero; traffic reads value + column index
-            // + gathered x element per nonzero and writes y once.
-            bootes_obs::counter_add("kernel.flops{kernel=spmv}", 2 * self.nnz() as u64);
+            let nnz = self.nnz() as u64;
+            bootes_obs::counter_add("kernel.flops{kernel=spmv}", flops_per_nnz * nnz);
             bootes_obs::counter_add(
                 "kernel.bytes{kernel=spmv}",
-                24 * self.nnz() as u64 + 8 * self.nrows as u64,
+                bytes_per_nnz * nnz + 8 * self.nrows as u64,
             );
         }
         let small = threads <= 1 || self.nnz() < 1 << 14;
         if small && !bootes_obs::enabled() {
-            return self.matvec_into(x, y);
+            return rows(0, y);
         }
         // While profiling, even the serial fallback routes through the
         // attributed combinator so the `spmv` region accrues wall time.
@@ -382,9 +426,7 @@ impl CsrMatrix {
             (self.indptr[r + 1] - self.indptr[r]) as u64
         });
         let res = bootes_par::for_each_chunk_mut("spmv", workers, y, &ranges, |_, range, chunk| {
-            for (off, yr) in chunk.iter_mut().enumerate() {
-                *yr = self.row_dot(range.start + off, x);
-            }
+            rows(range.start, chunk)
         });
         if let Err(e) = res {
             panic!("{e}");
@@ -399,6 +441,45 @@ impl CsrMatrix {
             acc += self.values[idx] * x[self.indices[idx]];
         }
         acc
+    }
+
+    /// The pattern sums of rows `start..start + out.len()`, four rows at a
+    /// time: their common prefix in lockstep, then each row's tail.
+    fn pattern_rows(&self, start: usize, x: &[f64], out: &mut [f64]) {
+        let cols = |r: usize| &self.indices[self.indptr[r]..self.indptr[r + 1]];
+        let tail = |mut acc: f64, js: &[usize]| {
+            for &j in js {
+                acc += x[j];
+            }
+            acc
+        };
+        let mut quads = out.chunks_exact_mut(4);
+        let mut r = start;
+        for quad in &mut quads {
+            let (c0, c1, c2, c3) = (cols(r), cols(r + 1), cols(r + 2), cols(r + 3));
+            let common = c0.len().min(c1.len()).min(c2.len()).min(c3.len());
+            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+            for (((&j0, &j1), &j2), &j3) in c0[..common]
+                .iter()
+                .zip(&c1[..common])
+                .zip(&c2[..common])
+                .zip(&c3[..common])
+            {
+                a0 += x[j0];
+                a1 += x[j1];
+                a2 += x[j2];
+                a3 += x[j3];
+            }
+            quad[0] = tail(a0, &c0[common..]);
+            quad[1] = tail(a1, &c1[common..]);
+            quad[2] = tail(a2, &c2[common..]);
+            quad[3] = tail(a3, &c3[common..]);
+            r += 4;
+        }
+        for yr in quads.into_remainder() {
+            *yr = tail(0.0, cols(r));
+            r += 1;
+        }
     }
 
     /// Per-row sums (the degree array of a similarity matrix, Alg. 4 line 4).
@@ -548,6 +629,86 @@ mod tests {
             a.par_matvec_into(&x, &mut par, threads);
             assert_eq!(par, serial, "threads {threads}");
         }
+    }
+
+    /// Strategy: a matrix with any row count (so four-row groups leave
+    /// every remainder) whose rows keep each column at their own rate, from
+    /// empty rows to full ones in one matrix, with arbitrary stored values;
+    /// paired with an `x` that holds signed zeros among its entries.
+    fn ragged_with_x(
+        max_rows: usize,
+        max_cols: usize,
+    ) -> impl proptest::Strategy<Value = (CsrMatrix, Vec<f64>)> {
+        use proptest::prelude::*;
+        (1..max_rows, 1..max_cols).prop_flat_map(|(nrows, ncols)| {
+            let rows = proptest::collection::vec((0.0f64..1.0, 0..u64::MAX), nrows).prop_map(
+                move |rows| {
+                    let mut indptr = vec![0];
+                    let (mut indices, mut values) = (Vec::new(), Vec::new());
+                    for (keep, mut state) in rows {
+                        for c in 0..ncols {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            // Squaring the rate makes near-empty rows common too.
+                            if ((state >> 11) as f64 / (1u64 << 53) as f64) < keep * keep {
+                                indices.push(c);
+                                values.push(c as f64 - 3.5);
+                            }
+                        }
+                        indptr.push(indices.len());
+                    }
+                    CsrMatrix::try_new(nrows, ncols, indptr, indices, values).unwrap()
+                },
+            );
+            let x = proptest::collection::vec(-1e3f64..1e3, ncols).prop_map(|mut x| {
+                for (j, v) in x.iter_mut().enumerate() {
+                    match j % 7 {
+                        3 => *v = -0.0,
+                        5 => *v = 0.0,
+                        _ => {}
+                    }
+                }
+                x
+            });
+            (rows, x)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The pattern product equals `par_matvec_into` on the binary
+        /// pattern bit for bit, and ignores the stored values.
+        #[test]
+        fn pattern_matvec_equals_the_binary_matvec((a, x) in ragged_with_x(23, 40)) {
+            let bin = a.to_binary();
+            let mut want = vec![f64::NAN; a.nrows()];
+            bin.par_matvec_into(&x, &mut want, 1);
+            for m in [&a, &bin] {
+                let mut got = vec![f64::NAN; a.nrows()];
+                m.par_pattern_matvec_into(&x, &mut got, 1);
+                for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "row {}", r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_matvec_handles_empty_and_uneven_rows() {
+        // Rows of lengths 0, 3, 1, 0 | 2 and one trailing empty row.
+        let a = CsrMatrix::try_new(
+            6,
+            4,
+            vec![0, 0, 3, 4, 4, 6, 6],
+            vec![0, 1, 3, 2, 0, 3],
+            vec![9.0; 6],
+        )
+        .unwrap();
+        let mut y = vec![f64::NAN; 6];
+        a.par_pattern_matvec_into(&[1.0, 2.0, 4.0, 8.0], &mut y, 1);
+        assert_eq!(y, vec![0.0, 11.0, 4.0, 0.0, 9.0, 0.0]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! in {1, 2, 4, 8} (which exercises the serial-inline path, pool dispatch,
 //! and oversubscribed chunk claiming, regardless of the host's CPU count)
 //! must produce output bit-identical to the 1-thread run — for SpGEMM, the
-//! similarity product, and SpMV. Floats are compared via `to_bits`, so
+//! similarity product, SpMV and the pattern SpMV behind the implicit
+//! Laplacian. Floats are compared via `to_bits`, so
 //! `-0.0 != 0.0` and no epsilon can hide a reassociated sum. The generated
 //! shapes are rectangular and include empty rows and all-zero matrices
 //! (`0..max_nnz` triplets); the degenerate shapes are also pinned
@@ -95,6 +96,45 @@ proptest! {
                 .zip(serial.iter())
                 .all(|(p, s)| p.to_bits() == s.to_bits());
             prop_assert!(same, "spmv t={t}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The pattern SpMV is bit-identical across thread counts, and to
+    /// `par_matvec_into` on the binary pattern, on shapes past the 2^14-nnz
+    /// cutoff so the chunked path runs. Row lengths vary from empty to a
+    /// few hundred within one matrix.
+    #[test]
+    fn pattern_spmv_bit_identical_across_threads(
+        (nrows, ncols, seed) in (300usize..700, 200usize..500, 0u64..u64::MAX),
+    ) {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        let mut state = seed;
+        for r in 0..nrows {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let len = match state >> 62 {
+                0 => 0,
+                1 => (state >> 40) as usize % 8,
+                _ => (state >> 40) as usize % ncols,
+            };
+            for t in 0..len {
+                coo.push(r, (r * 31 + t * 17) % ncols, -1.5).expect("in range");
+            }
+        }
+        let a = coo.to_csr();
+        prop_assume!(a.nnz() >= 1 << 14);
+        let bin = a.to_binary();
+        let x: Vec<f64> = (0..ncols).map(|i| ((i * 37) % 19) as f64 * 0.3 - 2.7).collect();
+        let mut want = vec![f64::NAN; nrows];
+        bin.par_matvec_into(&x, &mut want, 1);
+        for t in THREAD_COUNTS {
+            let mut y = vec![f64::NAN; nrows];
+            a.par_pattern_matvec_into(&x, &mut y, t);
+            let same = y.iter().zip(&want).all(|(p, s)| p.to_bits() == s.to_bits());
+            prop_assert!(same, "pattern spmv t={t}");
         }
     }
 }
