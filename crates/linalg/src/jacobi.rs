@@ -63,28 +63,30 @@ pub fn jacobi_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix), LinalgEr
         }
     }
 
-    let mut m = a.clone();
-    let mut v = DenseMatrix::identity(n);
+    // `m` is flat and row-major, so rows p and q rotate as two contiguous
+    // slices. The eigenvectors are kept transposed (`vt` row i is column i
+    // of V), so their rotation is a two-row update too.
+    let mut m = a.as_slice().to_vec();
+    let mut vt = DenseMatrix::identity(n).as_slice().to_vec();
     let max_sweeps = 64;
-    for sweep in 0..max_sweeps {
+    for _ in 0..max_sweeps {
         let mut off = 0.0;
         for i in 0..n {
             for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
+                off += m[i * n + j] * m[i * n + j];
             }
         }
         if off.sqrt() <= 1e-14 * scale * n as f64 {
-            return Ok(sorted_pairs(m, v));
+            return Ok(sorted_pairs(&m, &vt, n));
         }
-        let _ = sweep;
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = m[(p, q)];
+                let apq = m[p * n + q];
                 if apq.abs() <= 1e-300 {
                     continue;
                 }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
                 // Rotation angle from the standard Jacobi formulas.
                 let theta = (aqq - app) / (2.0 * apq);
                 let t = if theta >= 0.0 {
@@ -95,26 +97,20 @@ pub fn jacobi_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix), LinalgEr
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Apply the rotation to rows/columns p and q of m.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
+                // Columns p and q of m stay a strided pass: after a rotation
+                // m's (p, q) and (q, p) entries round differently, so m is
+                // not symmetric bit for bit and the columns cannot be read
+                // off the rows.
+                for row in m.chunks_exact_mut(n) {
+                    let (mkp, mkq) = (row[p], row[q]);
+                    row[p] = c * mkp - s * mkq;
+                    row[q] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
+                let (mp, mq) = two_rows(&mut m, n, p, q);
+                rotate(mp, mq, c, s);
                 // Accumulate the eigenvector rotation.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
+                let (vp, vq) = two_rows(&mut vt, n, p, q);
+                rotate(vp, vq, c, s);
             }
         }
     }
@@ -124,19 +120,35 @@ pub fn jacobi_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix), LinalgEr
     })
 }
 
-fn sorted_pairs(m: DenseMatrix, v: DenseMatrix) -> (Vec<f64>, DenseMatrix) {
-    let n = m.nrows();
+/// Rows `p < q` of the flat row-major `n x n` matrix `m`.
+fn two_rows(m: &mut [f64], n: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = m.split_at_mut(q * n);
+    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+}
+
+/// `(x, y) ← (c·x − s·y, s·x + c·y)` element by element.
+fn rotate(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xk, *yk);
+        *xk = c * a - s * b;
+        *yk = s * a + c * b;
+    }
+}
+
+/// The diagonal of the flat `m` in ascending order, with the matching rows
+/// of the transposed eigenvectors `vt` transposed back into columns.
+fn sorted_pairs(m: &[f64], vt: &[f64], n: usize) -> (Vec<f64>, DenseMatrix) {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
-        m[(i, i)]
-            .partial_cmp(&m[(j, j)])
+        m[i * n + i]
+            .partial_cmp(&m[j * n + j])
             .expect("finite eigenvalues")
     });
-    let vals: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
+    let vals: Vec<f64> = order.iter().map(|&i| m[i * n + i]).collect();
     let mut vecs = DenseMatrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
-        for r in 0..n {
-            vecs[(r, new_col)] = v[(r, old_col)];
+        for (r, &v) in vt[old_col * n..(old_col + 1) * n].iter().enumerate() {
+            vecs[(r, new_col)] = v;
         }
     }
     (vals, vecs)
@@ -145,6 +157,115 @@ fn sorted_pairs(m: DenseMatrix, v: DenseMatrix) -> (Vec<f64>, DenseMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The Jacobi sweep as it ran on `DenseMatrix` indexing, before the flat
+    /// layout: the bit-for-bit reference of [`jacobi_eigen`] (input checks
+    /// left out).
+    fn jacobi_reference(a: &DenseMatrix) -> (Vec<f64>, DenseMatrix) {
+        let n = a.nrows();
+        let scale = a
+            .as_slice()
+            .iter()
+            .fold(0.0f64, |m, &v| m.max(v.abs()))
+            .max(1.0);
+        let mut m = a.clone();
+        let mut v = DenseMatrix::identity(n);
+        for _ in 0..64 {
+            let mut off = 0.0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    off += m[(i, j)] * m[(i, j)];
+                }
+            }
+            if off.sqrt() <= 1e-14 * scale * n as f64 {
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = m[(p, q)];
+                    if apq.abs() <= 1e-300 {
+                        continue;
+                    }
+                    let app = m[(p, p)];
+                    let aqq = m[(q, q)];
+                    let theta = (aqq - app) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+                    for k in 0..n {
+                        let mkp = m[(k, p)];
+                        let mkq = m[(k, q)];
+                        m[(k, p)] = c * mkp - s * mkq;
+                        m[(k, q)] = s * mkp + c * mkq;
+                    }
+                    for k in 0..n {
+                        let mpk = m[(p, k)];
+                        let mqk = m[(q, k)];
+                        m[(p, k)] = c * mpk - s * mqk;
+                        m[(q, k)] = s * mpk + c * mqk;
+                    }
+                    for k in 0..n {
+                        let vkp = v[(k, p)];
+                        let vkq = v[(k, q)];
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| m[(i, i)].partial_cmp(&m[(j, j)]).unwrap());
+        let vals = order.iter().map(|&i| m[(i, i)]).collect();
+        let mut vecs = DenseMatrix::zeros(n, n);
+        for (new_col, &old_col) in order.iter().enumerate() {
+            for r in 0..n {
+                vecs[(r, new_col)] = v[(r, old_col)];
+            }
+        }
+        (vals, vecs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Flat Jacobi returns the reference's eigenpairs bit for bit on
+        /// random symmetric matrices of order 1..60, some of them with
+        /// exact zeros and repeated entries.
+        #[test]
+        fn flat_jacobi_matches_the_reference(
+            upper in (1usize..60).prop_flat_map(|n| {
+                proptest::collection::vec(-3.0f64..3.0, n * (n + 1) / 2)
+            }),
+            sparsity in 0usize..4,
+        ) {
+            let n = ((((8 * upper.len() + 1) as f64).sqrt() as usize) - 1) / 2;
+            let mut a = DenseMatrix::zeros(n, n);
+            let mut at = 0;
+            for i in 0..n {
+                for j in i..n {
+                    // Every few entries are zero or a repeated value.
+                    let v = match (i + 2 * j) % 5 {
+                        0 if sparsity > 0 => 0.0,
+                        1 if sparsity > 1 => 0.75,
+                        _ => upper[at],
+                    };
+                    a[(i, j)] = v;
+                    a[(j, i)] = v;
+                    at += 1;
+                }
+            }
+            let (vals, vecs) = jacobi_eigen(&a).expect("finite symmetric input");
+            let (want_vals, want_vecs) = jacobi_reference(&a);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&vals), bits(&want_vals), "order {}", n);
+            prop_assert_eq!(bits(vecs.as_slice()), bits(want_vecs.as_slice()));
+        }
+    }
 
     fn residual(a: &DenseMatrix, vals: &[f64], vecs: &DenseMatrix) -> f64 {
         // max_i || A v_i - lambda_i v_i ||

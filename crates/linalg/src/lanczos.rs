@@ -99,14 +99,41 @@ fn random_unit(n: usize, rng: &mut StdRng) -> Vec<f64> {
 
 /// Orthogonalizes `w` against the columns in `basis` with two Gram-Schmidt
 /// passes, accumulating the (first + second pass) coefficients into `coeffs`.
+///
+/// Each projection `axpy(-h, v_i, w)` shares one sweep with the next
+/// coefficient `dot(v_{i+1}, w)` (across the pass boundary too): element
+/// `e` of `w` is final once the axpy has updated it, so the dot reads the
+/// same operands in the same order as a separate sweep would.
 fn orthogonalize(w: &mut [f64], basis: &[Vec<f64>], coeffs: &mut [f64]) {
-    for _ in 0..2 {
-        for (i, v) in basis.iter().enumerate() {
-            let h = dot(v, w);
-            axpy(-h, v, w);
-            coeffs[i] += h;
+    let Some(first) = basis.first() else {
+        return;
+    };
+    let steps = 2 * basis.len();
+    let mut h = dot(first, w);
+    for step in 0..steps {
+        let i = step % basis.len();
+        coeffs[i] += h;
+        if step + 1 < steps {
+            h = axpy_dot(-h, &basis[i], w, &basis[(step + 1) % basis.len()]);
+        } else {
+            axpy(-h, &basis[i], w);
         }
     }
+}
+
+/// `w += alpha · v`, then `dot(next, w)` of the updated `w`, in one sweep.
+/// The sum starts where [`dot`]'s `Iterator::sum` does, at `-0.0`.
+fn axpy_dot(alpha: f64, v: &[f64], w: &mut [f64], next: &[f64]) -> f64 {
+    assert!(
+        v.len() == w.len() && next.len() == w.len(),
+        "axpy_dot length mismatch"
+    );
+    let mut acc = -0.0;
+    for ((we, &ve), &ne) in w.iter_mut().zip(v).zip(next) {
+        *we += alpha * ve;
+        acc += ne * *we;
+    }
+    acc
 }
 
 /// Computes the `k` algebraically smallest eigenpairs of a symmetric operator
@@ -351,6 +378,72 @@ fn dense_fallback<A: LinearOperator + ?Sized>(
 mod tests {
     use super::*;
     use bootes_sparse::{CooMatrix, CsrMatrix};
+    use proptest::prelude::*;
+
+    /// The two-pass Gram-Schmidt as it ran before the axpy/dot fusion: the
+    /// bit-for-bit reference of [`orthogonalize`].
+    fn orthogonalize_reference(w: &mut [f64], basis: &[Vec<f64>], coeffs: &mut [f64]) {
+        for _ in 0..2 {
+            for (i, v) in basis.iter().enumerate() {
+                let h = dot(v, w);
+                axpy(-h, v, w);
+                coeffs[i] += h;
+            }
+        }
+    }
+
+    /// Maps a draw to an entry, a few of them exact signed zeros.
+    fn entry(u: f64) -> f64 {
+        match (u * 1e6) as u64 % 11 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => u,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fused sweep is bit-identical to the separate dot and axpy
+        /// sweeps, on bases that hold zero vectors and signed zeros.
+        #[test]
+        fn fused_gram_schmidt_matches_the_reference(
+            cols in (1usize..40, 0usize..9).prop_flat_map(|(n, cols)| {
+                proptest::collection::vec(proptest::collection::vec(-2.0f64..2.0, n), cols + 1)
+            }),
+            zero_col in 0usize..12,
+        ) {
+            let n = cols[0].len();
+            let mut vs: Vec<Vec<f64>> = cols
+                .into_iter()
+                .map(|c| c.into_iter().map(entry).collect())
+                .collect();
+            let w0 = vs.pop().expect("one extra column for w");
+            if let Some(z) = vs.get_mut(zero_col) {
+                z.iter_mut().for_each(|v| *v = -0.0);
+            }
+            let mut coeffs = vec![0.5; vs.len()];
+            let mut w = w0.clone();
+            orthogonalize(&mut w, &vs, &mut coeffs);
+            let mut want_coeffs = vec![0.5; vs.len()];
+            let mut want = w0;
+            orthogonalize_reference(&mut want, &vs, &mut want_coeffs);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&w), bits(&want), "n {}", n);
+            prop_assert_eq!(bits(&coeffs), bits(&want_coeffs));
+        }
+    }
+
+    #[test]
+    fn dot_sums_from_negative_zero() {
+        // The fused sweep starts its sum at -0.0 because `dot` does.
+        assert_eq!(dot(&[-0.0], &[1.0]).to_bits(), (-0.0f64).to_bits());
+        let mut w = vec![-0.0];
+        assert_eq!(
+            axpy_dot(0.0, &[-0.0], &mut w, &[1.0]).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
 
     fn residual_norm<A: LinearOperator>(a: &A, val: f64, x: &[f64]) -> f64 {
         let mut w = vec![0.0; a.dim()];
