@@ -176,13 +176,44 @@ fn weighted_pick(dists: &[f64], mut target: f64) -> usize {
     chosen.expect("a positive total weight implies a positive entry")
 }
 
+/// Squared distances from every point to `center`, one dimension at a
+/// time: `cols` holds the points transposed (dimension `j`'s coordinates
+/// are `cols[j * n..(j + 1) * n]` for `n = out.len()`), so the `n` sums
+/// advance side by side. Each sum adds the same terms in the same order as
+/// [`sq_dist`], from `0.0` instead of `-0.0`; a square is never `-0.0`, so
+/// the results are bit-identical.
+fn sq_dists_to(cols: &[f64], center: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (col, &cj) in cols.chunks_exact(out.len()).zip(center) {
+        for (o, &p) in out.iter_mut().zip(col) {
+            let diff = p - cj;
+            *o += diff * diff;
+        }
+    }
+}
+
+/// Rows `rows` of `points`, transposed into `out` in [`sq_dists_to`]'s
+/// layout.
+fn transpose_rows(points: &DenseMatrix, rows: std::ops::Range<usize>, out: &mut Vec<f64>) {
+    let len = rows.len();
+    out.clear();
+    out.resize(len * points.ncols(), 0.0);
+    for (b, i) in rows.enumerate() {
+        for (j, &v) in points.row(i).iter().enumerate() {
+            out[j * len + b] = v;
+        }
+    }
+}
+
 fn plus_plus_init(points: &DenseMatrix, k: usize, rng: &mut StdRng) -> Vec<usize> {
     let n = points.nrows();
+    let mut cols = Vec::new();
+    transpose_rows(points, 0..n, &mut cols);
     let mut centers = Vec::with_capacity(k);
     centers.push(rng.random_range(0..n));
-    let mut dists: Vec<f64> = (0..n)
-        .map(|i| sq_dist(points.row(i), points.row(centers[0])))
-        .collect();
+    let mut dists = vec![0.0; n];
+    sq_dists_to(&cols, points.row(centers[0]), &mut dists);
+    let mut new_dists = vec![0.0; n];
     while centers.len() < k {
         let total: f64 = dists.iter().sum();
         let next = if total <= 0.0 {
@@ -193,8 +224,8 @@ fn plus_plus_init(points: &DenseMatrix, k: usize, rng: &mut StdRng) -> Vec<usize
             weighted_pick(&dists, rng.random::<f64>() * total)
         };
         centers.push(next);
-        for (i, dist) in dists.iter_mut().enumerate() {
-            let nd = sq_dist(points.row(i), points.row(next));
+        sq_dists_to(&cols, points.row(next), &mut new_dists);
+        for (dist, &nd) in dists.iter_mut().zip(&new_dists) {
             if nd < *dist {
                 *dist = nd;
             }
@@ -203,31 +234,44 @@ fn plus_plus_init(points: &DenseMatrix, k: usize, rng: &mut StdRng) -> Vec<usize
     centers
 }
 
+/// Points per transposed block of the assignment step.
+const ASSIGN_BLOCK: usize = 128;
+
 /// Nearest centroid and squared distance for every point in `range` —
 /// the chunk body of the parallel assignment step. The per-point result is
 /// a pure function of `(points, centroids, i)`, so chunk boundaries cannot
 /// change it.
+///
+/// Points are transposed in blocks of [`ASSIGN_BLOCK`]; each centroid's
+/// distances to the whole block accumulate one dimension at a time
+/// ([`sq_dists_to`]), and each point keeps the first centroid, in centroid
+/// order, with a strictly smaller distance.
 fn assign_chunk(
     points: &DenseMatrix,
     centroids: &DenseMatrix,
     range: std::ops::Range<usize>,
 ) -> (Vec<usize>, Vec<f64>) {
-    let k = centroids.nrows();
     let mut labels = Vec::with_capacity(range.len());
     let mut dists = Vec::with_capacity(range.len());
-    for i in range {
-        let p = points.row(i);
-        let mut best_c = 0;
-        let mut best_d = f64::INFINITY;
-        for c in 0..k {
-            let dist = sq_dist(p, centroids.row(c));
-            if dist < best_d {
-                best_d = dist;
-                best_c = c;
+    let mut block = Vec::new();
+    let mut acc = [0.0; ASSIGN_BLOCK];
+    for start in range.clone().step_by(ASSIGN_BLOCK) {
+        let rows = start..range.end.min(start + ASSIGN_BLOCK);
+        let len = rows.len();
+        transpose_rows(points, rows, &mut block);
+        let mut best_c = [0usize; ASSIGN_BLOCK];
+        let mut best_d = [f64::INFINITY; ASSIGN_BLOCK];
+        for c in 0..centroids.nrows() {
+            sq_dists_to(&block, centroids.row(c), &mut acc[..len]);
+            for ((&dist, bd), bc) in acc[..len].iter().zip(&mut best_d).zip(&mut best_c) {
+                if dist < *bd {
+                    *bd = dist;
+                    *bc = c;
+                }
             }
         }
-        labels.push(best_c);
-        dists.push(best_d);
+        labels.extend_from_slice(&best_c[..len]);
+        dists.extend_from_slice(&best_d[..len]);
     }
     (labels, dists)
 }
@@ -376,6 +420,101 @@ fn lloyd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// k-means++ seeding as it ran before the transposed distance sweep:
+    /// the bit-for-bit reference of [`plus_plus_init`].
+    fn plus_plus_init_reference(points: &DenseMatrix, k: usize, rng: &mut StdRng) -> Vec<usize> {
+        let n = points.nrows();
+        let mut centers = Vec::with_capacity(k);
+        centers.push(rng.random_range(0..n));
+        let mut dists: Vec<f64> = (0..n)
+            .map(|i| sq_dist(points.row(i), points.row(centers[0])))
+            .collect();
+        while centers.len() < k {
+            let total: f64 = dists.iter().sum();
+            let next = if total <= 0.0 {
+                (0..n).find(|i| !centers.contains(i)).unwrap_or(0)
+            } else {
+                weighted_pick(&dists, rng.random::<f64>() * total)
+            };
+            centers.push(next);
+            for (i, dist) in dists.iter_mut().enumerate() {
+                let nd = sq_dist(points.row(i), points.row(next));
+                if nd < *dist {
+                    *dist = nd;
+                }
+            }
+        }
+        centers
+    }
+
+    /// The point-at-a-time assignment: the bit-for-bit reference of
+    /// [`assign_chunk`].
+    fn assign_chunk_reference(
+        points: &DenseMatrix,
+        centroids: &DenseMatrix,
+        range: std::ops::Range<usize>,
+    ) -> (Vec<usize>, Vec<f64>) {
+        let mut labels = Vec::with_capacity(range.len());
+        let mut dists = Vec::with_capacity(range.len());
+        for i in range {
+            let p = points.row(i);
+            let mut best_c = 0;
+            let mut best_d = f64::INFINITY;
+            for c in 0..centroids.nrows() {
+                let dist = sq_dist(p, centroids.row(c));
+                if dist < best_d {
+                    best_d = dist;
+                    best_c = c;
+                }
+            }
+            labels.push(best_c);
+            dists.push(best_d);
+        }
+        (labels, dists)
+    }
+
+    /// Strategy: `n x d` points (`n` up to a bit past two assignment
+    /// blocks, `d` from 1) on a coarse grid, so duplicate points and tied
+    /// distances are common, and `k` from 1 to `min(n, 9)`.
+    fn grid_points() -> impl Strategy<Value = (DenseMatrix, usize, u64)> {
+        (1usize..300, 1usize..5, 0u64..1000).prop_flat_map(|(n, d, seed)| {
+            proptest::collection::vec(0usize..4, n * d).prop_map(move |cells| {
+                let k = 1 + (seed as usize % 9).min(n - 1);
+                let data = cells.into_iter().map(|c| c as f64 * 0.5 - 0.25).collect();
+                (DenseMatrix::from_rows(n, d, data), k, seed)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Seeding and assignment match their point-at-a-time references
+        /// bit for bit, ties and duplicates included.
+        #[test]
+        fn blocked_kmeans_kernels_match_the_references((points, k, seed) in grid_points()) {
+            let n = points.nrows();
+            let centers = plus_plus_init(&points, k, &mut StdRng::seed_from_u64(seed));
+            let want = plus_plus_init_reference(&points, k, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(&centers, &want);
+            let mut centroids = DenseMatrix::zeros(k, points.ncols());
+            for (c, &i) in centers.iter().enumerate() {
+                centroids.row_mut(c).copy_from_slice(points.row(i));
+            }
+            // A centroid off the grid makes some distances non-tied.
+            centroids.row_mut(k - 1)[0] += 0.1;
+            for range in [0..n, (n / 3)..n] {
+                let (labels, dists) = assign_chunk(&points, &centroids, range.clone());
+                let (want_labels, want_dists) =
+                    assign_chunk_reference(&points, &centroids, range);
+                prop_assert_eq!(labels, want_labels);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&dists), bits(&want_dists));
+            }
+        }
+    }
 
     fn two_blobs() -> DenseMatrix {
         let mut pts = Vec::new();
