@@ -3,7 +3,9 @@
 //! Measures the hot kernels (row-wise and tiled SpGEMM, SpMV, similarity,
 //! one implicit-Laplacian application, the Lanczos eigensolve,
 //! `kmeans_threads` on synthetic points, and the accelerator simulator's
-//! `A · A` on Flexagon) on small fixed inputs through the
+//! `A · A` on Flexagon) and the whole spectral reorderer (`k = 8`: Laplacian,
+//! eigensolve, k-means and the within-cluster chain, with no cache
+//! installed) on small fixed inputs through the
 //! [`bootes_perf::Runner`] (warmup + repeats, median/MAD), appends the run
 //! to `results/history/perf_smoke.jsonl`, and
 //! blesses `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
@@ -16,10 +18,12 @@
 
 use bootes_accel::{configs, simulate_spgemm};
 use bootes_bench::results_dir;
+use bootes_core::{BootesConfig, SpectralReorderer};
 use bootes_linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes_linalg::{
     kmeans_threads, lanczos_smallest, KMeansConfig, LanczosConfig, LinearOperator,
 };
+use bootes_reorder::Reorderer;
 use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
@@ -98,6 +102,18 @@ fn main() {
         kmeans_threads(&points, 8, &cfg, threads)
             .expect("valid kmeans input")
             .inertia
+    });
+
+    // The whole spectral reorderer on the clustered matrix: the only case
+    // that times the within-cluster chain. No cache is installed, so every
+    // execution solves from scratch.
+    let reorderer = SpectralReorderer::new(BootesConfig::default().with_k(8));
+    runner.measure(&format!("reorder/t{threads}"), || {
+        reorderer
+            .reorder(&a)
+            .expect("valid reorder")
+            .permutation
+            .len()
     });
 
     // The row-wise simulator, which runs on one thread whatever the pool
