@@ -334,9 +334,7 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "matvec input length");
         assert_eq!(y.len(), self.nrows, "matvec output length");
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.row_dot(r, x);
-        }
+        self.dot_rows(0, x, y);
     }
 
     /// [`Self::matvec_into`] over an explicit number of worker threads.
@@ -358,9 +356,7 @@ impl CsrMatrix {
         // Multiply + add per nonzero; traffic reads value + column index +
         // gathered x element per nonzero and writes y once.
         self.spmv_chunks(x, y, threads, 2, 24, |start, chunk| {
-            for (off, yr) in chunk.iter_mut().enumerate() {
-                *yr = self.row_dot(start + off, x);
-            }
+            self.dot_rows(start, x, chunk);
         });
     }
 
@@ -433,14 +429,16 @@ impl CsrMatrix {
         }
     }
 
-    /// Dot product of row `r` with the dense vector `x`.
-    #[inline]
-    fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for idx in self.indptr[r]..self.indptr[r + 1] {
-            acc += self.values[idx] * x[self.indices[idx]];
+    /// The dot products of rows `start..start + out.len()` with `x`, one
+    /// row at a time.
+    fn dot_rows(&self, start: usize, x: &[f64], out: &mut [f64]) {
+        for (r, yr) in (start..).zip(out.iter_mut()) {
+            let mut acc = 0.0;
+            for idx in self.indptr[r]..self.indptr[r + 1] {
+                acc += self.values[idx] * x[self.indices[idx]];
+            }
+            *yr = acc;
         }
-        acc
     }
 
     /// The pattern sums of rows `start..start + out.len()`, four rows at a
