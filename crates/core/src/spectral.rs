@@ -254,13 +254,12 @@ impl Reorderer for SpectralReorderer {
 
 /// Reorders `members` in place into a greedy nearest-neighbor chain in
 /// embedding space, starting from the member with the smallest Fiedler
-/// coordinate. `O(m² · d)` per cluster: next to the eigensolve it is not
-/// negligible (about 13% of the Lanczos time over the Table-3 suite at scale
-/// 0.02, 37% on `tomographic1`), so the members' coordinates are copied
-/// column-major, in `members` order, and each step accumulates the distances
-/// from the current row to every remaining candidate one dimension at a
-/// time. Each distance adds the same terms in the same order as a
-/// row-at-a-time sum.
+/// coordinate. `O(m² · d)` per cluster, which on large clusters is a sizable
+/// share of the eigensolve's time (DESIGN.md, D1). So the members'
+/// coordinates are copied column-major, in `members` order, and each step
+/// accumulates the distances from the current row to every remaining
+/// candidate one dimension at a time. Each distance adds the same terms in
+/// the same order as a row-at-a-time sum.
 fn chain_by_embedding(members: &mut [usize], embedding: &DenseMatrix, fiedler_col: usize) {
     let m = members.len();
     if m < 3 {

@@ -159,9 +159,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The Jacobi sweep as it ran on `DenseMatrix` indexing, before the flat
-    /// layout: the bit-for-bit reference of [`jacobi_eigen`] (input checks
-    /// left out).
+    /// Jacobi on `DenseMatrix` indexing with untransposed eigenvectors: the
+    /// bit-for-bit reference of [`jacobi_eigen`] (input checks left out).
     fn jacobi_reference(a: &DenseMatrix) -> (Vec<f64>, DenseMatrix) {
         let n = a.nrows();
         let scale = a

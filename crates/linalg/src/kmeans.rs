@@ -422,8 +422,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// k-means++ seeding as it ran before the transposed distance sweep:
-    /// the bit-for-bit reference of [`plus_plus_init`].
+    /// k-means++ seeding with one point-at-a-time distance per point: the
+    /// bit-for-bit reference of [`plus_plus_init`].
     fn plus_plus_init_reference(points: &DenseMatrix, k: usize, rng: &mut StdRng) -> Vec<usize> {
         let n = points.nrows();
         let mut centers = Vec::with_capacity(k);

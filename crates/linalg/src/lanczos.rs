@@ -380,8 +380,8 @@ mod tests {
     use bootes_sparse::{CooMatrix, CsrMatrix};
     use proptest::prelude::*;
 
-    /// The two-pass Gram-Schmidt as it ran before the axpy/dot fusion: the
-    /// bit-for-bit reference of [`orthogonalize`].
+    /// Two-pass Gram-Schmidt with a separate dot and axpy sweep per basis
+    /// vector: the bit-for-bit reference of [`orthogonalize`].
     fn orthogonalize_reference(w: &mut [f64], basis: &[Vec<f64>], coeffs: &mut [f64]) {
         for _ in 0..2 {
             for (i, v) in basis.iter().enumerate() {
