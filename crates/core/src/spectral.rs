@@ -259,7 +259,9 @@ impl Reorderer for SpectralReorderer {
 /// coordinates are copied column-major, in `members` order, and each step
 /// accumulates the distances from the current row to every remaining
 /// candidate one dimension at a time. Each distance adds the same terms in
-/// the same order as a row-at-a-time sum.
+/// the same order as a row-at-a-time sum, from `0.0` rather than
+/// `Iterator::sum`'s `-0.0`, which gives the same bits because a square is
+/// never `-0.0`.
 fn chain_by_embedding(members: &mut [usize], embedding: &DenseMatrix, fiedler_col: usize) {
     let m = members.len();
     if m < 3 {
