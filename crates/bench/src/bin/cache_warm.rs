@@ -20,8 +20,7 @@ use std::path::Path;
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
 use bootes_cache::{Cache, CacheConfig};
-use bootes_core::{BootesConfig, BootesPipeline, Label, FEATURE_NAMES};
-use bootes_model::{Dataset, DecisionTree, TreeConfig};
+use bootes_core::{toy_tree, BootesConfig, BootesPipeline};
 use bootes_perf::Runner;
 use bootes_workloads::gen::{clustered, GenConfig};
 use serde::Serialize;
@@ -34,24 +33,6 @@ struct ScenarioResult {
     cache_hit: bool,
 }
 
-/// A deterministic tree that always advises reordering with k = 8 for the
-/// sparse matrices this bench generates (class 3), trained on a synthetic
-/// two-point dataset the same way the pipeline unit tests do.
-fn toy_model() -> DecisionTree {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; FEATURE_NAMES.len()];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 3 });
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-    DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-}
-
 fn main() {
     bootes_bench::init_profiling();
     let n: usize = std::env::var("BOOTES_CACHE_N")
@@ -62,7 +43,11 @@ fn main() {
     let a = clustered(&GenConfig::new(n, n).seed(0x0B007E5), 8, 0.6).expect("valid generator");
     let root = std::env::temp_dir().join(format!("bootes-cache-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
+    let pipeline = BootesPipeline::new(
+        toy_tree(8).expect("8 is a candidate k"),
+        BootesConfig::default(),
+    )
+    .expect("valid model");
     println!(
         "cache_warm: {n} x {n} matrix, {} nnz, cache dirs under {}",
         a.nnz(),

@@ -30,8 +30,7 @@ use std::time::Instant;
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
 use bootes_cache::{Cache, CacheConfig};
-use bootes_core::{BootesConfig, BootesPipeline, DriftConfig, Label, FEATURE_NAMES};
-use bootes_model::{Dataset, DecisionTree, TreeConfig};
+use bootes_core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig};
 use bootes_reorder::analysis::b_reuse_profile;
 use bootes_sparse::CsrMatrix;
 use bootes_workloads::drifting_sequence;
@@ -72,24 +71,6 @@ struct Summary {
     per_step: Vec<StepResult>,
 }
 
-/// The usual two-point synthetic tree: k = 16 for sparse inputs (a flat
-/// spectral clustering with 16 eigenvectors, so the cold baseline pays a
-/// realistic full-pipeline cost; the resplice path is k-independent).
-fn toy_model() -> DecisionTree {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; FEATURE_NAMES.len()];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 4 });
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-    DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-}
-
 fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
         .ok()
@@ -117,10 +98,15 @@ fn main() {
         base.nnz()
     );
 
+    // k = 16 for sparse inputs: a flat spectral clustering with 16
+    // eigenvectors, so the cold baseline pays a realistic full-pipeline
+    // cost (the resplice path is k-independent).
+    let model = toy_tree(16).expect("16 is a candidate k");
+
     // Incremental: fresh in-memory cache, donor path on. Each step's sketch
     // and permutation become the next step's donor.
     bootes_cache::install(Cache::new(CacheConfig::memory_only(256 << 20)).expect("cache opens"));
-    let drifted = BootesPipeline::new(toy_model(), BootesConfig::default())
+    let drifted = BootesPipeline::new(model.clone(), BootesConfig::default())
         .expect("valid model")
         .with_drift(Some(DriftConfig::default()));
     let mut incremental: Vec<(f64, f64, bool)> = Vec::with_capacity(seq.len());
@@ -140,7 +126,7 @@ fn main() {
 
     // Cold-every-time: no cache installed, so every step recomputes; the
     // donor path never engages (it needs the cache).
-    let cold_pipeline = BootesPipeline::new(toy_model(), BootesConfig::default())
+    let cold_pipeline = BootesPipeline::new(model, BootesConfig::default())
         .expect("valid model")
         .with_drift(None);
     let mut cold: Vec<(f64, f64)> = Vec::with_capacity(seq.len());

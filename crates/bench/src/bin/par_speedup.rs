@@ -158,9 +158,11 @@ fn main() {
         nnz,
         |t| similarity_matrix(&a, t).expect("no worker faults"),
     );
+    // The pattern SpMV: the product the implicit Laplacian runs twice per
+    // Lanczos step, so the `spmv` floor gates the eigensolver's parallelism.
     sweep_kernel(&mut runner, &mut table, &mut results, "spmv", nnz, |t| {
         let mut y = vec![0.0f64; n];
-        a.par_matvec_into(&x, &mut y, t);
+        a.par_pattern_matvec_into(&x, &mut y, t);
         y
     });
 

@@ -242,7 +242,8 @@ fn main() {
         policy: TenantPolicy::unlimited().with_inflight(4 * max_conc as u64),
         drain_grace_ms: 30_000,
     };
-    let pipeline = bootes_serve::build_pipeline(None).expect("pipeline builds");
+    let pipeline = bootes_serve::build_pipeline(None, Some(bootes_core::DriftConfig::default()))
+        .expect("pipeline builds");
     let handle = bootes_serve::start(config, pipeline).expect("daemon starts");
     let addr = handle.addr().to_string();
     println!(

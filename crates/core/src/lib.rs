@@ -43,7 +43,7 @@ pub use bootes_drift::DriftConfig;
 pub use config::BootesConfig;
 pub use features::{MatrixFeatures, FEATURE_NAMES};
 pub use pipeline::{
-    measure_label, BootesPipeline, Decision, FallbackReorderer, Label, PipelineError,
+    measure_label, toy_tree, BootesPipeline, Decision, FallbackReorderer, Label, PipelineError,
     PipelineOutcome, CANDIDATE_KS,
 };
 pub use spectral::SpectralReorderer;

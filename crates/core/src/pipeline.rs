@@ -15,7 +15,7 @@ use bootes_drift::{
     changed_rows, resplice, row_pattern_hashes, sketch_of, DriftConfig, SimilarityIndex,
 };
 use bootes_guard::GuardError;
-use bootes_model::{DecisionTree, ModelError};
+use bootes_model::{Dataset, DecisionTree, ModelError, TreeConfig};
 use bootes_reorder::lsh::MatrixSketch;
 use bootes_reorder::{
     HierReorderer, MemTracker, OriginalOrder, ReorderError, ReorderOutcome, ReorderStats,
@@ -26,7 +26,7 @@ use bootes_sparse::{CsrMatrix, Permutation};
 use serde::{Deserialize, Serialize};
 
 use crate::config::BootesConfig;
-use crate::features::MatrixFeatures;
+use crate::features::{MatrixFeatures, FEATURE_NAMES};
 use crate::spectral::SpectralReorderer;
 
 /// The candidate cluster counts of the paper (§3.1.2).
@@ -91,6 +91,34 @@ impl Label {
                 })
         }
     }
+}
+
+/// A deterministic decision tree for smoke tests, benches and the serve
+/// daemon's default model, where a trained model is not the point: it
+/// predicts [`Label::Reorder`]`(k)` for sparse inputs and
+/// [`Label::NoReorder`] for dense ones. It is fitted with the default
+/// [`TreeConfig`] on 20 synthetic samples that differ only in the
+/// `global_sparsity` feature (0.001 sparse, 0.9 dense), so it is cheap to
+/// build and the same on every call.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidLabel`] if `k` is not one of
+/// [`CANDIDATE_KS`].
+pub fn toy_tree(k: usize) -> Result<DecisionTree, ModelError> {
+    let reorder = Label::Reorder(k).to_class()?;
+    let mut x = Vec::new();
+    let mut y = Vec::new();
+    for i in 0..20 {
+        let dense = i % 2 == 0;
+        let mut f = vec![3.0; FEATURE_NAMES.len()];
+        f[2] = if dense { 0.9 } else { 0.001 };
+        x.push(f);
+        y.push(if dense { 0 } else { reorder });
+    }
+    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
+    let ds = Dataset::new(x, y, names, Label::N_CLASSES)?;
+    DecisionTree::fit(&ds, &TreeConfig::default())
 }
 
 /// Labels `a` by measurement, the §3.2 training rule: reorder with the
@@ -240,11 +268,6 @@ impl FallbackReorderer {
         FallbackReorderer { config }
     }
 
-    /// The configuration handed to the first (spectral) rung.
-    pub fn config(&self) -> &BootesConfig {
-        &self.config
-    }
-
     /// Runs one rung, converting an escaped panic into a typed
     /// [`ReorderError::Guard`] so the chain can keep stepping down.
     fn run_rung(rung: &dyn Reorderer, a: &CsrMatrix) -> Result<ReorderOutcome, ReorderError> {
@@ -388,19 +411,13 @@ impl BootesPipeline {
         &self.model
     }
 
-    /// Cache key of the model verdict for `a` (pattern + model identity).
-    /// All cost-model features are structural, so the pattern hash fully
-    /// determines the verdict. The key is well-defined whether or not a
-    /// process-global artifact cache is installed — the serving daemon uses
-    /// it for singleflight coalescing independently of caching.
-    pub fn decision_key(&self, a: &CsrMatrix) -> CacheKey {
-        self.decision_key_of(&MatrixFingerprint::of(a))
-    }
-
-    /// [`BootesPipeline::decision_key`] from an already-computed fingerprint.
-    /// Fingerprinting is `O(nnz)` and `preprocess` needs both the reorder and
-    /// the decision key of the same matrix, so it computes the fingerprint
-    /// once and derives both keys from it.
+    /// Cache key of the model verdict for the matrix with fingerprint `fp`
+    /// (pattern + model identity). All cost-model features are structural,
+    /// so the pattern hash fully determines the verdict. The key is
+    /// well-defined whether or not a process-global artifact cache is
+    /// installed — the serving daemon uses it for singleflight coalescing
+    /// independently of caching. It takes the fingerprint, which costs
+    /// `O(nnz)`, so that `preprocess` computes it once for both keys.
     pub fn decision_key_of(&self, fp: &MatrixFingerprint) -> CacheKey {
         CacheKey::new(ArtifactKind::Decision, fp, self.model_hash)
     }
@@ -724,26 +741,7 @@ impl BootesPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FEATURE_NAMES;
-    use bootes_model::{Dataset, TreeConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// A tree that predicts class = 0 (NoReorder) when global_sparsity > 0.5
-    /// and class 2 (k=4) otherwise.
-    fn toy_model() -> DecisionTree {
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..20 {
-            let dense = i % 2 == 0;
-            let mut f = vec![3.0; FEATURE_NAMES.len()];
-            f[2] = if dense { 0.9 } else { 0.001 };
-            x.push(f);
-            y.push(if dense { 0 } else { 2 });
-        }
-        let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-        let ds = Dataset::new(x, y, names, Label::N_CLASSES).unwrap();
-        DecisionTree::fit(&ds, &TreeConfig::default()).unwrap()
-    }
 
     #[test]
     fn label_class_roundtrip() {
@@ -845,7 +843,7 @@ mod tests {
 
     #[test]
     fn pipeline_skips_dense_matrices() {
-        let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).unwrap();
+        let pipeline = BootesPipeline::new(toy_tree(4).unwrap(), BootesConfig::default()).unwrap();
         // A dense-ish matrix (density > 0.5): model says NoReorder.
         let mut coo = bootes_sparse::CooMatrix::new(16, 16);
         for r in 0..16 {
@@ -864,7 +862,7 @@ mod tests {
 
     #[test]
     fn pipeline_reorders_sparse_matrices() {
-        let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).unwrap();
+        let pipeline = BootesPipeline::new(toy_tree(4).unwrap(), BootesConfig::default()).unwrap();
         let a = bootes_workloads::gen::clustered(
             &bootes_workloads::gen::GenConfig::new(128, 128).seed(1),
             4,
@@ -892,7 +890,7 @@ mod tests {
 
     #[test]
     fn decide_matches_preprocess() {
-        let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).unwrap();
+        let pipeline = BootesPipeline::new(toy_tree(4).unwrap(), BootesConfig::default()).unwrap();
         let a = CsrMatrix::identity(64);
         let d = pipeline.decide(&a).unwrap();
         let out = pipeline.preprocess(&a).unwrap();

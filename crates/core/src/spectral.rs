@@ -53,11 +53,6 @@ impl SpectralReorderer {
         SpectralReorderer { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &BootesConfig {
-        &self.config
-    }
-
     /// Computes cluster labels for the rows of `a` (the clustering stage of
     /// the reordering, exposed for inspection and for the label-generation
     /// harness that trains the decision tree).

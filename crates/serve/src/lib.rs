@@ -43,62 +43,27 @@ pub use client::{Client, RetryPolicy};
 pub use protocol::{MatrixPayload, Request, Response, ServerStats};
 pub use server::{start, ServeConfig, ServerHandle};
 
-use bootes_core::{BootesPipeline, Label, FEATURE_NAMES};
-use bootes_model::{Dataset, DecisionTree, TreeConfig};
+use bootes_core::{BootesConfig, BootesPipeline, DriftConfig};
+use bootes_model::DecisionTree;
 
-/// A deterministic built-in decision tree used when the daemon is started
-/// without `--model`: it advises reordering with k = 8 for sparse inputs
-/// (density below ~1%) and no reorder for dense ones — the same synthetic
-/// two-point construction the pipeline unit tests and benches use. Training
-/// is instant (20 samples), so daemon startup needs no model file and no
-/// corpus run.
-///
-/// # Panics
-///
-/// Never in practice: the synthetic dataset is statically valid.
-pub fn default_model() -> DecisionTree {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; FEATURE_NAMES.len()];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 3 });
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    #[allow(clippy::expect_used)]
-    {
-        let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-        DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-    }
-}
-
-/// Builds the daemon's pipeline: the given model (or [`default_model`]) over
-/// the default Bootes configuration.
+/// Builds the daemon's pipeline: `model` over the default Bootes
+/// configuration, with drift donor reuse configured by `drift` (`None`
+/// turns it off, the daemon's `--no-donor`). Without a model the daemon
+/// runs [`bootes_core::toy_tree`] with k = 8, so startup needs no model file
+/// and no corpus run.
 ///
 /// # Errors
 ///
 /// Returns the model-validation error text.
-pub fn build_pipeline(model: Option<DecisionTree>) -> Result<BootesPipeline, String> {
-    build_pipeline_with_drift(model, Some(bootes_core::DriftConfig::default()))
-}
-
-/// [`build_pipeline`] with an explicit drift donor configuration: `None`
-/// disables donor reuse entirely (the daemon's `--no-donor`), `Some` tunes
-/// the resplice-vs-recompute threshold (`--drift-threshold`).
-///
-/// # Errors
-///
-/// Returns the model-validation error text.
-pub fn build_pipeline_with_drift(
+pub fn build_pipeline(
     model: Option<DecisionTree>,
-    drift: Option<bootes_core::DriftConfig>,
+    drift: Option<DriftConfig>,
 ) -> Result<BootesPipeline, String> {
-    let model = model.unwrap_or_else(default_model);
-    Ok(
-        BootesPipeline::new(model, bootes_core::BootesConfig::default())
-            .map_err(|e| e.to_string())?
-            .with_drift(drift),
-    )
+    let model = match model {
+        Some(model) => model,
+        None => bootes_core::toy_tree(8).map_err(|e| e.to_string())?,
+    };
+    Ok(BootesPipeline::new(model, BootesConfig::default())
+        .map_err(|e| e.to_string())?
+        .with_drift(drift))
 }

@@ -809,13 +809,16 @@ fn verdict(label: Label) -> Response {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::default_model;
     use crate::protocol::MatrixPayload;
     use bootes_core::BootesConfig;
     use bootes_workloads::gen::{clustered, GenConfig};
 
     fn test_pipeline() -> BootesPipeline {
-        BootesPipeline::new(default_model(), BootesConfig::default()).expect("valid model")
+        BootesPipeline::new(
+            bootes_core::toy_tree(8).expect("8 is a candidate k"),
+            BootesConfig::default(),
+        )
+        .expect("valid model")
     }
 
     fn test_matrix(seed: u64) -> CsrMatrix {

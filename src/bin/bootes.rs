@@ -19,10 +19,11 @@
 //!   (MAD-scaled) thresholds; `-D` turns regressions into a nonzero exit,
 //! - `perf bless [BENCH...]` — bless the latest run of each bench as the new
 //!   regression baseline (equivalently, re-run under `BOOTES_BLESS_PERF=1`),
-//! - `serve [--listen ADDR]` — run the long-lived reorder/decision daemon:
-//!   newline-delimited JSON over a Unix or TCP socket, with bounded
-//!   admission, per-tenant budgets, singleflight coalescing of identical
-//!   in-flight requests, and graceful drain on the `shutdown` op,
+//! - `serve [--listen ADDR] [--drift-threshold F] [--no-donor]` — run the
+//!   long-lived reorder/decision daemon: newline-delimited JSON over a Unix
+//!   or TCP socket, with bounded admission, per-tenant budgets, singleflight
+//!   coalescing of identical in-flight requests, drift donor reuse, and
+//!   graceful drain on the `shutdown` op,
 //! - `chaos [--seeds N]` — run seeded random fault schedules against
 //!   pipeline, serve, and crash-restart workloads in subprocesses, check the
 //!   invariant oracles, and shrink any failing schedule to a minimal replay
@@ -33,6 +34,8 @@
 //! - `--threads N` — worker threads for the parallel kernels (default: all
 //!   cores; `BOOTES_THREADS=N` in the environment works too). Results are
 //!   bit-identical for any thread count,
+//! - `--time-budget-ms MS` / `--mem-budget-mb MB` — preprocessing budgets;
+//!   on exhaustion the reorderer degrades to a cheaper algorithm,
 //! - `--cache-dir DIR` / `--cache-mem-mb MB` / `--no-cache` — the
 //!   content-addressed preprocessing artifact cache
 //!   (permutations, Ritz pairs and model verdicts keyed on the sparsity
@@ -43,6 +46,12 @@
 //! - `--trace-out FILE.json` — also write a Chrome trace-event file, viewable
 //!   in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
+//! The subcommand comes first; flags and arguments follow it in any order.
+//! Each subcommand declares its flags in one table (`COMMANDS`, plus
+//! `GLOBAL_FLAGS`): an undeclared flag, a flag without its value, or an
+//! extra argument is an error, reported before anything runs. `-h` or
+//! `--help` anywhere prints the usage and exits 0.
+//!
 //! Examples:
 //!
 //! ```sh
@@ -51,8 +60,12 @@
 //! bootes train --corpus 60 -o model.json && bootes decide matrix.mtx --model model.json
 //! ```
 
+use std::fmt::Display;
 use std::io::BufReader;
+use std::num::NonZeroUsize;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
 use bootes::core::{
@@ -66,28 +79,34 @@ use bootes::sparse::CsrMatrix;
 use bootes::workloads::suite::training_corpus;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (args, prof) = match ProfileOpts::extract(args) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
+        Err(msg) => return usage_error(&msg),
     };
-    let result = run(&args, &prof);
-    if let Err(msg) = prof.finish() {
+    let globals = match Globals::apply(&args) {
+        Ok(globals) => globals,
+        Err(msg) => return usage_error(&msg),
+    };
+    let result = (args.cmd.run)(&args);
+    if let Err(msg) = globals.finish() {
         eprintln!("error: {msg}");
         return ExitCode::FAILURE;
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(msg) => usage_error(&msg),
     }
+}
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    ExitCode::FAILURE
 }
 
 const USAGE: &str = "\
@@ -107,12 +126,16 @@ usage:
                     [--k-mad F] [-D]
   bootes serve    [--listen ADDR] [--model model.json] [--serve-workers N]
                   [--queue-cap N] [--max-inflight N] [--max-tenant-mb MB]
-                  [--drain-grace-ms MS]
+                  [--drain-grace-ms MS] [--drift-threshold F] [--no-donor]
                   (ADDR: unix:/path.sock | tcp:host:port; default
                    tcp:127.0.0.1:0 — the bound address is printed on stdout.
                    Newline-delimited JSON; ops: preprocess, decide, ping,
                    stats, shutdown. A shutdown request drains gracefully and
-                   is answered after the drain.)
+                   is answered after the drain. F: the rows-changed fraction
+                   above which a cached donor permutation is abandoned for a
+                   full recompute, default 0.25; 0 always recomputes, 1
+                   always resplices. --no-donor turns donor reuse off: every
+                   exact cache miss recomputes cold, no sketches are stored)
   bootes chaos    [--seeds N] [--seed S] [--requests N] [--scratch DIR]
                   [--replay TOKEN] [--out FILE.json] [--keep-going]
                   [--no-shrink]
@@ -120,7 +143,7 @@ usage:
                    workloads — exit 1 on any invariant violation, with the
                    failing schedule shrunk to a minimal seed:workload:spec
                    replay token)
-global flags (any subcommand):
+global flags (after any subcommand):
   --threads N             worker threads for the parallel kernels (default:
                           all cores; BOOTES_THREADS=N also works; output is
                           bit-identical for any value)
@@ -134,133 +157,212 @@ global flags (any subcommand):
                           runs on matrices with a recurring sparsity pattern
   --cache-mem-mb MB       in-memory artifact cache ceiling (default: 256)
   --no-cache              disable the artifact cache entirely
-  --drift-threshold F     rows-changed fraction above which a cached donor
-                          permutation is abandoned for a full recompute
-                          (default: 0.25; 0 always recomputes, 1 always
-                          resplices)
-  --no-donor              disable drift donor reuse: every exact cache miss
-                          recomputes cold, no sketches are stored
   --profile               collect spans/metrics, print profile table to stderr
   --profile-out FILE.json write the profile as JSON
   --trace-out FILE.json   write a Chrome trace-event file
-  (BOOTES_PROFILE=1 in the environment also enables profiling;
-   BOOTES_FAILPOINTS=\"site=err@N,...\" injects deterministic faults)";
+  -h, --help              print this usage and exit
+  (The subcommand comes first. An unknown flag, a flag without its value or
+   an extra argument is an error. BOOTES_PROFILE=1 in the environment also
+   enables profiling; BOOTES_FAILPOINTS=\"site=err@N,...\" injects
+   deterministic faults)";
 
-/// The global flags (`--profile`, `--threads`, the guard budgets,
-/// `--cache-dir`, ...), stripped from the argument list before subcommand
-/// dispatch. Holding the struct keeps the armed budget alive for the whole
-/// run; it disarms on drop.
-struct ProfileOpts {
+/// A flag as `(name, takes_value)`.
+type Flag = (&'static str, bool);
+
+/// Flags every subcommand accepts; [`Globals::apply`] acts on them.
+#[rustfmt::skip]
+const GLOBAL_FLAGS: &[Flag] = &[
+    ("--threads", true), ("--time-budget-ms", true), ("--mem-budget-mb", true),
+    ("--cache-dir", true), ("--cache-mem-mb", true), ("--no-cache", false),
+    ("--profile", false), ("--profile-out", true), ("--trace-out", true),
+];
+
+/// Flags that print the usage and exit 0 wherever they appear.
+const HELP: [&str; 2] = ["-h", "--help"];
+
+/// One subcommand (or `perf` action): how many positional arguments it
+/// takes, the flags it declares on top of [`GLOBAL_FLAGS`], and its body.
+struct Command {
+    name: &'static str,
+    positionals: RangeInclusive<usize>,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    fn flag(&self, name: &str) -> Option<Flag> {
+        let mut flags = self.flags.iter().chain(GLOBAL_FLAGS);
+        flags.find(|(f, _)| *f == name).copied()
+    }
+}
+
+/// Every subcommand and `perf` action; `parse` looks the command line up here.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "reorder", positionals: 1..=1, run: cmd_reorder,
+        flags: &[("-o", true), ("--algo", true), ("--k", true)] },
+    Command { name: "features", positionals: 1..=1, run: cmd_features, flags: &[] },
+    Command { name: "simulate", positionals: 1..=1, run: cmd_simulate,
+        flags: &[("--accel", true), ("--cache", true), ("--reorder", true), ("--k", true)] },
+    Command { name: "train", positionals: 0..=0, run: cmd_train,
+        flags: &[("--corpus", true), ("--accel", true), ("--cache", true), ("--seed", true),
+                 ("-o", true)] },
+    Command { name: "decide", positionals: 1..=1, run: cmd_decide, flags: &[("--model", true)] },
+    Command { name: "analyze", positionals: 1..=1, run: cmd_analyze, flags: &[("--pes", true)] },
+    Command { name: "perf diff", positionals: 0..=0, run: cmd_perf_diff,
+        flags: &[("--baseline", true), ("-D", false), ("--rel-threshold", true),
+                 ("--k-mad", true), ("--abs-floor-ms", true)] },
+    Command { name: "perf bless", positionals: 0..=usize::MAX, run: cmd_perf_bless,
+        flags: &[("--baseline", true)] },
+    Command { name: "perf speedup", positionals: 0..=0, run: cmd_perf_speedup,
+        flags: &[("--file", true), ("--floor", true), ("--k-mad", true), ("-D", false)] },
+    Command { name: "serve", positionals: 0..=0, run: cmd_serve,
+        flags: &[("--listen", true), ("--model", true), ("--serve-workers", true),
+                 ("--queue-cap", true), ("--max-inflight", true), ("--max-tenant-mb", true),
+                 ("--drain-grace-ms", true), ("--drift-threshold", true), ("--no-donor", false)] },
+    Command { name: "chaos", positionals: 0..=0, run: cmd_chaos,
+        flags: &[("--seeds", true), ("--seed", true), ("--requests", true), ("--scratch", true),
+                 ("--replay", true), ("--out", true), ("--keep-going", false),
+                 ("--no-shrink", false)] },
+];
+
+/// A command line checked against its [`Command`]'s table.
+struct Args {
+    cmd: &'static Command,
+    /// Declared flags in command-line order, with their values.
+    flags: Vec<(&'static str, Option<String>)>,
+    /// A count within `cmd.positionals`, so a command that takes an input
+    /// file always has it first.
+    positionals: Vec<String>,
+}
+
+/// Parses the arguments after the program name: the subcommand (two words
+/// for `perf`), then its flags and positional arguments in any order.
+/// `Ok(None)` means help was asked for. A value is the word after its flag
+/// and may not start with `-`.
+fn parse(argv: &[String]) -> Result<Option<Args>, String> {
+    if argv.iter().any(|a| HELP.contains(&a.as_str())) {
+        return Ok(None);
+    }
+    let (name, rest) = match argv {
+        [] => return Err("missing subcommand".to_string()),
+        [help, ..] if help == "help" => return Ok(None),
+        [perf] if perf == "perf" => {
+            return Err("perf needs an action: diff | bless | speedup".into())
+        }
+        [perf, action, rest @ ..] if perf == "perf" => (format!("perf {action}"), rest),
+        [cmd, rest @ ..] => (cmd.clone(), rest),
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    let mut args = Args {
+        cmd,
+        flags: Vec::new(),
+        positionals: Vec::new(),
+    };
+    let mut words = rest.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with('-') {
+            args.positionals.push(word.clone());
+            continue;
+        }
+        let (flag, takes_value) = cmd
+            .flag(word)
+            .ok_or_else(|| format!("unknown flag {word:?} for {name}"))?;
+        let mut value = None;
+        if takes_value {
+            let next = words.next().filter(|v| !v.starts_with('-'));
+            value = Some(next.ok_or_else(|| format!("{flag} needs a value"))?.clone());
+        }
+        args.flags.push((flag, value));
+    }
+    if let Some(extra) = args.positionals.get(*cmd.positionals.end()) {
+        return Err(format!("unexpected argument {extra:?} for {name}"));
+    }
+    if args.positionals.len() < *cmd.positionals.start() {
+        return Err(format!("{name} needs an input file"));
+    }
+    Ok(Some(args))
+}
+
+impl Args {
+    /// Each occurrence of `name`, in command-line order, with its value.
+    fn occurrences<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Option<String>> {
+        debug_assert!(self.cmd.flag(name).is_some(), "{name} is undeclared");
+        self.flags
+            .iter()
+            .filter(move |(f, _)| *f == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The values given to `name`, in command-line order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.occurrences(name).filter_map(Option::as_deref)
+    }
+
+    /// The last value given to `name`.
+    fn get<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.values(name).last()
+    }
+
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.occurrences(name).next().is_some()
+    }
+
+    /// [`Args::get`] parsed as `T`.
+    fn parse<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("bad {name} value {v:?}: {e}"))
+            })
+            .transpose()
+    }
+
+    /// [`Args::parse`], or `default` when the flag is absent.
+    fn parse_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.parse(name)?.unwrap_or(default))
+    }
+
+    /// The input file of a command that takes one.
+    fn input(&self) -> &str {
+        &self.positionals[0]
+    }
+}
+
+/// The effects of the global flags, applied before the subcommand runs.
+/// Holding the struct keeps the armed budget alive for the whole run; it
+/// disarms on drop.
+struct Globals {
     enabled: bool,
     profile_out: Option<String>,
     trace_out: Option<String>,
-    drift: Option<bootes::core::DriftConfig>,
     _budget: Option<bootes::guard::ArmedBudget>,
 }
 
-impl ProfileOpts {
-    fn extract(mut args: Vec<String>) -> Result<(Vec<String>, Self), String> {
-        let mut enabled = false;
-        let mut profile_out = None;
-        let mut trace_out = None;
-        let mut no_donor = false;
-        let mut drift_threshold: Option<f64> = None;
-        let mut use_cache = true;
-        let mut cache_dir: Option<String> = None;
-        let mut cache_mem_mb: u64 = 256;
-        let mut budget = bootes::guard::Budget::unlimited();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--profile" => {
-                    enabled = true;
-                    args.remove(i);
-                }
-                "--no-cache" => {
-                    use_cache = false;
-                    args.remove(i);
-                }
-                "--no-donor" => {
-                    no_donor = true;
-                    args.remove(i);
-                }
-                "--drift-threshold" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--drift-threshold needs a value argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let t: f64 = value
-                        .parse()
-                        .map_err(|e| format!("bad --drift-threshold value {value:?}: {e}"))?;
-                    if !(0.0..=1.0).contains(&t) {
-                        return Err(format!("--drift-threshold {t} outside [0, 1]"));
-                    }
-                    drift_threshold = Some(t);
-                }
-                "--cache-dir" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--cache-dir needs a directory argument".to_string());
-                    }
-                    cache_dir = Some(args.remove(i));
-                }
-                "--cache-mem-mb" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--cache-mem-mb needs a value argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    cache_mem_mb = value
-                        .parse()
-                        .map_err(|e| format!("bad --cache-mem-mb value {value:?}: {e}"))?;
-                }
-                "--time-budget-ms" | "--mem-budget-mb" => {
-                    let flag = args.remove(i);
-                    if i >= args.len() {
-                        return Err(format!("{flag} needs a value argument"));
-                    }
-                    let value = args.remove(i);
-                    let n: u64 = value
-                        .parse()
-                        .map_err(|e| format!("bad {flag} value {value:?}: {e}"))?;
-                    budget = if flag == "--time-budget-ms" {
-                        budget.with_time_ms(n)
-                    } else {
-                        budget.with_bytes(n.saturating_mul(1024 * 1024))
-                    };
-                }
-                "--threads" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("--threads needs a count argument".to_string());
-                    }
-                    let value = args.remove(i);
-                    let n: usize = value
-                        .parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("bad --threads value {value:?}"))?;
-                    bootes::par::set_threads(n);
-                }
-                "--profile-out" | "--trace-out" => {
-                    let flag = args.remove(i);
-                    if i >= args.len() {
-                        return Err(format!("{flag} needs a file argument"));
-                    }
-                    let path = args.remove(i);
-                    if flag == "--profile-out" {
-                        profile_out = Some(path);
-                    } else {
-                        trace_out = Some(path);
-                    }
-                }
-                _ => i += 1,
-            }
+impl Globals {
+    fn apply(args: &Args) -> Result<Self, String> {
+        let threads: Option<NonZeroUsize> = args.parse("--threads")?;
+        let time_ms: Option<u64> = args.parse("--time-budget-ms")?;
+        let mem_mb: Option<u64> = args.parse("--mem-budget-mb")?;
+        let cache_mem_mb: u64 = args.parse_or("--cache-mem-mb", 256)?;
+        if let Some(n) = threads {
+            bootes::par::set_threads(n.get());
         }
-        if enabled || profile_out.is_some() || trace_out.is_some() {
+        let profile_out = args.get("--profile-out").map(str::to_string);
+        let trace_out = args.get("--trace-out").map(str::to_string);
+        let mut enabled = args.has("--profile") || profile_out.is_some() || trace_out.is_some();
+        if enabled {
             bootes::obs::set_enabled(true);
-            enabled = true;
         }
         if trace_out.is_some() {
             // The Chrome trace renders per-chunk worker lanes; those records
@@ -269,13 +371,13 @@ impl ProfileOpts {
             bootes::obs::set_chunk_timeline(true);
         }
         enabled |= bootes::obs::init_from_env();
-        if use_cache {
+        if !args.has("--no-cache") {
             let mut cfg =
                 bootes::cache::CacheConfig::memory_only(cache_mem_mb.saturating_mul(1024 * 1024));
-            if let Some(dir) = cache_dir {
+            if let Some(dir) = args.get("--cache-dir") {
                 cfg = cfg.with_dir(dir);
             }
-            if args.first().map(String::as_str) == Some("serve") {
+            if args.cmd.name == "serve" {
                 // The daemon runs one pipeline: see `CacheConfig::skip_ritz`.
                 cfg = cfg.without_ritz();
             }
@@ -283,30 +385,19 @@ impl ProfileOpts {
                 .map_err(|e| format!("failed to open artifact cache: {e}"))?;
             bootes::cache::install(cache);
         }
-        let armed = if budget.is_unlimited() {
-            None
-        } else {
-            Some(budget.arm())
-        };
-        let drift = if no_donor {
-            None
-        } else {
-            let mut cfg = bootes::core::DriftConfig::default();
-            if let Some(t) = drift_threshold {
-                cfg = cfg.with_threshold(t);
-            }
-            Some(cfg)
-        };
-        Ok((
-            args,
-            ProfileOpts {
-                enabled,
-                profile_out,
-                trace_out,
-                drift,
-                _budget: armed,
-            },
-        ))
+        let mut budget = bootes::guard::Budget::unlimited();
+        if let Some(ms) = time_ms {
+            budget = budget.with_time_ms(ms);
+        }
+        if let Some(mb) = mem_mb {
+            budget = budget.with_bytes(mb.saturating_mul(1024 * 1024));
+        }
+        Ok(Globals {
+            enabled,
+            profile_out,
+            trace_out,
+            _budget: (!budget.is_unlimited()).then(|| budget.arm()),
+        })
     }
 
     fn finish(&self) -> Result<(), String> {
@@ -335,13 +426,6 @@ impl ProfileOpts {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn load(path: &str) -> Result<CsrMatrix, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     read_matrix_market(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
@@ -355,63 +439,30 @@ fn load_model(path: &str) -> Result<DecisionTree, String> {
     DecisionTree::from_json(&json).map_err(|e| format!("{path}: {e}"))
 }
 
-fn accel_from(args: &[String]) -> Result<AcceleratorConfig, String> {
-    let name = flag(args, "--accel").unwrap_or_else(|| "flexagon".to_string());
-    let mut cfg = match name.as_str() {
+fn accel_from(args: &Args) -> Result<AcceleratorConfig, String> {
+    let mut cfg = match args.get("--accel").unwrap_or("flexagon") {
         "flexagon" => configs::flexagon(),
         "gamma" => configs::gamma(),
         "trapezoid" => configs::trapezoid(),
         other => return Err(format!("unknown accelerator {other:?}")),
     };
-    if let Some(cache) = flag(args, "--cache") {
-        cfg.cache_bytes = cache
-            .parse()
-            .map_err(|e| format!("bad --cache value {cache:?}: {e}"))?;
-    }
+    cfg.cache_bytes = args.parse_or("--cache", cfg.cache_bytes)?;
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 
-fn run(args: &[String], prof: &ProfileOpts) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err("missing subcommand".to_string());
-    };
-    match cmd.as_str() {
-        "reorder" => cmd_reorder(&args[1..]),
-        "features" => cmd_features(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..]),
-        "train" => cmd_train(&args[1..]),
-        "decide" => cmd_decide(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "perf" => cmd_perf(&args[1..]),
-        "serve" => cmd_serve(&args[1..], prof.drift.clone()),
-        "chaos" => cmd_chaos(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
-    }
-}
-
-fn cmd_reorder(args: &[String]) -> Result<(), String> {
-    let input = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("reorder needs an input file")?;
+fn cmd_reorder(args: &Args) -> Result<(), String> {
+    let input = args.input();
+    let algo = reorderer_from(args.get("--algo").unwrap_or("bootes"), args)?;
     let a = load(input)?;
-    let algo_name = flag(args, "--algo").unwrap_or_else(|| "bootes".to_string());
-    let k: usize = match flag(args, "--k") {
-        Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
-        None => 8,
-    };
-    let algo = reorderer_from(&algo_name, k)?;
     let out = algo.reorder(&a).map_err(|e| e.to_string())?;
     if let (Some(from), Some(reason)) = (&out.stats.degraded_from, &out.stats.degrade_reason) {
         eprintln!("note: output produced by fallback ({from} failed: {reason})");
     }
     let reordered = out.permutation.apply_rows(&a).map_err(|e| e.to_string())?;
-    let out_path = flag(args, "-o").unwrap_or_else(|| format!("{input}.reordered.mtx"));
+    let out_path = args
+        .get("-o")
+        .map_or_else(|| format!("{input}.reordered.mtx"), str::to_string);
     let mut file =
         std::fs::File::create(&out_path).map_err(|e| format!("create {out_path}: {e}"))?;
     write_matrix_market(&mut file, &reordered).map_err(|e| e.to_string())?;
@@ -429,7 +480,9 @@ fn cmd_reorder(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn reorderer_from(name: &str, k: usize) -> Result<Box<dyn Reorderer>, String> {
+/// The reorderer `name`, with the cluster count from `--k` (default 8).
+fn reorderer_from(name: &str, args: &Args) -> Result<Box<dyn Reorderer>, String> {
+    let k = args.parse_or("--k", 8)?;
     Ok(match name {
         // "bootes" routes through the graceful-degradation chain.
         "bootes" => Box::new(FallbackReorderer::new(BootesConfig::default().with_k(k))),
@@ -440,9 +493,8 @@ fn reorderer_from(name: &str, k: usize) -> Result<Box<dyn Reorderer>, String> {
     })
 }
 
-fn cmd_features(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("features needs an input file")?;
-    let a = load(input)?;
+fn cmd_features(args: &Args) -> Result<(), String> {
+    let a = load(args.input())?;
     let f = MatrixFeatures::extract(&a).to_vec();
     for (name, v) in FEATURE_NAMES.iter().zip(f) {
         println!("{name:<18} {v:.6}");
@@ -450,25 +502,15 @@ fn cmd_features(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let input = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("simulate needs an input file")?;
-    let a = load(input)?;
+fn cmd_simulate(args: &Args) -> Result<(), String> {
     let accel = accel_from(args)?;
-    // Validate reorder flags up front so a typo fails before the (possibly
+    // Check the flag values before the input is read and the (possibly
     // slow) baseline simulation runs.
-    let algo_name = flag(args, "--reorder").unwrap_or_else(|| "bootes".to_string());
-    let reorderer = if algo_name == "none" {
-        None
-    } else {
-        let k: usize = match flag(args, "--k") {
-            Some(v) => v.parse().map_err(|e| format!("bad --k {v:?}: {e}"))?,
-            None => 8,
-        };
-        Some(reorderer_from(&algo_name, k)?)
+    let reorderer = match args.get("--reorder").unwrap_or("bootes") {
+        "none" => None,
+        name => Some(reorderer_from(name, args)?),
     };
+    let a = load(args.input())?;
     let b = if a.nrows() == a.ncols() {
         a.clone()
     } else {
@@ -511,16 +553,10 @@ fn print_report(rep: &bootes::accel::TrafficReport) {
     println!("  macs / cycles    {} / {}", rep.macs, rep.cycles);
 }
 
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    let out_path = flag(args, "-o").ok_or("train needs -o <model.json>")?;
-    let corpus_size: usize = match flag(args, "--corpus") {
-        Some(v) => v.parse().map_err(|e| format!("bad --corpus {v:?}: {e}"))?,
-        None => 60,
-    };
-    let seed: u64 = match flag(args, "--seed") {
-        Some(v) => v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?,
-        None => 42,
-    };
+fn cmd_train(args: &Args) -> Result<(), String> {
+    let out_path = args.get("-o").ok_or("train needs -o <model.json>")?;
+    let corpus_size: usize = args.parse_or("--corpus", 60)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
     let accel = accel_from(args)?;
     eprintln!(
         "labeling {corpus_size} synthetic matrices on {} (cache {} B)...",
@@ -556,7 +592,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         .map(|i| tree.predict(test.features(i)).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
     let acc = bootes::model::accuracy(test.labels(), &preds);
-    std::fs::write(&out_path, tree.to_json().map_err(|e| e.to_string())?)
+    std::fs::write(out_path, tree.to_json().map_err(|e| e.to_string())?)
         .map_err(|e| format!("write {out_path}: {e}"))?;
     println!(
         "trained on {} samples, held-out accuracy {:.0}%, wrote {} ({} bytes)",
@@ -568,16 +604,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let input = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("analyze needs an input file")?;
-    let pes: usize = match flag(args, "--pes") {
-        Some(v) => v.parse().map_err(|e| format!("bad --pes {v:?}: {e}"))?,
-        None => 64,
-    };
-    let a = load(input)?;
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let pes: usize = args.parse_or("--pes", 64)?;
+    let a = load(args.input())?;
     let profile = bootes::reorder::b_reuse_profile_scheduled(&a, pes);
     println!(
         "B-row accesses      {} ({} cold / first-touch)",
@@ -597,10 +626,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// Resolves the results root the perf actions operate on. `--baseline DIR`
 /// accepts either a `baselines/` directory (its parent becomes the root, so
 /// the sibling `history/` ledger is found next to it) or a results root.
-fn perf_root(args: &[String]) -> std::path::PathBuf {
-    match flag(args, "--baseline") {
+fn perf_root(args: &Args) -> std::path::PathBuf {
+    match args.get("--baseline") {
         Some(dir) => {
-            let p = std::path::PathBuf::from(&dir);
+            let p = std::path::PathBuf::from(dir);
             if p.file_name().and_then(|s| s.to_str()) == Some("baselines") {
                 p.parent().map_or(p.clone(), |parent| parent.to_path_buf())
             } else {
@@ -611,30 +640,13 @@ fn perf_root(args: &[String]) -> std::path::PathBuf {
     }
 }
 
-fn cmd_perf(args: &[String]) -> Result<(), String> {
-    let Some(action) = args.first() else {
-        return Err("perf needs an action: diff | bless | speedup".to_string());
-    };
-    match action.as_str() {
-        "diff" => cmd_perf_diff(&args[1..]),
-        "bless" => cmd_perf_bless(&args[1..]),
-        "speedup" => cmd_perf_speedup(&args[1..]),
-        other => Err(format!("unknown perf action {other:?}")),
-    }
-}
-
-fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
+fn cmd_perf_speedup(args: &Args) -> Result<(), String> {
     let mut cfg = bootes::perf::SpeedupConfig::default();
     // Any explicit --floor list replaces the default, so CI pins exactly the
     // kernels it gates.
     let floors: Vec<(String, f64)> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == "--floor")
-        .map(|(i, _)| {
-            let spec = args
-                .get(i + 1)
-                .ok_or("--floor needs a KERNEL=SPEEDUP argument")?;
+        .values("--floor")
+        .map(|spec| {
             let (kernel, floor) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("bad --floor {spec:?}: expected KERNEL=SPEEDUP"))?;
@@ -647,14 +659,11 @@ fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
     if !floors.is_empty() {
         cfg.floors = floors;
     }
-    if let Some(v) = flag(args, "--k-mad") {
-        cfg.k_mad = v.parse().map_err(|e| format!("bad --k-mad {v:?}: {e}"))?;
-    }
-    let path = flag(args, "--file").map_or_else(
+    cfg.k_mad = args.parse_or("--k-mad", cfg.k_mad)?;
+    let path = args.get("--file").map_or_else(
         || bootes::perf::results_dir().join("par_speedup.json"),
         std::path::PathBuf::from,
     );
-    let strict = args.iter().any(|a| a == "-D" || a == "--deny-regressions");
     let rows = match bootes::perf::load_speedup_rows(&path) {
         Ok(rows) => rows,
         // Like `perf diff` with no baselines: a missing result file warns
@@ -671,7 +680,7 @@ fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
     let report = bootes::perf::check_speedup(&rows, &cfg);
     print!("{}", bootes::perf::render_speedup(&report));
     if !report.passed() {
-        if strict {
+        if args.has("-D") {
             eprintln!(
                 "error: {} kernel(s) fell below their parallel-speedup floor",
                 report.failures
@@ -683,28 +692,19 @@ fn cmd_perf_speedup(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
-    let mut cfg = bootes::perf::DiffConfig::default();
-    if let Some(v) = flag(args, "--rel-threshold") {
-        cfg.rel_threshold = v
-            .parse()
-            .map_err(|e| format!("bad --rel-threshold {v:?}: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--k-mad") {
-        cfg.k_mad = v.parse().map_err(|e| format!("bad --k-mad {v:?}: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--abs-floor-ms") {
-        let ms: f64 = v
-            .parse()
-            .map_err(|e| format!("bad --abs-floor-ms {v:?}: {e}"))?;
-        cfg.abs_floor_ns = ms * 1e6;
-    }
-    let strict = args.iter().any(|a| a == "-D" || a == "--deny-regressions");
-    let root = perf_root(args);
-    let report = bootes::perf::diff_benches(&root, &cfg);
+fn cmd_perf_diff(args: &Args) -> Result<(), String> {
+    let defaults = bootes::perf::DiffConfig::default();
+    let cfg = bootes::perf::DiffConfig {
+        rel_threshold: args.parse_or("--rel-threshold", defaults.rel_threshold)?,
+        k_mad: args.parse_or("--k-mad", defaults.k_mad)?,
+        abs_floor_ns: args
+            .parse::<f64>("--abs-floor-ms")?
+            .map_or(defaults.abs_floor_ns, |ms| ms * 1e6),
+    };
+    let report = bootes::perf::diff_benches(&perf_root(args), &cfg);
     print!("{}", bootes::perf::render_diff(&report));
     if !report.passed() {
-        if strict {
+        if args.has("-D") {
             // Exit directly: a gate failure should print the table above,
             // not the subcommand usage.
             eprintln!(
@@ -718,13 +718,9 @@ fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_perf_bless(args: &[String]) -> Result<(), String> {
+fn cmd_perf_bless(args: &Args) -> Result<(), String> {
     let root = perf_root(args);
-    let mut benches: Vec<String> = args
-        .iter()
-        .take_while(|a| !a.starts_with('-'))
-        .cloned()
-        .collect();
+    let mut benches = args.positionals.clone();
     if benches.is_empty() {
         // No explicit benches: bless everything with a history ledger.
         benches = std::fs::read_dir(root.join("history"))
@@ -769,46 +765,34 @@ fn cmd_perf_bless(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut config = bootes::serve::ServeConfig::default();
-    if let Some(addr) = flag(args, "--listen") {
-        config.listen = addr;
+    if let Some(addr) = args.get("--listen") {
+        config.listen = addr.to_string();
     }
-    if let Some(v) = flag(args, "--serve-workers") {
-        config.workers = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --serve-workers value {v:?}"))?;
+    if let Some(n) = args.parse::<NonZeroUsize>("--serve-workers")? {
+        config.workers = n.get();
     }
-    if let Some(v) = flag(args, "--queue-cap") {
-        config.queue_cap = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --queue-cap value {v:?}"))?;
+    if let Some(n) = args.parse::<NonZeroUsize>("--queue-cap")? {
+        config.queue_cap = n.get();
     }
-    if let Some(v) = flag(args, "--max-inflight") {
-        let n: u64 = v
-            .parse()
-            .map_err(|e| format!("bad --max-inflight {v:?}: {e}"))?;
+    if let Some(n) = args.parse("--max-inflight")? {
         config.policy = config.policy.with_inflight(n);
     }
-    if let Some(v) = flag(args, "--max-tenant-mb") {
-        let mb: u64 = v
-            .parse()
-            .map_err(|e| format!("bad --max-tenant-mb {v:?}: {e}"))?;
+    if let Some(mb) = args.parse::<u64>("--max-tenant-mb")? {
         config.policy = config.policy.with_bytes(mb.saturating_mul(1024 * 1024));
     }
-    if let Some(v) = flag(args, "--drain-grace-ms") {
-        config.drain_grace_ms = v
-            .parse()
-            .map_err(|e| format!("bad --drain-grace-ms {v:?}: {e}"))?;
+    config.drain_grace_ms = args.parse_or("--drain-grace-ms", config.drain_grace_ms)?;
+    let mut drift = bootes::core::DriftConfig::default();
+    if let Some(t) = args.parse::<f64>("--drift-threshold")? {
+        if !(0.0..=1.0).contains(&t) {
+            return Err(format!("--drift-threshold {t} outside [0, 1]"));
+        }
+        drift = drift.with_threshold(t);
     }
-    let model = flag(args, "--model")
-        .map(|path| load_model(&path))
-        .transpose()?;
-    let pipeline = bootes::serve::build_pipeline_with_drift(model, drift)?;
+    let drift = (!args.has("--no-donor")).then_some(drift);
+    let model = args.get("--model").map(load_model).transpose()?;
+    let pipeline = bootes::serve::build_pipeline(model, drift)?;
     let handle = bootes::serve::start(config, pipeline)
         .map_err(|e| format!("failed to start serve daemon: {e}"))?;
     // Machine-parseable readiness line: tests and load generators wait for
@@ -832,29 +816,19 @@ fn cmd_serve(args: &[String], drift: Option<bootes::core::DriftConfig>) -> Resul
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
+fn cmd_chaos(args: &Args) -> Result<(), String> {
     let bin = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
     let mut cfg = bootes::chaos::ChaosConfig::new(bin);
-    if let Some(v) = flag(args, "--seeds") {
-        cfg.seeds = v.parse().map_err(|e| format!("bad --seeds {v:?}: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--seed") {
-        cfg.start_seed = v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--requests") {
-        cfg.requests = v
-            .parse()
-            .map_err(|e| format!("bad --requests {v:?}: {e}"))?;
-    }
-    if let Some(dir) = flag(args, "--scratch") {
+    cfg.seeds = args.parse_or("--seeds", cfg.seeds)?;
+    cfg.start_seed = args.parse_or("--seed", cfg.start_seed)?;
+    cfg.requests = args.parse_or("--requests", cfg.requests)?;
+    if let Some(dir) = args.get("--scratch") {
         cfg.scratch = std::path::PathBuf::from(dir);
     }
-    cfg.keep_going = args.iter().any(|a| a == "--keep-going");
-    if args.iter().any(|a| a == "--no-shrink") {
-        cfg.shrink = false;
-    }
-    let report = if let Some(token) = flag(args, "--replay") {
-        let schedule = bootes::chaos::Schedule::parse_replay(&token)?;
+    cfg.keep_going = args.has("--keep-going");
+    cfg.shrink = !args.has("--no-shrink");
+    let report = if let Some(token) = args.get("--replay") {
+        let schedule = bootes::chaos::Schedule::parse_replay(token)?;
         let fixture = bootes::chaos::driver::ensure_fixture(&cfg)?;
         println!(
             "chaos: replaying seed {} [{}] spec `{}`",
@@ -906,9 +880,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if let Some(path) = flag(args, "--out") {
+    if let Some(path) = args.get("--out") {
         let json = report.to_json()?;
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         println!("chaos: report written to {path}");
     }
     if report.passed() {
@@ -929,14 +903,13 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_decide(args: &[String]) -> Result<(), String> {
-    let input = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("decide needs an input file")?;
-    let model_path = flag(args, "--model").ok_or("decide needs --model <model.json>")?;
+fn cmd_decide(args: &Args) -> Result<(), String> {
+    let input = args.input();
+    let model_path = args
+        .get("--model")
+        .ok_or("decide needs --model <model.json>")?;
     let a = load(input)?;
-    let tree = load_model(&model_path)?;
+    let tree = load_model(model_path)?;
     let pipeline = BootesPipeline::new(tree, BootesConfig::default()).map_err(|e| e.to_string())?;
     let decision = pipeline.decide(&a).map_err(|e| e.to_string())?;
     match decision.label {
@@ -944,4 +917,28 @@ fn cmd_decide(args: &[String]) -> Result<(), String> {
         Label::Reorder(k) => println!("{input}: reorder with k = {k}"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The usage text names exactly the flags the tables declare, so a flag
+    /// cannot be documented without being accepted or the other way round.
+    #[test]
+    fn usage_names_exactly_the_declared_flags() {
+        let named: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.len() > 1 && w.starts_with('-'))
+            .collect();
+        let declared: BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.flags)
+            .chain(GLOBAL_FLAGS)
+            .map(|&(name, _)| name)
+            .chain(HELP)
+            .collect();
+        assert_eq!(named, declared);
+    }
 }

@@ -12,8 +12,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
-use bootes::core::{BootesConfig, BootesPipeline, Label, PipelineOutcome, FEATURE_NAMES};
-use bootes::model::{Dataset, DecisionTree, TreeConfig};
+use bootes::core::{toy_tree, BootesConfig, BootesPipeline, PipelineOutcome};
 use bootes::sparse::{CooMatrix, CsrMatrix, MatrixFingerprint};
 use bootes::workloads::drifting_sequence;
 use bootes::workloads::gen::{clustered, GenConfig};
@@ -38,23 +37,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// The deterministic in-test decision tree: NoReorder for dense matrices,
-/// k = 4 otherwise (same construction as the pipeline unit tests).
-fn toy_model() -> DecisionTree {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; FEATURE_NAMES.len()];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 2 });
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-    DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-}
-
 /// Canonical stats JSON: wall clock and hit marker stripped, everything else
 /// byte-exact.
 fn canon_json(out: &PipelineOutcome) -> String {
@@ -66,7 +48,11 @@ fn canon_json(out: &PipelineOutcome) -> String {
 fn assert_cold_warm_disk_equivalent(a: &CsrMatrix, threads: usize) {
     bootes::par::set_threads(threads);
     cache::uninstall();
-    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
+    let pipeline = BootesPipeline::new(
+        toy_tree(4).expect("4 is a candidate k"),
+        BootesConfig::default(),
+    )
+    .expect("valid model");
 
     let cold = pipeline.preprocess(a).expect("cold run");
     assert!(!cold.stats.cache_hit);
@@ -159,7 +145,11 @@ fn fingerprinted_forms_match_the_plain_ones() {
     let inputs: Vec<&CsrMatrix> = std::iter::once(&steps[0].matrix)
         .chain(steps.iter().map(|s| &s.matrix))
         .collect();
-    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
+    let pipeline = BootesPipeline::new(
+        toy_tree(4).expect("4 is a candidate k"),
+        BootesConfig::default(),
+    )
+    .expect("valid model");
     let run = |fingerprinted: bool| {
         cache::install(Cache::new(CacheConfig::memory_only(64 << 20)).expect("cache opens"));
         let outs: Vec<_> = inputs

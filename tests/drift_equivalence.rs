@@ -13,10 +13,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, ReorderArtifact};
-use bootes::core::{
-    BootesConfig, BootesPipeline, DriftConfig, Label, PipelineOutcome, FEATURE_NAMES,
-};
-use bootes::model::{Dataset, DecisionTree, TreeConfig};
+use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
 use bootes::sparse::{CsrMatrix, Permutation};
 use bootes::workloads::gen::{clustered, GenConfig};
 use bootes::workloads::{drifting_sequence, DriftStep};
@@ -37,27 +34,13 @@ fn lock_global() -> MutexGuard<'static, ()> {
     }
 }
 
-/// The deterministic in-test decision tree: NoReorder for dense matrices,
-/// k = 4 otherwise (same construction as the pipeline unit tests).
-fn toy_model() -> DecisionTree {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; FEATURE_NAMES.len()];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 2 });
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-    DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-}
-
 fn pipeline(drift: Option<DriftConfig>) -> BootesPipeline {
-    BootesPipeline::new(toy_model(), BootesConfig::default())
-        .expect("valid model")
-        .with_drift(drift)
+    BootesPipeline::new(
+        toy_tree(4).expect("4 is a candidate k"),
+        BootesConfig::default(),
+    )
+    .expect("valid model")
+    .with_drift(drift)
 }
 
 /// A clustered base whose drift steps keep exercising the Reorder branch.

@@ -271,6 +271,54 @@ fn decide_reads_the_committed_model_wrapper() {
     );
 }
 
+/// The CLI checks every command line against the subcommand's declared
+/// flags before it reads the input: a mistyped flag, a flag without its
+/// value, a removed flag and an extra argument each exit nonzero with
+/// nothing on stdout, while flags may come before the input file.
+#[test]
+fn cli_rejects_what_a_subcommand_does_not_declare() {
+    let dir = std::env::temp_dir().join(format!("bootes_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (a, b) = (dir.join("a.mtx"), dir.join("b.mtx"));
+    for path in [&a, &b] {
+        std::fs::write(
+            path,
+            "%%MatrixMarket matrix coordinate real general\n\
+             4 4 4\n1 1 1.0\n2 2 1.0\n3 3 1.0\n4 4 1.0\n",
+        )
+        .unwrap();
+    }
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let bootes = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_bootes"))
+            .args(args)
+            .output()
+            .expect("run bootes binary")
+    };
+    for (args, error) in [
+        (&["simulate", a, "--acel", "gamma"][..], "unknown flag"),
+        (&["reorder", a, "--k"], "needs a value"),
+        (&["reorder", a, "--no-fallback"], "unknown flag"),
+        (&["reorder", a, b], "unexpected argument"),
+        (&["features", a, "--no-donor"], "unknown flag"),
+    ] {
+        let out = bootes(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {stderr}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+    }
+    let reordered = dir.join("out.mtx");
+    let out = bootes(&["reorder", "-o", reordered.to_str().unwrap(), a]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(reordered.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Golden snapshots: full-pipeline output on the checked-in fixtures under
 // tests/fixtures/. Each snapshot captures the decision class, chosen k, the
@@ -281,8 +329,7 @@ fn decide_reads_the_committed_model_wrapper() {
 // ---------------------------------------------------------------------------
 
 mod golden {
-    use bootes::core::{BootesConfig, BootesPipeline, Label, FEATURE_NAMES};
-    use bootes::model::{Dataset, DecisionTree, TreeConfig};
+    use bootes::core::{toy_tree, BootesConfig, BootesPipeline};
     use bootes::sparse::io::read_matrix_market;
     use bootes::sparse::MatrixFingerprint;
     use serde::Serialize as _;
@@ -292,31 +339,17 @@ mod golden {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
     }
 
-    /// The deterministic in-test decision tree (same construction as the
-    /// pipeline unit tests): NoReorder for dense matrices, k = 4 otherwise.
-    fn toy_model() -> DecisionTree {
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..20 {
-            let dense = i % 2 == 0;
-            let mut f = vec![3.0; FEATURE_NAMES.len()];
-            f[2] = if dense { 0.9 } else { 0.001 };
-            x.push(f);
-            y.push(if dense { 0 } else { 2 });
-        }
-        let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-        let ds = Dataset::new(x, y, names, Label::N_CLASSES).expect("valid toy dataset");
-        DecisionTree::fit(&ds, &TreeConfig::default()).expect("toy tree fits")
-    }
-
     fn golden_snapshot(name: &str) -> String {
         let path = fixture_dir().join(format!("{name}.mtx"));
         let file = std::fs::File::open(&path)
             .unwrap_or_else(|e| panic!("open fixture {}: {e}", path.display()));
         let a = read_matrix_market(std::io::BufReader::new(file)).expect("valid fixture");
         let fp = MatrixFingerprint::of(&a);
-        let pipeline =
-            BootesPipeline::new(toy_model(), BootesConfig::default()).expect("valid model");
+        let pipeline = BootesPipeline::new(
+            toy_tree(4).expect("4 is a candidate k"),
+            BootesConfig::default(),
+        )
+        .expect("valid model");
         let out = pipeline
             .preprocess(&a)
             .expect("pipeline succeeds on fixtures");

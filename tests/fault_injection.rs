@@ -10,9 +10,8 @@
 //! or clear that variable for their children, so the CI fault-injection
 //! job's env matrix checks that this suite ignores ambient faults.
 
-use bootes::core::{BootesConfig, BootesPipeline, FallbackReorderer, Label, SpectralReorderer};
+use bootes::core::{toy_tree, BootesConfig, BootesPipeline, FallbackReorderer, SpectralReorderer};
 use bootes::guard::{Budget, GuardError, ScopedFailpoints};
-use bootes::model::{Dataset, DecisionTree, TreeConfig};
 use bootes::reorder::Reorderer;
 use bootes::sparse::ops::{similarity_matrix, spgemm};
 use bootes::sparse::{CsrMatrix, SparseError};
@@ -183,32 +182,10 @@ fn fallback_counters_name_the_failed_rung() {
     assert_eq!(counter("guard.failpoint"), Some(1));
 }
 
-/// Toy decision tree over the real feature universe: NoReorder for dense
-/// matrices, `k = 4` for sparse ones (mirrors the unit-test model in
-/// `bootes-core`).
-fn toy_model() -> DecisionTree {
-    let n_features = bootes::core::FEATURE_NAMES.len();
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..20 {
-        let dense = i % 2 == 0;
-        let mut f = vec![3.0; n_features];
-        f[2] = if dense { 0.9 } else { 0.001 };
-        x.push(f);
-        y.push(if dense { 0 } else { 2 });
-    }
-    let names = bootes::core::FEATURE_NAMES
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).unwrap();
-    DecisionTree::fit(&ds, &TreeConfig::default()).unwrap()
-}
-
 #[test]
 fn pipeline_preprocess_survives_faults_and_reports_degradation() {
     let _fp = ScopedFailpoints::arm("lanczos.restart=err").unwrap();
-    let pipeline = BootesPipeline::new(toy_model(), BootesConfig::default()).unwrap();
+    let pipeline = BootesPipeline::new(toy_tree(4).unwrap(), BootesConfig::default()).unwrap();
     let a = matrix();
     let out = pipeline.preprocess(&a).expect("pipeline must degrade");
     assert!(out.decision.should_reorder());

@@ -6,7 +6,10 @@
 //! - a clean re-run of the blessed baseline passes under `-D`,
 //! - a missing baseline directory warns but never fails the gate,
 //! - `bootes perf bless` freezes the latest history run as the baseline,
-//! - the threshold flags (`--rel-threshold`, ...) widen the gate.
+//! - the threshold flags (`--rel-threshold`, ...) widen the gate,
+//! - a mistyped, unknown or valueless flag fails `perf diff` before it
+//!   diffs, and `--help` prints the usage instead of a diff,
+//! - `perf bless` with named benches blesses only those.
 //!
 //! The synthetic histories/baselines are written through the public
 //! `bootes::perf` API, so these tests also pin the on-disk formats the CI
@@ -174,5 +177,61 @@ fn threshold_flags_widen_the_gate() {
     let text = stdout_of(&out);
     assert!(out.status.success(), "widened gate must pass: {text}");
     assert!(text.contains("PASS"), "{text}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn malformed_diff_flags_fail_before_any_diff() {
+    let root = scratch_root("malformed");
+    bless(
+        &root,
+        "gate_bench",
+        &[measurement("gate_bench", "kernel", 10.0, 100)],
+    )
+    .unwrap();
+    append_history(&root, &[measurement("gate_bench", "kernel", 20.0, 200)]).unwrap();
+
+    // `-d` for `-D` must not turn the gate into a report that always passes.
+    for extra in [&["-d"][..], &["--bogus-flag"], &["--rel-threshold"]] {
+        let out = perf_diff(&root, extra);
+        let text = stdout_of(&out);
+        assert!(!out.status.success(), "perf diff {extra:?} must fail");
+        assert!(
+            !text.contains("bench/case"),
+            "{extra:?} ran the diff: {text}"
+        );
+    }
+    let help = perf_diff(&root, &["--help"]);
+    let text = stdout_of(&help);
+    assert!(help.status.success(), "--help must exit 0: {text}");
+    assert!(text.contains("usage:"), "{text}");
+    assert!(!text.contains("bench/case"), "--help ran the diff: {text}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn bless_named_bench_blesses_only_that_bench() {
+    let root = scratch_root("bless-named");
+    append_history(&root, &[measurement("perf_smoke", "kernel", 10.0, 100)]).unwrap();
+    append_history(&root, &[measurement("other_bench", "kernel", 10.0, 100)]).unwrap();
+
+    let baselines = root.join("baselines");
+    let out = run_bootes(&[
+        "perf",
+        "bless",
+        "--baseline",
+        baselines.to_str().unwrap(),
+        "perf_smoke",
+    ]);
+    assert!(
+        out.status.success(),
+        "bless must succeed: {}",
+        stdout_of(&out)
+    );
+    let written: Vec<String> = std::fs::read_dir(&baselines)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(written, ["perf_smoke.json"]);
     let _ = std::fs::remove_dir_all(&root);
 }
