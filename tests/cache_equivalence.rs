@@ -9,10 +9,11 @@
 //! processes, so no other suite can observe the installed cache.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
-use bootes::core::{toy_tree, BootesConfig, BootesPipeline, PipelineOutcome};
+use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
+use bootes::guard::ScopedFailpoints;
 use bootes::sparse::{CooMatrix, CsrMatrix, MatrixFingerprint};
 use bootes::workloads::drifting_sequence;
 use bootes::workloads::gen::{clustered, GenConfig};
@@ -185,6 +186,137 @@ fn fingerprinted_forms_match_the_plain_ones() {
         assert_eq!(p.0.stats.cache_hit, f.0.stats.cache_hit, "run {i}");
         assert_eq!(canon_json(&p.0), canon_json(&f.0), "run {i}");
     }
+}
+
+/// What one `preprocess` leaves behind in a memory-only cache, branch by
+/// branch: a NoReorder verdict and a pipeline without drift store no sketch,
+/// a degraded run stores no permutation, a failed donor probe still
+/// publishes the query's clean entry and its sketch, and an exact hit on a
+/// respliced matrix replays the resplice's donor record.
+#[test]
+fn preprocess_publishes_what_each_branch_produced() {
+    let _guard = lock_global();
+    bootes::par::set_threads(1);
+    let drift = DriftConfig::default();
+    let pipeline = BootesPipeline::new(
+        toy_tree(4).expect("4 is a candidate k"),
+        BootesConfig::default(),
+    )
+    .expect("valid model");
+    let no_drift = pipeline.clone().with_drift(None);
+    // Runs `p` over `inputs` against a fresh cache, with `faults` armed for
+    // the last input only; returns the cache and the last outcome.
+    let run = |p: &BootesPipeline, inputs: &[&CsrMatrix], faults: &str| {
+        cache::install(Cache::new(CacheConfig::memory_only(64 << 20)).expect("cache opens"));
+        let (last, before) = inputs.split_last().expect("one input at least");
+        for a in before {
+            p.preprocess(a).expect("preprocess");
+        }
+        let armed = ScopedFailpoints::arm(faults).expect("failpoints arm");
+        let out = p.preprocess(last).expect("preprocess survives faults");
+        drop(armed);
+        let cache: Arc<Cache> = cache::uninstall().expect("installed");
+        (cache, out)
+    };
+    // The decision, reorder and sketch entries `a` may leave behind.
+    let stored = |cache: &Cache, a: &CsrMatrix| {
+        let fp = MatrixFingerprint::of(a);
+        let sketch = CacheKey {
+            kind: ArtifactKind::Sketch,
+            pattern: fp.pattern,
+            config: drift.sketch_config_hash(),
+        };
+        (
+            cache.get(&pipeline.decision_key_of(&fp)),
+            cache.get(&pipeline.reorder_key_of(&fp)),
+            cache.get(&sketch),
+        )
+    };
+
+    let mut coo = CooMatrix::new(16, 16);
+    for r in 0..16 {
+        for c in 0..14 {
+            coo.push(r, c, 1.0).expect("in range");
+        }
+    }
+    let dense = coo.to_csr();
+    let (c, out) = run(&pipeline, &[&dense], "");
+    assert!(
+        !out.decision.should_reorder(),
+        "dense input is not reordered"
+    );
+    let (decision, reorder, sketch) = stored(&c, &dense);
+    assert!(matches!(decision, Some(Artifact::Decision(_))));
+    assert!(matches!(reorder, Some(Artifact::Reorder(_))));
+    assert!(sketch.is_none(), "a NoReorder verdict stores no sketch");
+    assert_eq!(c.stats().entries, 2);
+
+    let base = clustered(&GenConfig::new(96, 96).seed(0xD81F7), 4, 0.9).expect("valid generator");
+    let steps = drifting_sequence(&base, 1, 0.03, 0xD81F7).expect("valid drift sequence");
+    let (a, b) = (&steps[0].matrix, &steps[1].matrix);
+
+    // Decision, Ritz pairs, permutation and sketch.
+    let (c, out) = run(&pipeline, &[a], "");
+    assert!(out.decision.should_reorder());
+    let (decision, reorder, sketch) = stored(&c, a);
+    assert!(matches!(decision, Some(Artifact::Decision(_))));
+    assert!(matches!(reorder, Some(Artifact::Reorder(r)) if r.permutation == out.permutation));
+    assert_eq!(
+        sketch,
+        Some(Artifact::Sketch(bootes::drift::sketch_of(a, &drift)))
+    );
+    assert_eq!(c.stats().entries, 4);
+
+    let (c, _) = run(&no_drift, &[a], "");
+    let (decision, reorder, sketch) = stored(&c, a);
+    assert!(matches!(decision, Some(Artifact::Decision(_))));
+    assert!(matches!(reorder, Some(Artifact::Reorder(_))));
+    assert!(
+        sketch.is_none(),
+        "a pipeline without drift stores no sketch"
+    );
+    assert_eq!(c.stats().entries, 3);
+
+    // A degraded run keeps its decision (and the Ritz pairs of a solve that
+    // finished) but publishes neither permutation nor sketch.
+    for (faults, entries) in [("lanczos.restart=err", 1), ("kmeans.iter=err", 2)] {
+        let (c, out) = run(&pipeline, &[a], faults);
+        assert!(out.stats.is_degraded(), "{faults}");
+        let (decision, reorder, sketch) = stored(&c, a);
+        assert!(matches!(decision, Some(Artifact::Decision(_))), "{faults}");
+        assert!(reorder.is_none(), "{faults}: no degraded permutation");
+        assert!(sketch.is_none(), "{faults}: no sketch");
+        assert_eq!(c.stats().entries, entries, "{faults}");
+    }
+
+    // A donor was cached, but the probe fails: `b` runs cold and is
+    // published with its sketch and without donor fields.
+    let (c, out) = run(&pipeline, &[a, b], "drift.donor=err");
+    assert_eq!(out.stats.donor_fingerprint, None);
+    let (_, reorder, sketch) = stored(&c, b);
+    let Some(Artifact::Reorder(r)) = reorder else {
+        panic!("b's permutation is stored");
+    };
+    assert_eq!(r.permutation, out.permutation);
+    assert_eq!(r.stats.donor_fingerprint, None);
+    assert!(!r.stats.drift_fallback);
+    assert_eq!(r.stats.rows_respliced, 0);
+    assert_eq!(
+        sketch,
+        Some(Artifact::Sketch(bootes::drift::sketch_of(b, &drift)))
+    );
+
+    // `b` resplices `a`'s permutation; an exact hit on `b` replays the
+    // donor record.
+    let (_, hit) = run(&pipeline, &[a, b, b], "");
+    let donor_hex = format!("{:016x}", MatrixFingerprint::of(a).pattern);
+    assert!(hit.stats.cache_hit, "the second run of b hits");
+    assert_eq!(
+        hit.stats.donor_fingerprint.as_deref(),
+        Some(donor_hex.as_str())
+    );
+    assert!(hit.stats.rows_respliced > 0, "b was respliced");
+    assert!(!hit.stats.drift_fallback);
 }
 
 /// A corrupted on-disk entry must quarantine (not panic, not deserialize
