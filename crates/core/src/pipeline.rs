@@ -9,11 +9,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bootes_cache::{
-    Artifact, ArtifactKind, CacheKey, DecisionArtifact, ReorderArtifact, SketchArtifact,
+    Artifact, ArtifactKind, Cache, CacheKey, DecisionArtifact, ReorderArtifact, SketchArtifact,
 };
-use bootes_drift::{
-    changed_rows, resplice, row_pattern_hashes, sketch_of, DriftConfig, SimilarityIndex,
-};
+use bootes_drift::{changed_rows, resplice, sketch_of, DriftConfig, SimilarityIndex};
 use bootes_guard::GuardError;
 use bootes_model::{Dataset, DecisionTree, ModelError, TreeConfig};
 use bootes_reorder::lsh::MatrixSketch;
@@ -346,12 +344,12 @@ pub struct BootesPipeline {
     model_hash: u64,
 }
 
-/// Result of the drift donor probe on an exact reorder-key miss.
+/// The donor stage's verdict on an exact reorder-key miss.
 enum DonorProbe {
-    /// No donor qualified (or the path is disabled); run cold, unmarked.
+    /// No donor qualified (or the probe failed); run cold, unmarked.
     NoDonor,
-    /// A donor qualified but the drift decision rejected it; run cold with
-    /// the decision recorded in the stats.
+    /// A donor qualified but the drift decision rejected it; run cold and
+    /// record the decision on the returned stats.
     Fallback { donor_hex: String },
     /// The donor was respliced; no recompute needed.
     Respliced {
@@ -465,19 +463,27 @@ impl BootesPipeline {
             MatrixFingerprint::of(a),
             "fingerprint of another matrix"
         );
+        self.decide_in(bootes_cache::global().as_deref(), a, fp)
+    }
+
+    /// The decide stage: the verdict stored in `cache` under `fp`'s decision
+    /// key, else the tree's, which is then stored there.
+    fn decide_in(
+        &self,
+        cache: Option<&Cache>,
+        a: &CsrMatrix,
+        fp: &MatrixFingerprint,
+    ) -> Result<Decision, ModelError> {
         let _span = bootes_obs::span!("pipeline.decide");
-        let cache = bootes_cache::global();
-        let key = cache.as_ref().map(|_| self.decision_key_of(fp));
-        if let (Some(cache), Some(key)) = (&cache, key) {
-            if let Some(Artifact::Decision(hit)) = cache.get(&key) {
-                return Ok(Decision {
-                    label: Label::from_class(hit.class)?,
-                });
-            }
+        let key = self.decision_key_of(fp);
+        if let Some(Artifact::Decision(hit)) = cache.and_then(|c| c.get(&key)) {
+            return Ok(Decision {
+                label: Label::from_class(hit.class)?,
+            });
         }
         let features = MatrixFeatures::extract(a).to_vec();
         let class = self.model.predict(&features)?;
-        if let (Some(cache), Some(key)) = (&cache, key) {
+        if let Some(cache) = cache {
             cache.put(
                 key,
                 Artifact::Decision(DecisionArtifact { features, class }),
@@ -488,69 +494,47 @@ impl BootesPipeline {
         })
     }
 
-    /// Looks for a near-identical cached permutation to resplice instead of
-    /// recomputing. Only called on an exact reorder-key miss with a global
-    /// cache installed. `mem` is touched *only* on a successful resplice: the
-    /// `NoDonor` and `Fallback` exits leave the tracker untouched so a cold
-    /// recompute's `peak_bytes` stays bit-identical to a run without the
-    /// donor path.
-    ///
-    /// Alongside the probe result, returns the query's own [`SketchArtifact`]
-    /// on every exit after the query was sketched — `preprocess` stores it at
-    /// cache-put time instead of sketching the same matrix twice.
-    fn probe_donor(
+    /// The donor stage, run on an exact reorder-key miss with a reorder
+    /// verdict: finds the cached pattern whose sketch is nearest `query`
+    /// (`a`'s own) and resplices its permutation, unless too many rows
+    /// changed. `mem` is charged *only* on a resplice, so a cold recompute's
+    /// `peak_bytes` stays bit-identical to a run without the donor path.
+    fn donor(
         &self,
+        cache: &Cache,
+        drift: &DriftConfig,
         a: &CsrMatrix,
         key: &CacheKey,
+        query: &SketchArtifact,
         mem: &mut MemTracker,
-    ) -> (DonorProbe, Option<SketchArtifact>) {
-        let Some(drift) = &self.drift else {
-            return (DonorProbe::NoDonor, None);
-        };
-        let Some(cache) = bootes_cache::global() else {
-            return (DonorProbe::NoDonor, None);
-        };
+    ) -> DonorProbe {
         // Failpoint: simulate an unavailable donor index (`drift.donor=err`).
         if bootes_guard::fail_point("drift.donor").is_err() {
-            return (DonorProbe::NoDonor, None);
+            return DonorProbe::NoDonor;
         }
-        let candidates = cache.sketch_candidates(drift.sketch_config_hash());
-        if candidates.is_empty() {
-            return (DonorProbe::NoDonor, None);
-        }
-        let query = MatrixSketch::compute(a, drift.siglen, drift.seed);
-        // Identical to `sketch_of(a, drift)`: same hash family, same knobs.
-        let our_sketch = SketchArtifact {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            siglen: drift.siglen,
-            seed: drift.seed,
-            sketch: query.values().to_vec(),
-            row_hashes: row_pattern_hashes(a),
-        };
-        let index = SimilarityIndex::new(candidates);
-        let Some(donor) = index.best_donor(&query, a.nrows(), a.ncols(), key.pattern, drift.floor)
+        let index = SimilarityIndex::new(cache.sketch_candidates(drift.sketch_config_hash()));
+        let sketch = MatrixSketch::from_values(query.sketch.clone());
+        let Some(donor) = index.best_donor(&sketch, a.nrows(), a.ncols(), key.pattern, drift.floor)
         else {
-            return (DonorProbe::NoDonor, Some(our_sketch));
+            return DonorProbe::NoDonor;
         };
-        let donor_hex = format!("{:016x}", donor.pattern);
         // The donor's permutation must exist under the *same* config hash and
         // span exactly our row count; anything else is quarantined inside
         // `reorder_donor` and the probe reports no donor. Its full sketch
         // artifact carries the per-row hashes the changed-set diff needs.
         let Some(art) = cache.reorder_donor(donor.pattern, key.config, a.nrows()) else {
-            return (DonorProbe::NoDonor, Some(our_sketch));
+            return DonorProbe::NoDonor;
         };
         let Some(donor_sketch) = cache.sketch_donor(donor.pattern, drift.sketch_config_hash())
         else {
-            return (DonorProbe::NoDonor, Some(our_sketch));
+            return DonorProbe::NoDonor;
         };
         bootes_obs::counter_add("drift.donor_hits", 1);
-        let changed = changed_rows(&donor_sketch.row_hashes, &our_sketch.row_hashes);
+        let donor_hex = format!("{:016x}", donor.pattern);
+        let changed = changed_rows(&donor_sketch.row_hashes, &query.row_hashes);
         if drift.should_fallback(changed.len(), a.nrows()) {
             bootes_obs::counter_add("drift.fallbacks", 1);
-            return (DonorProbe::Fallback { donor_hex }, Some(our_sketch));
+            return DonorProbe::Fallback { donor_hex };
         }
         match resplice(a, &art.permutation, &changed) {
             Ok(permutation) => {
@@ -564,26 +548,25 @@ impl BootesPipeline {
                         + a.nnz() * std::mem::size_of::<usize>()
                         + (a.nrows() + permutation.len()) * std::mem::size_of::<usize>(),
                 );
-                (
-                    DonorProbe::Respliced {
-                        permutation,
-                        donor_hex,
-                        rows: changed.len(),
-                    },
-                    Some(our_sketch),
-                )
+                DonorProbe::Respliced {
+                    permutation,
+                    donor_hex,
+                    rows: changed.len(),
+                }
             }
             Err(e) => {
                 bootes_obs::counter_add("drift.fallbacks", 1);
                 eprintln!(
                     "warning: drift resplice from donor {donor_hex} failed, recomputing: {e}"
                 );
-                (DonorProbe::Fallback { donor_hex }, Some(our_sketch))
+                DonorProbe::Fallback { donor_hex }
             }
         }
     }
 
-    /// Runs the full preprocessing: decide, then reorder if advised.
+    /// Runs the full preprocessing in fixed stages: exact lookup, decide,
+    /// the drift donor (on a reorder verdict only), the fallback chain
+    /// (unless a donor was respliced), then publication of a clean result.
     ///
     /// # Errors
     ///
@@ -596,7 +579,7 @@ impl BootesPipeline {
     /// fingerprint (`fp` must be `MatrixFingerprint::of(a)`): the serving
     /// daemon hashes each matrix once for its singleflight key and passes
     /// the fingerprint on. One fingerprint serves both the reorder key and
-    /// the decision key; it is only consulted when a global cache is
+    /// the decision key, which are only looked up when a global cache is
     /// installed.
     ///
     /// # Errors
@@ -607,134 +590,118 @@ impl BootesPipeline {
         a: &CsrMatrix,
         fp: &MatrixFingerprint,
     ) -> Result<PipelineOutcome, PipelineError> {
+        debug_assert_eq!(
+            *fp,
+            MatrixFingerprint::of(a),
+            "fingerprint of another matrix"
+        );
         let scope = StatsScope::start("bootes-pipeline", "pipeline.preprocess");
-        let key = bootes_cache::global().map(|_| self.reorder_key_of(fp));
-        if let (Some(cache), Some(key)) = (bootes_cache::global(), key) {
-            if let Some(Artifact::Reorder(hit)) = cache.get(&key) {
-                // The decision is served from its own (pattern-keyed) cache
-                // entry, so a warm pipeline re-derives nothing but the
-                // feature lookup. The stored stats are the cold run's; only
-                // the wall clock and the hit marker are restamped, so
-                // `ReorderStats::canonical` of a hit equals the cold stats.
-                let decision = self.decide_fingerprinted(a, fp)?;
-                let mut stats = hit.stats;
-                stats.elapsed = scope.elapsed();
-                stats.cache_hit = true;
-                return Ok(PipelineOutcome {
-                    decision,
-                    permutation: hit.permutation,
-                    stats,
-                });
-            }
+        let cache = bootes_cache::global();
+        let cache = cache.as_deref();
+        let key = self.reorder_key_of(fp);
+        if let Some(Artifact::Reorder(hit)) = cache.and_then(|c| c.get(&key)) {
+            // The decision is served from its own (pattern-keyed) cache
+            // entry, so a warm pipeline re-derives nothing but the feature
+            // lookup. The stored stats are the cold run's; only the wall
+            // clock and the hit marker are restamped, so
+            // `ReorderStats::canonical` of a hit equals the cold stats.
+            let decision = self.decide_in(cache, a, fp)?;
+            let mut stats = hit.stats;
+            stats.elapsed = scope.elapsed();
+            stats.cache_hit = true;
+            return Ok(PipelineOutcome {
+                decision,
+                permutation: hit.permutation,
+                stats,
+            });
         }
         let mut mem = MemTracker::new();
         // Feature vector fed to the decision tree (tiny, but every exit path
         // must report the tracker's actual high-water mark, never zero).
         mem.alloc(crate::FEATURE_NAMES.len() * std::mem::size_of::<f64>());
-        let decision = self.decide_fingerprinted(a, fp)?;
-        // The query sketch computed by a donor probe, reused at cache-put
-        // time so the stored sketch does not cost a second O(nnz) pass.
-        let mut probed_sketch: Option<SketchArtifact> = None;
-        let outcome = match decision.label {
-            Label::NoReorder => {
+        let decision = self.decide_in(cache, a, fp)?;
+        // The exact key missed; a near-identical pattern may still have a
+        // cached permutation worth resplicing (a donor is an accelerated
+        // miss, not a hit). The query's sketch is taken once: the donor
+        // stage compares it and publication stores it.
+        let donor_path = match (decision.should_reorder(), cache, &self.drift) {
+            (true, Some(cache), Some(drift)) => Some((cache, drift, sketch_of(a, drift))),
+            _ => None,
+        };
+        let probe = match &donor_path {
+            Some((cache, drift, query)) => self.donor(cache, drift, a, &key, query, &mut mem),
+            None => DonorProbe::NoDonor,
+        };
+        let (permutation, mut stats, fallback_donor) = match (decision.label, probe) {
+            (Label::NoReorder, _) => {
                 mem.alloc(a.nrows() * std::mem::size_of::<usize>());
-                PipelineOutcome {
-                    decision,
-                    permutation: Permutation::identity(a.nrows()),
-                    stats: scope.stats(&mem),
-                }
+                (Permutation::identity(a.nrows()), scope.stats(&mem), None)
             }
-            Label::Reorder(k) => {
-                // Exact key missed; a near-identical pattern may still have a
-                // cached permutation worth resplicing (a donor is an
-                // accelerated miss, not a hit).
-                let probe = match &key {
-                    Some(key) => {
-                        let (probe, sketch) = self.probe_donor(a, key, &mut mem);
-                        probed_sketch = sketch;
-                        probe
-                    }
-                    None => DonorProbe::NoDonor,
+            (
+                _,
+                DonorProbe::Respliced {
+                    permutation,
+                    donor_hex,
+                    rows,
+                },
+            ) => {
+                let mut stats = scope.stats(&mem);
+                stats.donor_fingerprint = Some(donor_hex);
+                stats.rows_respliced = rows;
+                (permutation, stats, None)
+            }
+            (Label::Reorder(k), probe) => {
+                let out = FallbackReorderer::new(self.config.clone().with_k(k)).reorder(a)?;
+                mem.alloc(out.stats.peak_bytes);
+                let mut stats = scope.stats(&mem);
+                // Surface the chain's degradation record on the pipeline's
+                // own stats so callers see it without unwrapping the outcome.
+                stats.degraded_from = out.stats.degraded_from;
+                stats.degrade_reason = out.stats.degrade_reason;
+                let fallback_donor = match probe {
+                    DonorProbe::Fallback { donor_hex } => Some(donor_hex),
+                    _ => None,
                 };
-                match probe {
-                    DonorProbe::Respliced {
-                        permutation,
-                        donor_hex,
-                        rows,
-                    } => {
-                        let mut stats = scope.stats(&mem);
-                        stats.donor_fingerprint = Some(donor_hex);
-                        stats.rows_respliced = rows;
-                        PipelineOutcome {
-                            decision,
-                            permutation,
-                            stats,
-                        }
-                    }
-                    probe => {
-                        let cfg = self.config.clone().with_k(k);
-                        let out = FallbackReorderer::new(cfg).reorder(a)?;
-                        mem.alloc(out.stats.peak_bytes);
-                        let mut stats = scope.stats(&mem);
-                        // Surface the chain's degradation record on the
-                        // pipeline's own stats so callers see it without
-                        // unwrapping the outcome.
-                        stats.degraded_from = out.stats.degraded_from;
-                        stats.degrade_reason = out.stats.degrade_reason;
-                        if let DonorProbe::Fallback { donor_hex } = probe {
-                            stats.donor_fingerprint = Some(donor_hex);
-                            stats.drift_fallback = true;
-                        }
-                        PipelineOutcome {
-                            decision,
-                            permutation: out.permutation,
-                            stats,
-                        }
-                    }
-                }
+                (out.permutation, stats, fallback_donor)
             }
         };
         // Degraded outcomes are transient (the budget or failpoint that
         // forced the step-down is not part of the key), so only clean runs
-        // are cached.
-        if !outcome.stats.is_degraded() {
-            if let (Some(cache), Some(key)) = (bootes_cache::global(), key) {
-                let mut stored = outcome.stats.clone();
-                if stored.drift_fallback {
-                    // A drift fallback *recomputed* from scratch, so the
-                    // artifact is a pure cold result: strip the fallback
-                    // record before storing, or a later exact hit would
-                    // replay a donor decision that never shaped the
-                    // permutation. A resplice keeps its donor fields — they
-                    // are genuine provenance of the stored permutation.
-                    stored.drift_fallback = false;
-                    stored.donor_fingerprint = None;
-                }
+        // are cached, along with the sketch that lets this pattern donate to
+        // future near-identical matrices.
+        if let Some(cache) = cache.filter(|_| !stats.is_degraded()) {
+            cache.put(
+                key,
+                Artifact::Reorder(ReorderArtifact {
+                    permutation: permutation.clone(),
+                    stats: stats.clone(),
+                }),
+            );
+            if let Some((_, drift, sketch)) = donor_path {
                 cache.put(
-                    key,
-                    Artifact::Reorder(ReorderArtifact {
-                        permutation: outcome.permutation.clone(),
-                        stats: stored,
-                    }),
+                    CacheKey {
+                        kind: ArtifactKind::Sketch,
+                        pattern: key.pattern,
+                        config: drift.sketch_config_hash(),
+                    },
+                    Artifact::Sketch(sketch),
                 );
-                // Publish our sketch so this pattern can donate to future
-                // near-identical matrices.
-                if decision.should_reorder() {
-                    if let Some(drift) = &self.drift {
-                        let sketch = probed_sketch.take().unwrap_or_else(|| sketch_of(a, drift));
-                        cache.put(
-                            CacheKey {
-                                kind: ArtifactKind::Sketch,
-                                pattern: key.pattern,
-                                config: drift.sketch_config_hash(),
-                            },
-                            Artifact::Sketch(sketch),
-                        );
-                    }
-                }
             }
         }
-        Ok(outcome)
+        // A drift fallback recomputed from scratch, so what was stored above
+        // is a pure cold result; only the returned copy records the donor
+        // decision, which a later exact hit must not replay. A resplice
+        // stored its donor fields: they are the provenance of its
+        // permutation.
+        if let Some(donor_hex) = fallback_donor {
+            stats.donor_fingerprint = Some(donor_hex);
+            stats.drift_fallback = true;
+        }
+        Ok(PipelineOutcome {
+            decision,
+            permutation,
+            stats,
+        })
     }
 }
 
