@@ -1,7 +1,7 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (row-wise and tiled SpGEMM, SpMV, similarity,
-//! one implicit-Laplacian application, the Lanczos eigensolve,
+//! Measures the hot kernels (row-wise and tiled SpGEMM, similarity, one
+//! implicit-Laplacian application, the Lanczos eigensolve,
 //! `kmeans_threads` on synthetic points, and the accelerator simulator's
 //! `A · A` on Flexagon) and the whole spectral reorderer (`k = 8`: Laplacian,
 //! eigensolve, k-means and the within-cluster chain, with no cache
@@ -65,10 +65,6 @@ fn main() {
     });
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
     let mut y = vec![0.0; n];
-    runner.measure(&format!("spmv/t{threads}"), || {
-        a.par_matvec_into(&x, &mut y, threads);
-        y[0]
-    });
     // One application of the implicit normalized Laplacian, then the
     // eigensolve that runs on it: 16 vectors, 8 of them gated on `tol`.
     let laplacian = ImplicitNormalizedLaplacian::new(&a);

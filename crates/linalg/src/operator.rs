@@ -29,9 +29,7 @@ impl LinearOperator for CsrMatrix {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Chunked SpMV, bit-identical to the serial matvec (small matrices
-        // take the serial path inside par_matvec_into).
-        self.par_matvec_into(x, y, bootes_par::threads());
+        self.matvec_into(x, y);
     }
 }
 

@@ -334,16 +334,29 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "matvec input length");
         assert_eq!(y.len(), self.nrows, "matvec output length");
-        self.dot_rows(0, x, y);
+        for (r, yr) in y.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for idx in self.indptr[r]..self.indptr[r + 1] {
+                acc += self.values[idx] * x[self.indices[idx]];
+            }
+            *yr = acc;
+        }
     }
 
-    /// [`Self::matvec_into`] over an explicit number of worker threads.
+    /// `y[r] = Σ x[j]` over the columns `j` of row `r`, ignoring the stored
+    /// values: the product of the matrix's binary pattern with `x`, over an
+    /// explicit number of worker threads.
     ///
-    /// `y` is split into nnz-weighted contiguous row chunks (oversubscribed
-    /// past the worker count so the pool can load-balance dynamically), each
-    /// written with the identical per-row dot product — bit-identical to the
-    /// serial matvec for every thread count. Falls back to the serial loop
-    /// for matrices too small to amortize dispatch.
+    /// Each row sums in column-index order from `0.0`, so on a matrix whose
+    /// values are all `1.0` (a [`Self::to_binary`] pattern) this equals
+    /// [`Self::matvec_into`] bit for bit (`1.0 · v == v`), without loading a
+    /// value or multiplying. Four rows advance side by side over their
+    /// common length, then each finishes its own tail, so four independent
+    /// add chains overlap. `y` is split into nnz-weighted contiguous row
+    /// chunks (oversubscribed past the worker count so the pool can
+    /// load-balance dynamically) in the `spmv` region; at 1 thread or below
+    /// 2^14 nonzeros the rows run serially. Every thread count gives the
+    /// same bits.
     ///
     /// # Panics
     ///
@@ -352,63 +365,22 @@ impl CsrMatrix {
     /// `par.worker` failpoint) as a panic: the `LinearOperator::apply` this
     /// backs has no error channel, so the fallback chain catches it at its
     /// rung boundary.
-    pub fn par_matvec_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        // Multiply + add per nonzero; traffic reads value + column index +
-        // gathered x element per nonzero and writes y once.
-        self.spmv_chunks(x, y, threads, 2, 24, |start, chunk| {
-            self.dot_rows(start, x, chunk);
-        });
-    }
-
-    /// `y[r] = Σ x[j]` over the columns `j` of row `r`, ignoring the stored
-    /// values: the product of the matrix's binary pattern with `x`.
-    ///
-    /// Each row sums in column-index order from `0.0`, so on a matrix whose
-    /// values are all `1.0` (a [`Self::to_binary`] pattern) this equals
-    /// [`Self::par_matvec_into`] bit for bit (`1.0 · v == v`), without
-    /// loading a value or multiplying. Four rows advance side by side over
-    /// their common length, then each finishes its own tail, so four
-    /// independent add chains overlap. Chunking, the serial fallback, the
-    /// `spmv` region and the panic on a worker fault are those of
-    /// [`Self::par_matvec_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::par_matvec_into`].
     pub fn par_pattern_matvec_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        // One add per nonzero; traffic reads the column index and the
-        // gathered x element per nonzero and writes y once.
-        self.spmv_chunks(x, y, threads, 1, 16, |start, chunk| {
-            self.pattern_rows(start, x, chunk);
-        });
-    }
-
-    /// The chunk driver behind both SpMVs: checks the lengths, counts
-    /// `flops_per_nnz`/`bytes_per_nnz` (plus one `y` write per row) under
-    /// `kernel=spmv`, and runs `rows(start, chunk)` over nnz-weighted row
-    /// chunks of `y`, serially at 1 thread or below 2^14 nonzeros.
-    fn spmv_chunks(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-        flops_per_nnz: u64,
-        bytes_per_nnz: u64,
-        rows: impl Fn(usize, &mut [f64]) + Sync,
-    ) {
         assert_eq!(x.len(), self.ncols, "matvec input length");
         assert_eq!(y.len(), self.nrows, "matvec output length");
         if bootes_obs::enabled() {
+            // One add per nonzero; traffic reads the column index and the
+            // gathered x element per nonzero and writes y once.
             let nnz = self.nnz() as u64;
-            bootes_obs::counter_add("kernel.flops{kernel=spmv}", flops_per_nnz * nnz);
+            bootes_obs::counter_add("kernel.flops{kernel=spmv}", nnz);
             bootes_obs::counter_add(
                 "kernel.bytes{kernel=spmv}",
-                bytes_per_nnz * nnz + 8 * self.nrows as u64,
+                16 * nnz + 8 * self.nrows as u64,
             );
         }
         let small = threads <= 1 || self.nnz() < 1 << 14;
         if small && !bootes_obs::enabled() {
-            return rows(0, y);
+            return self.pattern_rows(0, x, y);
         }
         // While profiling, even the serial fallback routes through the
         // attributed combinator so the `spmv` region accrues wall time.
@@ -422,22 +394,10 @@ impl CsrMatrix {
             (self.indptr[r + 1] - self.indptr[r]) as u64
         });
         let res = bootes_par::for_each_chunk_mut("spmv", workers, y, &ranges, |_, range, chunk| {
-            rows(range.start, chunk)
+            self.pattern_rows(range.start, x, chunk)
         });
         if let Err(e) = res {
             panic!("{e}");
-        }
-    }
-
-    /// The dot products of rows `start..start + out.len()` with `x`, one
-    /// row at a time.
-    fn dot_rows(&self, start: usize, x: &[f64], out: &mut [f64]) {
-        for (r, yr) in (start..).zip(out.iter_mut()) {
-            let mut acc = 0.0;
-            for idx in self.indptr[r]..self.indptr[r + 1] {
-                acc += self.values[idx] * x[self.indices[idx]];
-            }
-            *yr = acc;
         }
     }
 
@@ -600,35 +560,6 @@ mod tests {
         assert!(a.matvec(&[1.0]).is_err());
     }
 
-    #[test]
-    fn par_matvec_is_bit_identical_to_serial() {
-        // Large enough to cross the parallel-path nnz threshold.
-        let n = 200usize;
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for r in 0..n {
-            for c in 0..n {
-                if (r * 31 + c * 17) % 2 == 0 {
-                    indices.push(c);
-                    values.push(((r * c) % 13) as f64 * 0.37 - 1.1);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        let a = CsrMatrix::from_parts_unchecked(n, n, indptr, indices, values);
-        assert!(a.nnz() >= 1 << 14);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut serial = vec![0.0; n];
-        a.matvec_into(&x, &mut serial);
-        for threads in [1usize, 2, 3, 7] {
-            let mut par = vec![f64::NAN; n];
-            a.par_matvec_into(&x, &mut par, threads);
-            assert_eq!(par, serial, "threads {threads}");
-        }
-    }
-
     /// Strategy: a matrix with any row count (so four-row groups leave
     /// every remainder) whose rows keep each column at their own rate, from
     /// empty rows to full ones in one matrix, with arbitrary stored values;
@@ -676,13 +607,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// The pattern product equals `par_matvec_into` on the binary
-        /// pattern bit for bit, and ignores the stored values.
+        /// The pattern product equals `matvec_into` on the binary pattern
+        /// bit for bit, and ignores the stored values.
         #[test]
         fn pattern_matvec_equals_the_binary_matvec((a, x) in ragged_with_x(23, 40)) {
             let bin = a.to_binary();
             let mut want = vec![f64::NAN; a.nrows()];
-            bin.par_matvec_into(&x, &mut want, 1);
+            bin.matvec_into(&x, &mut want);
             for m in [&a, &bin] {
                 let mut got = vec![f64::NAN; a.nrows()];
                 m.par_pattern_matvec_into(&x, &mut got, 1);

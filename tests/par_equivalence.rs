@@ -79,32 +79,13 @@ proptest! {
             );
         }
     }
-
-    /// SpMV is bit-identical across thread counts.
-    #[test]
-    fn spmv_bit_identical_across_threads(
-        a in matrix(24, 120),
-        seed in -2.0f64..2.0,
-    ) {
-        let x: Vec<f64> = (0..a.ncols()).map(|i| seed + (i % 7) as f64 * 0.5).collect();
-        let serial = a.matvec(&x).expect("length matches by construction");
-        for t in THREAD_COUNTS {
-            let mut y = vec![f64::NAN; a.nrows()];
-            a.par_matvec_into(&x, &mut y, t);
-            let same = y
-                .iter()
-                .zip(serial.iter())
-                .all(|(p, s)| p.to_bits() == s.to_bits());
-            prop_assert!(same, "spmv t={t}");
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The pattern SpMV is bit-identical across thread counts, and to
-    /// `par_matvec_into` on the binary pattern, on shapes past the 2^14-nnz
+    /// `matvec_into` on the binary pattern, on shapes past the 2^14-nnz
     /// cutoff so the chunked path runs. Row lengths vary from empty to a
     /// few hundred within one matrix.
     #[test]
@@ -129,7 +110,7 @@ proptest! {
         let bin = a.to_binary();
         let x: Vec<f64> = (0..ncols).map(|i| ((i * 37) % 19) as f64 * 0.3 - 2.7).collect();
         let mut want = vec![f64::NAN; nrows];
-        bin.par_matvec_into(&x, &mut want, 1);
+        bin.matvec_into(&x, &mut want);
         for t in THREAD_COUNTS {
             let mut y = vec![f64::NAN; nrows];
             a.par_pattern_matvec_into(&x, &mut y, t);
