@@ -76,15 +76,6 @@ impl Permutation {
         &self.new_to_old
     }
 
-    /// The old row placed at new position `new`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new >= len()`.
-    pub fn old_index(&self, new: usize) -> usize {
-        self.new_to_old[new]
-    }
-
     /// Returns the inverse permutation (`old -> new` becomes `new -> old`).
     ///
     /// Applying the inverse to a reordered matrix restores the original row
@@ -160,16 +151,6 @@ impl Permutation {
             indices,
             values,
         ))
-    }
-
-    /// Applies the permutation to a slice, returning `out[i] = xs[self[i]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != len()`.
-    pub fn apply_slice<T: Clone>(&self, xs: &[T]) -> Vec<T> {
-        assert_eq!(xs.len(), self.len(), "slice length mismatch");
-        self.new_to_old.iter().map(|&o| xs[o].clone()).collect()
     }
 }
 
@@ -257,12 +238,6 @@ mod tests {
         let a = CsrMatrix::zeros(3, 3);
         let p = Permutation::identity(2);
         assert!(p.apply_rows(&a).is_err());
-    }
-
-    #[test]
-    fn apply_slice_permutes() {
-        let p = Permutation::try_new(vec![2, 0, 1]).unwrap();
-        assert_eq!(p.apply_slice(&['a', 'b', 'c']), vec!['c', 'a', 'b']);
     }
 
     #[test]
