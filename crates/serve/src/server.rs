@@ -652,7 +652,9 @@ fn submit_work(shared: &Shared, op: WorkOp, req: Request) -> Response {
             return Response::reject(req.id, e.to_string(), retry_hint(depth));
         }
     };
-    bootes_obs::counter_add(&format!("serve.tenant.bytes{{tenant={tenant}}}"), bytes);
+    if bootes_obs::enabled() {
+        bootes_obs::counter_add(&format!("serve.tenant.bytes{{tenant={tenant}}}"), bytes);
+    }
     // Admission decides under the gate lock, where the drain closes it: a
     // request is either admitted before the drain's wait begins (and is
     // executed) or observes `draining` (and is rejected) — never lost in
