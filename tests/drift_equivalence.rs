@@ -200,7 +200,7 @@ fn stats_bit_identical_when_no_donor_used() {
 /// threshold = 0.0: any nonempty delta abandons the donor. The outcome must
 /// be a genuine cold recompute — bit-identical permutation — with only the
 /// recorded decision (`drift_fallback`, donor fingerprint) differing, and
-/// the cached artifact must be stored *stripped* of that record.
+/// the cached artifact must hold the cold stats, without that record.
 #[test]
 fn forced_fallback_is_a_cold_run_with_provenance() {
     let _guard = lock_global();
