@@ -500,7 +500,6 @@ impl BootesPipeline {
     /// changed. `mem` is charged *only* on a resplice, so a cold recompute's
     /// `peak_bytes` stays bit-identical to a run without the donor path.
     fn donor(
-        &self,
         cache: &Cache,
         drift: &DriftConfig,
         a: &CsrMatrix,
@@ -629,7 +628,7 @@ impl BootesPipeline {
             _ => None,
         };
         let probe = match &donor_path {
-            Some((cache, drift, query)) => self.donor(cache, drift, a, &key, query, &mut mem),
+            Some((cache, drift, query)) => Self::donor(cache, drift, a, &key, query, &mut mem),
             None => DonorProbe::NoDonor,
         };
         let (permutation, mut stats, fallback_donor) = match (decision.label, probe) {
