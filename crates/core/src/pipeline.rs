@@ -521,6 +521,9 @@ impl BootesPipeline {
         // span exactly our row count; anything else is quarantined inside
         // `reorder_donor` and the probe reports no donor. Its full sketch
         // artifact carries the per-row hashes the changed-set diff needs.
+        // Neither read counts a hit or a miss, but each refreshes the
+        // entry's LRU recency, so the sketch is read only after the
+        // permutation was found.
         let Some(art) = cache.reorder_donor(donor.pattern, key.config, a.nrows()) else {
             return DonorProbe::NoDonor;
         };
