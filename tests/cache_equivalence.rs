@@ -9,7 +9,7 @@
 //! processes, so no other suite can observe the installed cache.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
@@ -215,8 +215,7 @@ fn preprocess_publishes_what_each_branch_produced() {
         let armed = ScopedFailpoints::arm(faults).expect("failpoints arm");
         let out = p.preprocess(last).expect("preprocess survives faults");
         drop(armed);
-        let cache: Arc<Cache> = cache::uninstall().expect("installed");
-        (cache, out)
+        (cache::uninstall().expect("installed"), out)
     };
     // The decision, reorder and sketch entries `a` may leave behind.
     let stored = |cache: &Cache, a: &CsrMatrix| {
