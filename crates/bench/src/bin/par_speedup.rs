@@ -1,8 +1,8 @@
 //! Parallel-kernel speedup sweep for `bootes-par`.
 //!
-//! Sweeps SpGEMM, the similarity product, and SpMV over threads ∈ {1, 2, 4, 8} on a clustered
-//! matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies every
-//! parallel output is bit-identical to the serial one, and writes
+//! Sweeps SpGEMM and the pattern SpMV over threads ∈ {1, 2, 4, 8} on a
+//! clustered matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies
+//! every parallel output is bit-identical to the serial one, and writes
 //! `results/par_speedup.json`. Each row carries the per-region load-balance
 //! attribution (`par.region.imbalance` = max/mean worker busy time,
 //! `par.region.utilization` = Σ busy / (workers × wall)) plus the clamp
@@ -18,7 +18,7 @@
 
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_sparse::ops::{similarity_matrix, spgemm};
+use bootes_sparse::ops::spgemm;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
 
@@ -150,14 +150,6 @@ fn main() {
     sweep_kernel(&mut runner, &mut table, &mut results, "spgemm", nnz, |t| {
         spgemm(&a, &b, t).expect("valid operands")
     });
-    sweep_kernel(
-        &mut runner,
-        &mut table,
-        &mut results,
-        "similarity.rows",
-        nnz,
-        |t| similarity_matrix(&a, t).expect("no worker faults"),
-    );
     // The pattern SpMV: the product the implicit Laplacian runs twice per
     // Lanczos step, so the `spmv` floor gates the eigensolver's parallelism.
     sweep_kernel(&mut runner, &mut table, &mut results, "spmv", nnz, |t| {

@@ -1,7 +1,7 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (row-wise and tiled SpGEMM, similarity, one
-//! implicit-Laplacian application, the Lanczos eigensolve,
+//! Measures the hot kernels (row-wise SpGEMM, one implicit-Laplacian
+//! application, the Lanczos eigensolve,
 //! `kmeans_threads` on synthetic points, and the accelerator simulator's
 //! `A · A` on Flexagon) and the whole spectral reorderer (`k = 8`: Laplacian,
 //! eigensolve, k-means and the within-cluster chain, with no cache
@@ -12,9 +12,9 @@
 //! `bootes perf diff` then gates later runs against the blessed medians with
 //! noise-aware (MAD-scaled) thresholds.
 //!
-//! Sized to finish in about ten seconds, most of it the tiled SpGEMM: the
-//! gate's job is catching order-of-allowance regressions in kernels, not
-//! reproducing paper figures.
+//! Sized to finish in a few seconds: the gate's job is catching
+//! order-of-allowance regressions in kernels, not reproducing paper
+//! figures.
 
 use bootes_accel::{configs, simulate_spgemm};
 use bootes_bench::results_dir;
@@ -24,7 +24,7 @@ use bootes_linalg::{
     kmeans_threads, lanczos_smallest, KMeansConfig, LanczosConfig, LinearOperator,
 };
 use bootes_reorder::Reorderer;
-use bootes_sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
+use bootes_sparse::ops::spgemm;
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -51,17 +51,6 @@ fn main() {
 
     runner.measure(&format!("spgemm/t{threads}"), || {
         spgemm(&a, &a, threads).expect("valid operands").nnz()
-    });
-    // The TileSpGEMM-style 16x16 block kernel; the CSR-to-tile conversion
-    // stays outside the timed region.
-    let tiled = BlockSparseMatrix::from_csr(&a, 16).expect("valid block size");
-    runner.measure(&format!("spgemm_tiled/t{threads}"), || {
-        block_spgemm(&tiled, &tiled).expect("valid operands").nnz()
-    });
-    runner.measure(&format!("similarity/t{threads}"), || {
-        similarity_matrix(&a, threads)
-            .expect("no worker faults")
-            .nnz()
     });
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
     let mut y = vec![0.0; n];

@@ -24,7 +24,7 @@ fn zero_warmup_is_recorded_as_zero() {
     let ledger = std::fs::read_to_string(bootes_perf::history_path(&results, "perf_smoke"))
         .expect("perf_smoke appends its history");
     let lines: Vec<&str> = ledger.lines().collect();
-    assert_eq!(lines.len(), 8, "one line per case");
+    assert_eq!(lines.len(), 6, "one line per case");
     for line in lines {
         assert!(line.contains("\"warmup\":0,"), "{line}");
         assert!(line.contains("\"reps\":1,"), "{line}");

@@ -14,6 +14,9 @@ use crate::error::LinalgError;
 ///
 /// Rows with zero degree (isolated vertices) contribute only their identity
 /// entry `L_ii = 1`, mirroring the `1/√0 → 0` convention used by SciPy.
+/// The reorderer applies the same `L` through
+/// [`ImplicitNormalizedLaplacian`]; this explicit form, over
+/// `similarity_matrix`, is the reference its tests compare against.
 ///
 /// # Errors
 ///
@@ -29,7 +32,7 @@ use crate::error::LinalgError;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = CsrMatrix::identity(4);
-/// let s = similarity_matrix(&a, 1)?;
+/// let s = similarity_matrix(&a)?;
 /// let l = normalized_laplacian(&s)?;
 /// // Each row is its own cluster: L = I - I = 0 off-diagonal, 0 diagonal.
 /// assert_eq!(l.get(0, 0), 0.0);
@@ -209,7 +212,7 @@ mod tests {
 
     #[test]
     fn laplacian_is_symmetric() {
-        let s = similarity_matrix(&block_matrix(), 1).unwrap();
+        let s = similarity_matrix(&block_matrix()).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         for i in 0..l.nrows() {
             for j in 0..l.ncols() {
@@ -220,7 +223,7 @@ mod tests {
 
     #[test]
     fn laplacian_rows_of_connected_graph() {
-        let s = similarity_matrix(&block_matrix(), 1).unwrap();
+        let s = similarity_matrix(&block_matrix()).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         // Within a block of 3 identical rows: degree = 3*2 = 6,
         // off-diagonal = -2/6 = -1/3, diagonal = 1 - 2/6 = 2/3.
@@ -232,7 +235,7 @@ mod tests {
     #[test]
     fn zero_eigenvector_property() {
         // L * (D^{1/2} 1) = 0 for each connected component.
-        let s = similarity_matrix(&block_matrix(), 1).unwrap();
+        let s = similarity_matrix(&block_matrix()).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         let d = s.row_sums();
         let x: Vec<f64> = d.iter().map(|v| v.sqrt()).collect();
@@ -246,7 +249,7 @@ mod tests {
     fn isolated_rows_get_identity() {
         // Matrix with an empty row -> similarity row empty -> L row = [1].
         let a = CsrMatrix::try_new(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![1.0, 1.0]).unwrap();
-        let s = similarity_matrix(&a, 1).unwrap();
+        let s = similarity_matrix(&a).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         assert_eq!(l.get(1, 1), 1.0);
         assert_eq!(l.row_nnz(1), 1);
@@ -254,7 +257,7 @@ mod tests {
 
     #[test]
     fn eigenvalue_range_zero_to_two() {
-        let s = similarity_matrix(&block_matrix(), 1).unwrap();
+        let s = similarity_matrix(&block_matrix()).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         // Gershgorin-style check on the dense spectrum via Jacobi.
         let (vals, _) = crate::jacobi::jacobi_eigen(&l.to_dense()).unwrap();
@@ -272,7 +275,7 @@ mod tests {
     #[test]
     fn implicit_matches_materialized() {
         let a = block_matrix();
-        let s = similarity_matrix(&a, 1).unwrap();
+        let s = similarity_matrix(&a).unwrap();
         let l = normalized_laplacian(&s).unwrap();
         let op = ImplicitNormalizedLaplacian::new(&a);
         assert_eq!(op.dim(), a.nrows());
@@ -301,7 +304,7 @@ mod tests {
             vec![2.0, -1.0, 4.0, 1.0, 1.0, 3.0],
         )
         .unwrap();
-        let l = normalized_laplacian(&similarity_matrix(&a, 1).unwrap()).unwrap();
+        let l = normalized_laplacian(&similarity_matrix(&a).unwrap()).unwrap();
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = vec![1.0, -2.0, 0.5, 3.0];
         let dense = l.matvec(&x).unwrap();

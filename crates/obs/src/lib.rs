@@ -74,7 +74,7 @@
 //! | `cache.quarantine` | corrupt on-disk entries moved to `quarantine/` |
 //! | `cache.quarantine_evicted` | oldest quarantined entries removed to keep `quarantine/` within its cap |
 //! | `cache.tmp_swept` | orphaned temp files from torn writes removed by the open-time sweep |
-//! | `kernel.flops{kernel=<name>}` | scalar floating-point operations performed by the named kernel (`spgemm`, `similarity.rows`, `spmv`, `kmeans.assign`); `spmv`, the pattern product the Lanczos operator runs, counts one add per nonzero |
+//! | `kernel.flops{kernel=<name>}` | scalar floating-point operations performed by the named kernel (`spgemm`, `spmv`, `kmeans.assign`); `spmv`, the pattern product the Lanczos operator runs, counts one add per nonzero |
 //! | `kernel.bytes{kernel=<name>}` | estimated bytes moved (operand reads + output writes) by the named kernel; `spmv` counts 16 per nonzero (column index and gathered `x`; the pattern product reads no values) plus 8 per row written |
 //! | `par.region.wall_ns{region=<name>}` | accumulated wall time of the named parallel region across invocations (`bootes-par`) |
 //! | `par.region.busy_ns{region=<name>}` | accumulated worker busy time of the named region (sum over chunks) |

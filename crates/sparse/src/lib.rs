@@ -10,8 +10,9 @@
 //! - [`CscMatrix`]: compressed sparse column, used for column-coordinate lookups
 //!   by the Gamma and Graph reordering baselines,
 //! - [`Permutation`]: validated row permutations,
-//! - the row-wise (Gustavson) SpGEMM kernel and the binary `A·Aᵀ` similarity
-//!   product ([`ops`]),
+//! - the one SpGEMM kernel, row-wise (Gustavson) with a per-row adaptive
+//!   accumulator, and the binary `A·Aᵀ` similarity product built on it
+//!   ([`ops`]),
 //! - Matrix Market I/O ([`io`]) and pattern statistics ([`stats`]).
 //!
 //! # Example

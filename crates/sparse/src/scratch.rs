@@ -25,14 +25,14 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Dense accumulator + touched-list, generic over the accumulator scalar.
-struct DenseScratch<T> {
-    buf: Vec<T>,
+/// Dense `f64` accumulator + touched-list.
+struct DenseScratch {
+    buf: Vec<f64>,
     touched: Vec<usize>,
     dirty: bool,
 }
 
-impl<T: Copy + Default> DenseScratch<T> {
+impl DenseScratch {
     const fn new() -> Self {
         DenseScratch {
             buf: Vec::new(),
@@ -45,45 +45,21 @@ impl<T: Copy + Default> DenseScratch<T> {
     /// panic (full re-zero) and grows the buffer as needed.
     fn prepare(&mut self, n: usize) {
         if self.dirty {
-            self.buf.fill(T::default());
+            self.buf.fill(0.0);
             self.touched.clear();
             self.dirty = false;
         }
         if self.buf.len() < n {
-            self.buf.resize(n, T::default());
+            self.buf.resize(n, 0.0);
         }
     }
 }
 
 thread_local! {
-    static DENSE_F64: RefCell<DenseScratch<f64>> = const { RefCell::new(DenseScratch::new()) };
-    static DENSE_U32: RefCell<DenseScratch<u32>> = const { RefCell::new(DenseScratch::new()) };
+    static DENSE_F64: RefCell<DenseScratch> = const { RefCell::new(DenseScratch::new()) };
     #[allow(clippy::type_complexity)]
     static HASH_F64: RefCell<(HashMap<usize, f64>, Vec<(usize, f64)>)> =
         RefCell::new((HashMap::new(), Vec::new()));
-}
-
-macro_rules! with_dense_impl {
-    ($tls:ident, $zero:expr, $n:ident, $f:ident) => {
-        $tls.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut borrow) => {
-                let s = &mut *borrow;
-                s.prepare($n);
-                s.dirty = true;
-                let out = $f(&mut s.buf[..$n], &mut s.touched);
-                s.touched.clear();
-                s.dirty = false;
-                out
-            }
-            // Nested acquisition on this thread: fall back to a one-off
-            // allocation rather than aliasing the outer kernel's scratch.
-            Err(_) => {
-                let mut buf = vec![$zero; $n];
-                let mut touched = Vec::new();
-                $f(&mut buf[..], &mut touched)
-            }
-        })
-    };
 }
 
 /// Runs `f` with this thread's reusable `f64` dense accumulator (first `n`
@@ -91,14 +67,20 @@ macro_rules! with_dense_impl {
 /// back at `0.0` (the standard gather-and-reset row loop does); the
 /// touched-list is cleared on return either way.
 pub(crate) fn with_dense_f64<R>(n: usize, f: impl FnOnce(&mut [f64], &mut Vec<usize>) -> R) -> R {
-    with_dense_impl!(DENSE_F64, 0.0f64, n, f)
-}
-
-/// Runs `f` with this thread's reusable `u32` dense accumulator (first `n`
-/// entries zeroed) and its touched-list. Same all-zero return contract as
-/// [`with_dense_f64`].
-pub(crate) fn with_dense_u32<R>(n: usize, f: impl FnOnce(&mut [u32], &mut Vec<usize>) -> R) -> R {
-    with_dense_impl!(DENSE_U32, 0u32, n, f)
+    DENSE_F64.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut borrow) => {
+            let s = &mut *borrow;
+            s.prepare(n);
+            s.dirty = true;
+            let out = f(&mut s.buf[..n], &mut s.touched);
+            s.touched.clear();
+            s.dirty = false;
+            out
+        }
+        // Nested acquisition on this thread: fall back to a one-off
+        // allocation rather than aliasing the outer kernel's scratch.
+        Err(_) => f(&mut vec![0.0; n], &mut Vec::new()),
+    })
 }
 
 /// Runs `f` with this thread's reusable hash accumulator and sorted-gather
@@ -166,15 +148,6 @@ mod tests {
                 assert_ne!(outer.as_ptr(), inner.as_ptr());
             });
             outer[0] = 0.0;
-        });
-    }
-
-    #[test]
-    fn u32_scratch_grows_to_request() {
-        with_dense_u32(5, |buf, _| assert!(buf.len() == 5));
-        with_dense_u32(100, |buf, _| {
-            assert!(buf.len() == 100);
-            assert!(buf.iter().all(|&v| v == 0));
         });
     }
 

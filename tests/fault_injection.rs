@@ -13,7 +13,7 @@
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, FallbackReorderer, SpectralReorderer};
 use bootes::guard::{Budget, GuardError, ScopedFailpoints};
 use bootes::reorder::Reorderer;
-use bootes::sparse::ops::{similarity_matrix, spgemm};
+use bootes::sparse::ops::spgemm;
 use bootes::sparse::{CsrMatrix, SparseError};
 use bootes::workloads::gen::{clustered, GenConfig};
 
@@ -49,7 +49,6 @@ fn lanczos_failpoint_degrades_to_hier() {
     let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
-    assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     let reason = out.stats.degrade_reason.expect("reason recorded");
     assert!(reason.contains("injected fault"), "{reason}");
@@ -190,6 +189,7 @@ fn pipeline_preprocess_survives_faults_and_reports_degradation() {
     let out = pipeline.preprocess(&a).expect("pipeline must degrade");
     assert!(out.decision.should_reorder());
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
+    assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.permutation.len(), a.nrows());
 }
 
@@ -203,24 +203,17 @@ fn worker_fault<T: std::fmt::Debug>(
 
 #[test]
 fn kernels_return_worker_faults_as_typed_errors() {
-    // The kernels with an error channel hand a failed chunk back as
-    // `SparseError::Guard` instead of panicking, on the inline (1 thread)
-    // and the pool (4 threads) path alike.
+    // SpGEMM hands a failed chunk back as `SparseError::Guard` instead of
+    // panicking, on the inline (1 thread) and the pool (4 threads) path
+    // alike.
     let a = matrix();
     let at = a.transpose();
     for threads in [1, 4] {
-        for (name, err) in [
-            ("spgemm", worker_fault(|| spgemm(&a, &at, threads))),
-            (
-                "similarity_matrix",
-                worker_fault(|| similarity_matrix(&a, threads)),
-            ),
-        ] {
-            assert!(
-                matches!(err, SparseError::Guard(GuardError::Injected { .. })),
-                "{name} at {threads} threads: {err:?}"
-            );
-        }
+        let err = worker_fault(|| spgemm(&a, &at, threads));
+        assert!(
+            matches!(err, SparseError::Guard(GuardError::Injected { .. })),
+            "spgemm at {threads} threads: {err:?}"
+        );
     }
 }
 

@@ -6,15 +6,14 @@
 //! changes *what* is computed: for any generated matrix, every thread count
 //! in {1, 2, 4, 8} (which exercises the serial-inline path, pool dispatch,
 //! and oversubscribed chunk claiming, regardless of the host's CPU count)
-//! must produce output bit-identical to the 1-thread run — for SpGEMM, the
-//! similarity product, SpMV and the pattern SpMV behind the implicit
-//! Laplacian. Floats are compared via `to_bits`, so
-//! `-0.0 != 0.0` and no epsilon can hide a reassociated sum. The generated
-//! shapes are rectangular and include empty rows and all-zero matrices
-//! (`0..max_nnz` triplets); the degenerate shapes are also pinned
+//! must produce output bit-identical to the 1-thread run — for SpGEMM and
+//! the pattern SpMV behind the implicit Laplacian. Floats are compared via
+//! `to_bits`, so `-0.0 != 0.0` and no epsilon can hide a reassociated sum.
+//! The generated shapes are rectangular and include empty rows and all-zero
+//! matrices (`0..max_nnz` triplets); the degenerate shapes are also pinned
 //! deterministically below.
 
-use bootes::sparse::ops::{similarity_matrix, spgemm};
+use bootes::sparse::ops::spgemm;
 use bootes::sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 
@@ -33,11 +32,6 @@ fn sized(r: usize, c: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix>
         }
         coo.to_csr()
     })
-}
-
-/// Strategy: a matrix of random shape below `max_dim` in both dimensions.
-fn matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
-    (1..max_dim, 1..max_dim).prop_flat_map(move |(r, c)| sized(r, c, max_nnz))
 }
 
 /// Strategy: a conforming (`a`, `b`) SpGEMM pair with a shared inner dim.
@@ -65,18 +59,6 @@ proptest! {
         for t in THREAD_COUNTS {
             let out = spgemm(&a, &b, t).expect("valid operands");
             prop_assert!(bit_identical(&out, &serial), "spgemm t={t}");
-        }
-    }
-
-    /// The similarity product is bit-identical across thread counts.
-    #[test]
-    fn similarity_bit_identical_across_threads(a in matrix(24, 120)) {
-        let serial = similarity_matrix(&a, 1).unwrap();
-        for t in THREAD_COUNTS {
-            prop_assert!(
-                bit_identical(&similarity_matrix(&a, t).unwrap(), &serial),
-                "similarity t={t}"
-            );
         }
     }
 }
@@ -146,10 +128,5 @@ fn zero_and_tall_shapes_bit_identical_across_threads() {
             &spgemm(&tall, &tall.transpose(), t).unwrap(),
             &spgemm(&tall, &tall.transpose(), 1).unwrap()
         ));
-        assert_eq!(
-            similarity_matrix(&tall, t).unwrap(),
-            similarity_matrix(&tall, 1).unwrap()
-        );
-        assert_eq!(similarity_matrix(&zero, t).unwrap(), CsrMatrix::zeros(6, 6));
     }
 }

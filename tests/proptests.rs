@@ -4,7 +4,7 @@
 use bootes::linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes::linalg::{kmeans, normalized_laplacian, KMeansConfig, LinearOperator};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
-use bootes::sparse::ops::{block_spgemm, similarity_matrix, spgemm, BlockSparseMatrix};
+use bootes::sparse::ops::{similarity_matrix, spgemm};
 use bootes::sparse::{CooMatrix, CsrMatrix, DenseMatrix, Permutation};
 use proptest::prelude::*;
 
@@ -81,7 +81,7 @@ proptest! {
     /// The similarity matrix is symmetric with row-nnz diagonal.
     #[test]
     fn similarity_is_symmetric(a in sparse_matrix(20, 60)) {
-        let s = similarity_matrix(&a, 1).unwrap();
+        let s = similarity_matrix(&a).unwrap();
         prop_assert_eq!(s.shape(), (a.nrows(), a.nrows()));
         for (i, j, v) in s.iter() {
             prop_assert_eq!(s.get(j, i), v);
@@ -95,7 +95,7 @@ proptest! {
     /// Normalized-Laplacian eigenvalue range: xᵀLx / xᵀx stays in [0, 2].
     #[test]
     fn laplacian_rayleigh_quotient_bounded(a in square_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let s = similarity_matrix(&a, 1).unwrap();
+        let s = similarity_matrix(&a).unwrap();
         let l = normalized_laplacian(&s).expect("non-negative similarities");
         let x = &xs[..a.nrows()];
         let norm2: f64 = x.iter().map(|v| v * v).sum();
@@ -109,7 +109,7 @@ proptest! {
     /// The implicit Laplacian operator equals the materialized one.
     #[test]
     fn implicit_laplacian_matches(a in sparse_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let l = normalized_laplacian(&similarity_matrix(&a, 1).unwrap()).expect("valid");
+        let l = normalized_laplacian(&similarity_matrix(&a).unwrap()).expect("valid");
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = &xs[..a.nrows()];
         let dense = l.matvec(x).expect("square");
@@ -172,16 +172,6 @@ proptest! {
             inertia += assigned;
         }
         prop_assert!((inertia - r.inertia).abs() < 1e-6);
-    }
-
-    /// The tiled (TileSpGEMM-style) kernel agrees with row-wise SpGEMM.
-    #[test]
-    fn block_spgemm_matches_row_wise(a in square_matrix(20, 60), block in 1usize..24) {
-        let ab = BlockSparseMatrix::from_csr(&a, block).expect("valid block");
-        prop_assert_eq!(ab.to_csr(), a.clone());
-        let tiled = block_spgemm(&ab, &ab).expect("square");
-        let reference = spgemm(&a, &a, 1).expect("square");
-        prop_assert!(tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-9);
     }
 
     /// Reuse-profile invariants: cold + re-accesses = accesses; hit rate is

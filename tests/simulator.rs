@@ -5,7 +5,6 @@
 use bootes::accel::{configs, simulate_inner, simulate_outer, simulate_spgemm, EnergyModel};
 use bootes::core::{BootesConfig, SpectralReorderer};
 use bootes::reorder::{b_reuse_profile_scheduled, Reorderer};
-use bootes::sparse::ops::{block_spgemm, spgemm, BlockSparseMatrix};
 use bootes::workloads::gen::{clustered_with_density, rmat, uniform_random, GenConfig};
 
 #[test]
@@ -72,25 +71,6 @@ fn stack_distance_prediction_tracks_simulator_across_orderings() {
             (predicted - simulated).abs() < 0.15,
             "{}: predicted {predicted:.2} vs simulated {simulated:.2}",
             algo.name()
-        );
-    }
-}
-
-#[test]
-fn tiled_kernel_agrees_with_row_wise_on_generated_workloads() {
-    for seed in 0..3 {
-        let a = rmat(
-            &GenConfig::new(128, 128).seed(seed),
-            6.0,
-            (0.45, 0.2, 0.2, 0.15),
-        )
-        .unwrap();
-        let blocked = BlockSparseMatrix::from_csr(&a, 16).unwrap();
-        let tiled = block_spgemm(&blocked, &blocked).unwrap();
-        let reference = spgemm(&a, &a, 1).unwrap();
-        assert!(
-            tiled.to_dense().max_abs_diff(&reference.to_dense()) < 1e-10,
-            "seed {seed}"
         );
     }
 }
