@@ -657,9 +657,14 @@ impl BootesPipeline {
                 mem.alloc(out.stats.peak_bytes);
                 let mut stats = scope.stats(&mem);
                 // Surface the chain's degradation record on the pipeline's
-                // own stats so callers see it without unwrapping the outcome.
-                stats.degraded_from = out.stats.degraded_from;
-                stats.degrade_reason = out.stats.degrade_reason;
+                // own stats so callers see it without unwrapping the outcome,
+                // including the rung that produced the ordering; a healthy
+                // run keeps the pipeline's name.
+                if out.stats.is_degraded() {
+                    stats.algorithm = out.stats.algorithm;
+                    stats.degraded_from = out.stats.degraded_from;
+                    stats.degrade_reason = out.stats.degrade_reason;
+                }
                 let fallback_donor = match probe {
                     DonorProbe::Fallback { donor_hex } => Some(donor_hex),
                     _ => None,

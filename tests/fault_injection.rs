@@ -49,6 +49,7 @@ fn lanczos_failpoint_degrades_to_hier() {
     let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
     let a = matrix();
     let out = chain().reorder(&a).expect("chain must absorb the fault");
+    assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     let reason = out.stats.degrade_reason.expect("reason recorded");
     assert!(reason.contains("injected fault"), "{reason}");
@@ -392,6 +393,20 @@ fn serve_parse_failpoint_is_a_protocol_error_not_a_hang() {
     // @1 fires once: the daemon keeps serving the same connection.
     let healthy = client.ping().expect("second request answered");
     assert!(healthy.ok, "daemon must survive the injected fault");
+    assert_clean_drain(child, stdout, &addr);
+}
+
+#[test]
+fn serve_degraded_preprocess_names_the_rung_that_ordered_it() {
+    let _fp = no_faults();
+    let (child, stdout, addr) = spawn_serve("degraded", &[], Some("lanczos.restart=err"));
+    let resp = serve_client(&addr)
+        .preprocess(MatrixPayload::from_csr(&matrix()), Some("fi"))
+        .expect("answered");
+    assert!(resp.ok, "preprocess failed: {:?}", resp.error);
+    assert_eq!(resp.label.as_deref(), Some("reorder"));
+    assert!(resp.degraded);
+    assert_eq!(resp.algorithm.as_deref(), Some("hier"));
     assert_clean_drain(child, stdout, &addr);
 }
 
