@@ -37,7 +37,6 @@
 //! # }
 //! ```
 
-pub mod cv;
 pub mod dataset;
 pub mod error;
 pub mod eval;
@@ -46,7 +45,6 @@ pub mod gbt;
 pub mod svm;
 pub mod tree;
 
-pub use cv::{cross_validate, CvResult};
 pub use dataset::Dataset;
 pub use error::ModelError;
 pub use eval::{accuracy, confusion_matrix, macro_f1};
