@@ -194,14 +194,6 @@ fn pipeline_preprocess_survives_faults_and_reports_degradation() {
     assert_eq!(out.permutation.len(), a.nrows());
 }
 
-/// Runs `kernel` under a one-shot `par.worker` fault and returns its error.
-fn worker_fault<T: std::fmt::Debug>(
-    kernel: impl FnOnce() -> Result<T, SparseError>,
-) -> SparseError {
-    let _fp = ScopedFailpoints::arm("par.worker=err@1").unwrap();
-    kernel().expect_err("the injected fault must surface")
-}
-
 #[test]
 fn kernels_return_worker_faults_as_typed_errors() {
     // SpGEMM hands a failed chunk back as `SparseError::Guard` instead of
@@ -210,7 +202,8 @@ fn kernels_return_worker_faults_as_typed_errors() {
     let a = matrix();
     let at = a.transpose();
     for threads in [1, 4] {
-        let err = worker_fault(|| spgemm(&a, &at, threads));
+        let _fp = ScopedFailpoints::arm("par.worker=err@1").unwrap();
+        let err = spgemm(&a, &at, threads).expect_err("the injected fault must surface");
         assert!(
             matches!(err, SparseError::Guard(GuardError::Injected { .. })),
             "spgemm at {threads} threads: {err:?}"
