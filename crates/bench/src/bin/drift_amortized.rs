@@ -13,10 +13,14 @@
 //!
 //! For each step both runs report preprocessing wall time and the
 //! reuse-distance B-traffic of the *reordered* matrix (LRU stack-distance
-//! model at `CAPACITY` B rows, the paper's single-PE picture). Two gates:
+//! model at `CAPACITY` B rows, the paper's single-PE picture), and the
+//! incremental run reports how many rows each step respliced. Three gates:
 //!
 //! - **quality** (always enforced — deterministic): per-step incremental
 //!   B-traffic must stay within `EPSILON` (5%) of the full re-reorder's;
+//! - **donor ranking** (always enforced — deterministic): every respliced
+//!   step must move exactly the rows that step changed, which holds only
+//!   when it spliced from the step before it;
 //! - **amortized cost** (under `BOOTES_DRIFT_GATE=1` — timing-based, CI
 //!   enforces it): the incremental run's mean per-step preprocessing time
 //!   must be at least `MIN_SPEEDUP` (5x) cheaper than cold-every-time.
@@ -53,7 +57,7 @@ struct StepResult {
     incremental_traffic: f64,
     cold_traffic: f64,
     traffic_ratio: f64,
-    respliced: bool,
+    rows_respliced: usize,
 }
 
 #[derive(Serialize)]
@@ -109,7 +113,7 @@ fn main() {
     let drifted = BootesPipeline::new(model.clone(), BootesConfig::default())
         .expect("valid model")
         .with_drift(Some(DriftConfig::default()));
-    let mut incremental: Vec<(f64, f64, bool)> = Vec::with_capacity(seq.len());
+    let mut incremental: Vec<(f64, f64, usize)> = Vec::with_capacity(seq.len());
     for step in &seq {
         let t = Instant::now();
         let out = drifted
@@ -120,7 +124,7 @@ fn main() {
             .permutation
             .apply_rows(&step.matrix)
             .expect("permutation applies");
-        incremental.push((ms, traffic_of(&reordered), out.stats.rows_respliced > 0));
+        incremental.push((ms, traffic_of(&reordered), out.stats.rows_respliced));
     }
     bootes_cache::uninstall();
 
@@ -147,7 +151,7 @@ fn main() {
     let mut max_ratio = 0.0f64;
     let mut resplices = 0usize;
     for (i, step) in seq.iter().enumerate() {
-        let (inc_ms, inc_traffic, respliced) = incremental[i];
+        let (inc_ms, inc_traffic, rows_respliced) = incremental[i];
         let (cold_ms, cold_traffic) = cold[i];
         let ratio = if cold_traffic > 0.0 {
             inc_traffic / cold_traffic
@@ -155,7 +159,7 @@ fn main() {
             1.0
         };
         max_ratio = max_ratio.max(ratio);
-        resplices += respliced as usize;
+        resplices += (rows_respliced > 0) as usize;
         per_step.push(StepResult {
             step: i,
             changed_rows: step.changed_rows.len(),
@@ -164,7 +168,7 @@ fn main() {
             incremental_traffic: inc_traffic,
             cold_traffic,
             traffic_ratio: ratio,
-            respliced,
+            rows_respliced,
         });
     }
     // Amortized per-step preprocessing cost over the whole sequence
@@ -212,6 +216,18 @@ fn main() {
         "incremental B-traffic exceeded the full re-reorder by more than \
          {:.0}% (worst step ratio {max_ratio:.4})",
         EPSILON * 100.0
+    );
+    // Donor-ranking gate: deterministic, always enforced.
+    let off_rank: Vec<(usize, usize, usize)> = summary
+        .per_step
+        .iter()
+        .filter(|s| s.rows_respliced > 0 && s.rows_respliced != s.changed_rows)
+        .map(|s| (s.step, s.rows_respliced, s.changed_rows))
+        .collect();
+    assert!(
+        off_rank.is_empty(),
+        "respliced steps moved rows they did not change, so their donor was \
+         not the previous step — (step, respliced, changed): {off_rank:?}"
     );
     assert!(
         resplices >= steps / 2,

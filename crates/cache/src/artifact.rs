@@ -74,16 +74,22 @@ pub struct SketchCandidate {
     pub ncols: usize,
     /// The MinHash signature values.
     pub sig: Vec<u64>,
+    /// When the sketch entered the memory layer: the insertion tick of its
+    /// entry (larger is newer; lookups do not change it). 0 for a sketch
+    /// found only on disk, so such candidates rank as the oldest.
+    pub stamp: u64,
 }
 
 impl SketchArtifact {
-    /// The lightweight donor-index view of this artifact.
-    pub fn candidate(&self, pattern: u64) -> SketchCandidate {
+    /// The lightweight donor-index view of this artifact, stored under
+    /// `pattern` with insertion tick `stamp`.
+    pub fn candidate(&self, pattern: u64, stamp: u64) -> SketchCandidate {
         SketchCandidate {
             pattern,
             nrows: self.nrows,
             ncols: self.ncols,
             sig: self.sketch.clone(),
+            stamp,
         }
     }
 }

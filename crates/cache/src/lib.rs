@@ -207,13 +207,15 @@ impl Cache {
     /// cloned here (fetch the winner's full artifact with
     /// [`Cache::sketch_donor`]). Memory entries win over disk entries with
     /// the same pattern; neither layer counts hit/miss (enumeration is not a
-    /// lookup).
+    /// lookup). Each candidate's [`SketchCandidate::stamp`] is its memory
+    /// entry's insertion tick, which follows the order of the puts and no
+    /// lookup changes; a sketch found only on disk gets 0.
     pub fn sketch_candidates(&self, config: u64) -> Vec<SketchCandidate> {
         let mut found: Vec<SketchCandidate> = Vec::new();
-        self.mem.scan(|k, a| {
+        self.mem.scan(|k, a, inserted| {
             if let Artifact::Sketch(s) = a {
                 if k.kind == ArtifactKind::Sketch && k.config == config {
-                    found.push(s.candidate(k.pattern));
+                    found.push(s.candidate(k.pattern, inserted));
                 }
             }
             None::<()>
@@ -224,7 +226,7 @@ impl Cache {
                     continue;
                 }
                 if let Some(Artifact::Sketch(s)) = disk.load(&key) {
-                    found.push(s.candidate(key.pattern));
+                    found.push(s.candidate(key.pattern, 0));
                 }
             }
         }
@@ -486,11 +488,67 @@ mod tests {
         // artifact (row hashes included) comes from `sketch_donor`.
         assert_eq!(found[0].sig, vec![1; 4]);
         assert_eq!((found[0].nrows, found[0].ncols), (8, 8));
+        // The disk-only sketch ranks oldest; the memory one is stamped.
+        assert_eq!(found[0].stamp, 0);
+        assert!(found[1].stamp > 0);
         assert_eq!(cache.sketch_donor(1, 77), Some(sketch(1, 8)));
         assert_eq!(cache.sketch_donor(3, 77), None);
         // A different sketch config sees nothing.
         assert!(cache.sketch_candidates(78).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sketch_candidate_stamps_follow_puts_not_lookups() {
+        let cache = Cache::new(CacheConfig::memory_only(1 << 20)).unwrap();
+        let skey = |pattern| CacheKey {
+            kind: ArtifactKind::Sketch,
+            pattern,
+            config: 77,
+        };
+        let rkey = CacheKey {
+            kind: ArtifactKind::Reorder,
+            pattern: 5,
+            config: 3,
+        };
+        cache.put(
+            rkey,
+            Artifact::Reorder(ReorderArtifact {
+                permutation: bootes_sparse::Permutation::identity(8),
+                stats: bootes_reorder::ReorderStats::new(
+                    "bootes",
+                    std::time::Duration::from_millis(1),
+                    64,
+                ),
+            }),
+        );
+        // Put in the order 5, 1, 3: the candidates come sorted by pattern,
+        // their stamps in put order.
+        for pattern in [5, 1, 3] {
+            cache.put(skey(pattern), Artifact::Sketch(sketch(pattern, 8)));
+        }
+        let stamps = |cache: &Cache| -> Vec<(u64, u64)> {
+            cache
+                .sketch_candidates(77)
+                .iter()
+                .map(|c| (c.pattern, c.stamp))
+                .collect()
+        };
+        let before = stamps(&cache);
+        let stamp_of = |s: &[(u64, u64)], p: u64| s.iter().find(|(q, _)| *q == p).unwrap().1;
+        assert_eq!(before.iter().map(|s| s.0).collect::<Vec<_>>(), [1, 3, 5]);
+        assert!(stamp_of(&before, 5) < stamp_of(&before, 1));
+        assert!(stamp_of(&before, 1) < stamp_of(&before, 3));
+        // Lookups refresh LRU recency only: every stamp stays put.
+        assert!(cache.get(&skey(5)).is_some());
+        assert!(cache.sketch_donor(5, 77).is_some());
+        assert!(cache.reorder_donor(5, 3, 8).is_some());
+        assert_eq!(stamps(&cache), before);
+        // A re-put makes the entry the newest.
+        cache.put(skey(5), Artifact::Sketch(sketch(5, 8)));
+        let after = stamps(&cache);
+        assert!(stamp_of(&after, 5) > stamp_of(&after, 3));
+        assert_eq!(stamp_of(&after, 1), stamp_of(&before, 1));
     }
 
     #[test]

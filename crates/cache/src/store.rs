@@ -18,6 +18,9 @@ struct Entry {
     artifact: Artifact,
     bytes: usize,
     last_used: u64,
+    /// Tick of the `put` that stored this entry. Reads leave it alone:
+    /// it orders entries by when they entered the store, not by use.
+    inserted: u64,
 }
 
 #[derive(Default)]
@@ -35,7 +38,9 @@ struct Shard {
 /// pathological shard distribution can under-use but never overshoot the
 /// total); an unlimited budget disables eviction. Recency is a process-wide
 /// monotonic tick, so "least recently used" is exact across shards even
-/// under concurrent access.
+/// under concurrent access. Each entry also keeps the tick of the `put` that
+/// stored it, which [`MemoryStore::scan`] reports: the drift donor index
+/// ranks otherwise tied donors by it, newest first.
 pub struct MemoryStore {
     shards: Vec<Mutex<Shard>>,
     tick: AtomicU64,
@@ -70,8 +75,8 @@ impl MemoryStore {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. Returns a clone so
-    /// the caller never holds a shard lock.
+    /// Looks up `key`, refreshing its recency (not its insertion tick) on a
+    /// hit. Returns a clone so the caller never holds a shard lock.
     pub fn get(&self, key: &CacheKey) -> Option<Artifact> {
         let mut shard = self.lock_shard(key);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -81,10 +86,11 @@ impl MemoryStore {
         })
     }
 
-    /// Inserts (or replaces) `key`, then evicts least-recently-used entries
-    /// until the shard is back under its byte ceiling. An artifact larger
-    /// than the whole shard ceiling is not stored at all — it would evict
-    /// the entire shard and then be the next victim itself.
+    /// Inserts (or replaces) `key`, stamping it with a fresh insertion tick,
+    /// then evicts least-recently-used entries until the shard is back under
+    /// its byte ceiling. An artifact larger than the whole shard ceiling is
+    /// not stored at all — it would evict the entire shard and then be the
+    /// next victim itself.
     pub fn put(&self, key: CacheKey, artifact: Artifact) {
         let bytes = artifact.approx_bytes();
         if let Some(ceiling) = self.shard_ceiling {
@@ -102,6 +108,7 @@ impl MemoryStore {
                 artifact,
                 bytes,
                 last_used: tick,
+                inserted: tick,
             },
         ) {
             shard.bytes -= old.bytes;
@@ -155,17 +162,19 @@ impl MemoryStore {
         }
     }
 
-    /// Runs `f` over every `(key, artifact)` pair until it returns `Some`,
-    /// scanning shards in index order. Used to enumerate drift donors for
-    /// [`crate::Cache::sketch_candidates`]; does not refresh recency.
-    pub fn scan<R>(&self, mut f: impl FnMut(&CacheKey, &Artifact) -> Option<R>) -> Option<R> {
+    /// Runs `f` over every `(key, artifact, insertion tick)` triple until it
+    /// returns `Some`, scanning shards in index order. Used to enumerate
+    /// drift donors for [`crate::Cache::sketch_candidates`]; does not
+    /// refresh recency. Insertion ticks are at least 1 and follow the order
+    /// of the `put`s that stored the entries.
+    pub fn scan<R>(&self, mut f: impl FnMut(&CacheKey, &Artifact, u64) -> Option<R>) -> Option<R> {
         for shard in &self.shards {
             let guard = match shard.lock() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
             for (k, e) in &guard.map {
-                if let Some(r) = f(k, &e.artifact) {
+                if let Some(r) = f(k, &e.artifact, e.inserted) {
                     return Some(r);
                 }
             }
@@ -297,11 +306,29 @@ mod tests {
         for p in 0..16u64 {
             store.put(key(p), decision(2, p as usize));
         }
-        let found = store.scan(|k, a| match a {
+        let found = store.scan(|k, a, _| match a {
             Artifact::Decision(d) if k.pattern == 11 => Some(d.class),
             _ => None,
         });
         assert_eq!(found, Some(11));
-        assert_eq!(store.scan(|k, _| (k.pattern == 99).then_some(())), None);
+        assert_eq!(store.scan(|k, _, _| (k.pattern == 99).then_some(())), None);
+    }
+
+    #[test]
+    fn insertion_ticks_follow_puts_and_ignore_reads() {
+        let store = MemoryStore::with_budget(&Budget::unlimited());
+        let inserted = |pattern: u64| {
+            store
+                .scan(|k, _, tick| (k.pattern == pattern).then_some(tick))
+                .expect("stored")
+        };
+        store.put(key(1), decision(2, 1));
+        store.put(key(2), decision(2, 2));
+        let (first, second) = (inserted(1), inserted(2));
+        assert!(0 < first && first < second, "{first} then {second}");
+        assert!(store.get(&key(1)).is_some());
+        assert_eq!(inserted(1), first, "a read keeps the insertion tick");
+        store.put(key(1), decision(2, 1));
+        assert!(inserted(1) > second, "a re-put takes a fresh tick");
     }
 }

@@ -8,10 +8,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use bootes_cache::{
-    Artifact, ArtifactKind, Cache, CacheKey, DecisionArtifact, ReorderArtifact, SketchArtifact,
+use bootes_cache::{Artifact, ArtifactKind, Cache, CacheKey, DecisionArtifact, ReorderArtifact};
+use bootes_drift::{
+    artifact_of, changed_rows, resplice, row_pattern_hashes, DriftConfig, SimilarityIndex,
 };
-use bootes_drift::{changed_rows, resplice, sketch_of, DriftConfig, SimilarityIndex};
 use bootes_guard::GuardError;
 use bootes_model::{Dataset, DecisionTree, ModelError, TreeConfig};
 use bootes_reorder::lsh::MatrixSketch;
@@ -496,15 +496,17 @@ impl BootesPipeline {
 
     /// The donor stage, run on an exact reorder-key miss with a reorder
     /// verdict: finds the cached pattern whose sketch is nearest `query`
-    /// (`a`'s own) and resplices its permutation, unless too many rows
-    /// changed. `mem` is charged *only* on a resplice, so a cold recompute's
-    /// `peak_bytes` stays bit-identical to a run without the donor path.
+    /// (`a`'s own, with `rows` its row pattern hashes) and resplices its
+    /// permutation, unless too many rows changed. `mem` is charged *only* on
+    /// a resplice, so a cold recompute's `peak_bytes` stays bit-identical to
+    /// a run without the donor path.
     fn donor(
         cache: &Cache,
         drift: &DriftConfig,
         a: &CsrMatrix,
         key: &CacheKey,
-        query: &SketchArtifact,
+        query: &MatrixSketch,
+        rows: &[u64],
         mem: &mut MemTracker,
     ) -> DonorProbe {
         // Failpoint: simulate an unavailable donor index (`drift.donor=err`).
@@ -512,8 +514,7 @@ impl BootesPipeline {
             return DonorProbe::NoDonor;
         }
         let index = SimilarityIndex::new(cache.sketch_candidates(drift.sketch_config_hash()));
-        let sketch = MatrixSketch::from_values(query.sketch.clone());
-        let Some(donor) = index.best_donor(&sketch, a.nrows(), a.ncols(), key.pattern, drift.floor)
+        let Some(donor) = index.best_donor(query, a.nrows(), a.ncols(), key.pattern, drift.floor)
         else {
             return DonorProbe::NoDonor;
         };
@@ -533,7 +534,7 @@ impl BootesPipeline {
         };
         bootes_obs::counter_add("drift.donor_hits", 1);
         let donor_hex = format!("{:016x}", donor.pattern);
-        let changed = changed_rows(&donor_sketch.row_hashes, &query.row_hashes);
+        let changed = changed_rows(&donor_sketch.row_hashes, rows);
         if drift.should_fallback(changed.len(), a.nrows()) {
             bootes_obs::counter_add("drift.fallbacks", 1);
             return DonorProbe::Fallback { donor_hex };
@@ -624,14 +625,21 @@ impl BootesPipeline {
         let decision = self.decide_in(cache, a, fp)?;
         // The exact key missed; a near-identical pattern may still have a
         // cached permutation worth resplicing (a donor is an accelerated
-        // miss, not a hit). The query's sketch is taken once: the donor
-        // stage compares it and publication stores it.
+        // miss, not a hit). The query's sketch and row hashes are taken
+        // once: the donor stage compares them and publication stores them.
         let donor_path = match (decision.should_reorder(), cache, &self.drift) {
-            (true, Some(cache), Some(drift)) => Some((cache, drift, sketch_of(a, drift))),
+            (true, Some(cache), Some(drift)) => Some((
+                cache,
+                drift,
+                MatrixSketch::compute(a, drift.siglen, drift.seed),
+                row_pattern_hashes(a),
+            )),
             _ => None,
         };
         let probe = match &donor_path {
-            Some((cache, drift, query)) => Self::donor(cache, drift, a, &key, query, &mut mem),
+            Some((cache, drift, query, rows)) => {
+                Self::donor(cache, drift, a, &key, query, rows, &mut mem)
+            }
             None => DonorProbe::NoDonor,
         };
         let (permutation, mut stats, fallback_donor) = match (decision.label, probe) {
@@ -684,14 +692,14 @@ impl BootesPipeline {
                     stats: stats.clone(),
                 }),
             );
-            if let Some((_, drift, sketch)) = donor_path {
+            if let Some((_, drift, query, rows)) = donor_path {
                 cache.put(
                     CacheKey {
                         kind: ArtifactKind::Sketch,
                         pattern: key.pattern,
                         config: drift.sketch_config_hash(),
                     },
-                    Artifact::Sketch(sketch),
+                    Artifact::Sketch(artifact_of(a, drift, query, rows)),
                 );
             }
         }

@@ -45,9 +45,17 @@ impl SimilarityIndex {
     /// The most similar candidate to `query` that (a) sketches a matrix of
     /// exactly `nrows x ncols` (a donor permutation must be directly
     /// spliceable), (b) is not the query's own pattern, and (c) clears the
-    /// similarity `floor`. Ties break toward the smaller pattern hash so the
-    /// choice is deterministic regardless of candidate order. Returns `None`
-    /// when nothing qualifies — never a donor below the floor.
+    /// similarity `floor`. Returns `None` when nothing qualifies — never a
+    /// donor below the floor.
+    ///
+    /// Candidates rank by estimated similarity (highest first), then by
+    /// [`SketchCandidate::stamp`] (newest first), then by pattern hash
+    /// (smallest first), so the pick depends on the order in which the
+    /// sketches were put into the cache, never on their order in the index.
+    /// The estimate saturates on near-identical matrices (at `siglen` 96 it
+    /// reads 1.000 against a drifting matrix's donors up to a dozen steps
+    /// old); among those the newest is usually the one that differs in the
+    /// fewest rows.
     pub fn best_donor(
         &self,
         query: &MatrixSketch,
@@ -56,28 +64,21 @@ impl SimilarityIndex {
         exclude_pattern: u64,
         floor: f64,
     ) -> Option<DonorMatch> {
-        let mut best: Option<(f64, u64)> = None;
-        for c in &self.entries {
-            if c.pattern == exclude_pattern || c.nrows != nrows || c.ncols != ncols {
-                continue;
-            }
-            let candidate = MatrixSketch::from_values(c.sig.clone());
-            let sim = query.estimate_jaccard(&candidate);
-            if sim < floor {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bsim, bpat)) => sim > *bsim || (sim == *bsim && c.pattern < *bpat),
-            };
-            if better {
-                best = Some((sim, c.pattern));
-            }
-        }
-        best.map(|(similarity, pattern)| DonorMatch {
-            pattern,
-            similarity,
-        })
+        self.entries
+            .iter()
+            .filter(|c| c.pattern != exclude_pattern && c.nrows == nrows && c.ncols == ncols)
+            .map(|c| (query.estimate_jaccard(&c.sig), c))
+            .filter(|(sim, _)| *sim >= floor)
+            .max_by(|(sim_a, a), (sim_b, b)| {
+                sim_a
+                    .total_cmp(sim_b)
+                    .then(a.stamp.cmp(&b.stamp))
+                    .then(b.pattern.cmp(&a.pattern))
+            })
+            .map(|(similarity, c)| DonorMatch {
+                pattern: c.pattern,
+                similarity,
+            })
     }
 }
 
@@ -114,20 +115,52 @@ mod tests {
         coo.to_csr()
     }
 
+    fn query_of(a: &CsrMatrix, cfg: &DriftConfig) -> MatrixSketch {
+        MatrixSketch::compute(a, cfg.siglen, cfg.seed)
+    }
+
     #[test]
     fn near_identical_matrix_beats_unrelated_one() {
         let cfg = DriftConfig::default();
         let base = banded(64, 0);
         let near = perturbed(&base, &[3, 10]);
         let far = banded(64, 29);
+        // The unrelated matrix is the newer entry: similarity ranks first.
         let index = SimilarityIndex::new(vec![
-            sketch_of(&near, &cfg).candidate(1),
-            sketch_of(&far, &cfg).candidate(2),
+            sketch_of(&near, &cfg).candidate(1, 1),
+            sketch_of(&far, &cfg).candidate(2, 2),
         ]);
-        let query = bootes_reorder::lsh::MatrixSketch::from_values(sketch_of(&base, &cfg).sketch);
-        let m = index.best_donor(&query, 64, 64, 0, cfg.floor).unwrap();
+        let m = index
+            .best_donor(&query_of(&base, &cfg), 64, 64, 0, cfg.floor)
+            .unwrap();
         assert_eq!(m.pattern, 1, "the drifted twin is the donor");
         assert!(m.similarity >= cfg.floor);
+    }
+
+    #[test]
+    fn tied_estimates_pick_the_newest_then_the_smallest_pattern() {
+        let cfg = DriftConfig::default();
+        let base = banded(64, 0);
+        let query = query_of(&base, &cfg);
+        // Every candidate carries one sketch, so every estimate ties.
+        let twin = sketch_of(&perturbed(&base, &[5]), &cfg);
+        let pick = |candidates: Vec<(u64, u64)>| {
+            let index = SimilarityIndex::new(
+                candidates
+                    .iter()
+                    .map(|&(pattern, stamp)| twin.candidate(pattern, stamp))
+                    .collect(),
+            );
+            index
+                .best_donor(&query, 64, 64, 0, cfg.floor)
+                .unwrap()
+                .pattern
+        };
+        assert_eq!(pick(vec![(1, 10), (2, 30), (3, 20)]), 2, "newest stamp");
+        assert_eq!(pick(vec![(3, 20), (2, 30), (1, 10)]), 2, "any order");
+        assert_eq!(pick(vec![(9, 7), (4, 7), (6, 7)]), 4, "smallest pattern");
+        // Disk-only candidates (stamp 0) rank below any memory entry.
+        assert_eq!(pick(vec![(1, 0), (8, 1)]), 8);
     }
 
     #[test]
@@ -137,10 +170,10 @@ mod tests {
         let near = perturbed(&base, &[1]);
         let other_shape = banded(16, 0);
         let index = SimilarityIndex::new(vec![
-            sketch_of(&near, &cfg).candidate(1),
-            sketch_of(&other_shape, &cfg).candidate(2),
+            sketch_of(&near, &cfg).candidate(1, 1),
+            sketch_of(&other_shape, &cfg).candidate(2, 2),
         ]);
-        let query = bootes_reorder::lsh::MatrixSketch::from_values(sketch_of(&base, &cfg).sketch);
+        let query = query_of(&base, &cfg);
         // A floor of 1.01 can never be cleared.
         assert!(index.best_donor(&query, 32, 32, 0, 1.01).is_none());
         // The query's own pattern never donates to itself.
@@ -148,7 +181,7 @@ mod tests {
         // Shape mismatches are filtered before similarity is even estimated:
         // with only the 32x32 twin as a candidate, a 16x16 query finds
         // nothing even at floor 0.
-        let only_near = SimilarityIndex::new(vec![sketch_of(&near, &cfg).candidate(1)]);
+        let only_near = SimilarityIndex::new(vec![sketch_of(&near, &cfg).candidate(1, 1)]);
         assert!(only_near.best_donor(&query, 16, 16, 0, 0.0).is_none());
         assert!(!index.is_empty() && index.len() == 2);
     }

@@ -139,15 +139,31 @@ pub fn row_pattern_hashes(a: &CsrMatrix) -> Vec<u64> {
 /// pipeline stores alongside every cached permutation so later near-identical
 /// matrices can find it.
 pub fn sketch_of(a: &CsrMatrix, cfg: &DriftConfig) -> SketchArtifact {
-    let sketch = MatrixSketch::compute(a, cfg.siglen, cfg.seed);
+    artifact_of(
+        a,
+        cfg,
+        MatrixSketch::compute(a, cfg.siglen, cfg.seed),
+        row_pattern_hashes(a),
+    )
+}
+
+/// The [`SketchArtifact`] of `a` assembled from its `sketch` (computed under
+/// `cfg`) and its [`row_pattern_hashes`]: [`sketch_of`] for a caller that
+/// already holds both, so `a` is not hashed again.
+pub fn artifact_of(
+    a: &CsrMatrix,
+    cfg: &DriftConfig,
+    sketch: MatrixSketch,
+    row_hashes: Vec<u64>,
+) -> SketchArtifact {
     SketchArtifact {
         nrows: a.nrows(),
         ncols: a.ncols(),
         nnz: a.nnz(),
         siglen: cfg.siglen,
         seed: cfg.seed,
-        sketch: sketch.values().to_vec(),
-        row_hashes: row_pattern_hashes(a),
+        sketch: sketch.into_values(),
+        row_hashes,
     }
 }
 

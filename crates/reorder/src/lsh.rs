@@ -23,6 +23,47 @@ pub struct MinHashSignatures {
 /// A large Mersenne prime used as the hash modulus.
 const PRIME: u64 = (1 << 61) - 1;
 
+/// `x % PRIME` by the Mersenne fold: `2^61 ≡ 1 (mod PRIME)`, so the top three
+/// bits of `x` add onto its low 61, and the sum (at most `PRIME + 7`) needs
+/// one conditional subtraction.
+fn mod_prime(x: u64) -> u64 {
+    let y = (x & PRIME) + (x >> 61);
+    if y >= PRIME {
+        y - PRIME
+    } else {
+        y
+    }
+}
+
+/// Remainder by a divisor fixed for a whole sketch, as one multiply-high
+/// and one conditional subtraction instead of a hardware division.
+///
+/// With `m = ⌊(2^64 − 1) / d⌋`, the quotient estimate `q = ⌊h·m / 2^64⌋`
+/// never exceeds `h / d` and, for `h < 2^61`, falls short of it by less
+/// than 1.25, so `h − q·d` lies in `[0, 2d)`. Every hash reduced here is
+/// already below `PRIME < 2^61`.
+struct Remainder {
+    d: u64,
+    m: u64,
+}
+
+impl Remainder {
+    fn new(d: u64) -> Self {
+        Remainder { d, m: u64::MAX / d }
+    }
+
+    fn of(&self, h: u64) -> u64 {
+        debug_assert!(h < 1 << 61, "remainder input {h} is not below 2^61");
+        let q = ((u128::from(h) * u128::from(self.m)) >> 64) as u64;
+        let r = h - q * self.d;
+        if r >= self.d {
+            r - self.d
+        } else {
+            r
+        }
+    }
+}
+
 fn hash_params(siglen: usize, seed: u64) -> Vec<(u64, u64)> {
     // Deterministic splitmix64 stream for the (a, b) pairs.
     let mut state = seed;
@@ -171,6 +212,7 @@ impl MatrixSketch {
         let siglen = siglen.max(1);
         let (ha, hb) = hash_params(1, seed)[0];
         let mut sig = vec![u64::MAX; siglen];
+        let buckets = Remainder::new(siglen as u64);
         let ncols = a.ncols() as u64;
         for r in 0..a.nrows() {
             let (cols, _) = a.row(r);
@@ -178,8 +220,8 @@ impl MatrixSketch {
                 // 1-based flat cell id, same convention as the row hashing
                 // above (0 would collapse under `a * x`).
                 let cell = (r as u64) * ncols + c as u64 + 1;
-                let h = (ha.wrapping_mul(cell).wrapping_add(hb)) % PRIME;
-                let bucket = (h % siglen as u64) as usize;
+                let h = mod_prime(ha.wrapping_mul(cell).wrapping_add(hb));
+                let bucket = buckets.of(h) as usize;
                 if h < sig[bucket] {
                     sig[bucket] = h;
                 }
@@ -188,15 +230,14 @@ impl MatrixSketch {
         MatrixSketch { sig }
     }
 
-    /// Rebuilds a sketch from stored signature values (e.g. a cached
-    /// artifact).
-    pub fn from_values(sig: Vec<u64>) -> Self {
-        MatrixSketch { sig }
-    }
-
     /// The signature values.
     pub fn values(&self) -> &[u64] {
         &self.sig
+    }
+
+    /// The signature values, moved out (e.g. into a cached artifact).
+    pub fn into_values(self) -> Vec<u64> {
+        self.sig
     }
 
     /// Signature length.
@@ -204,20 +245,21 @@ impl MatrixSketch {
         self.sig.len()
     }
 
-    /// Estimated Jaccard similarity of the two nonzero-cell sets: the
-    /// fraction of matching positions among buckets that at least one sketch
-    /// filled (both-empty buckets carry no evidence and are skipped, so two
-    /// sparse but unrelated patterns do not look similar just by leaving the
-    /// same buckets empty). Two all-empty sketches — two empty matrices —
-    /// estimate 1.0. Sketches of different lengths (different
-    /// configurations) are incomparable and estimate 0.
-    pub fn estimate_jaccard(&self, other: &MatrixSketch) -> f64 {
-        if self.sig.is_empty() || self.sig.len() != other.sig.len() {
+    /// Estimated Jaccard similarity of the two nonzero-cell sets, against
+    /// `other`, the signature values of another sketch (borrowed, e.g. from
+    /// a cached artifact): the fraction of matching positions among buckets
+    /// that at least one sketch filled (both-empty buckets carry no evidence
+    /// and are skipped, so two sparse but unrelated patterns do not look
+    /// similar just by leaving the same buckets empty). Two all-empty
+    /// sketches — two empty matrices — estimate 1.0. Sketches of different
+    /// lengths (different configurations) are incomparable and estimate 0.
+    pub fn estimate_jaccard(&self, other: &[u64]) -> f64 {
+        if self.sig.is_empty() || self.sig.len() != other.len() {
             return 0.0;
         }
         let mut matches = 0usize;
         let mut informative = 0usize;
-        for (a, b) in self.sig.iter().zip(&other.sig) {
+        for (a, b) in self.sig.iter().zip(other) {
             if *a == u64::MAX && *b == u64::MAX {
                 continue;
             }
@@ -237,6 +279,7 @@ impl MatrixSketch {
 mod tests {
     use super::*;
     use bootes_sparse::CooMatrix;
+    use proptest::prelude::*;
 
     fn matrix_with_identical_and_disjoint_rows() -> CsrMatrix {
         let mut coo = CooMatrix::new(4, 40);
@@ -302,5 +345,98 @@ mod tests {
         let a = CsrMatrix::zeros(3, 3);
         let s = MinHashSignatures::compute(&a, 8, 0);
         assert!(s.candidate_pairs(2).is_empty());
+    }
+
+    /// Pins the sketch of one fixed matrix at a bucket count that is not a
+    /// power of two, empty buckets included, so a change to the hash, the
+    /// reduction mod `PRIME` or the bucket remainder shows as a diff here.
+    #[test]
+    fn matrix_sketch_known_answer() {
+        let mut coo = CooMatrix::new(6, 10);
+        for (r, c) in [
+            (0, 0),
+            (0, 3),
+            (0, 9),
+            (1, 1),
+            (1, 2),
+            (2, 5),
+            (3, 0),
+            (3, 7),
+            (3, 8),
+            (4, 4),
+            (5, 6),
+            (5, 9),
+        ] {
+            coo.push(r, c, 1.0).unwrap();
+        }
+        let sketch = MatrixSketch::compute(&coo.to_csr(), 7, 0xB007E5);
+        assert_eq!(
+            sketch.values(),
+            [
+                624020327726979204,
+                u64::MAX,
+                480242360900213102,
+                u64::MAX,
+                18273071754113481,
+                u64::MAX,
+                309832441924449863,
+            ]
+        );
+    }
+
+    #[test]
+    fn fold_and_remainder_are_exact_at_the_edges() {
+        for x in [
+            0,
+            1,
+            PRIME - 1,
+            PRIME,
+            PRIME + 1,
+            PRIME + 7,
+            2 * PRIME,
+            2 * PRIME + 1,
+            1 << 61,
+            (1 << 62) - 1,
+            1 << 63,
+            u64::MAX - PRIME,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(mod_prime(x), x % PRIME, "x = {x}");
+        }
+        for d in [1, 2, 3, 7, 32, 63, 64, 96, 100, 1000, 4095, 4096] {
+            let rem = Remainder::new(d);
+            for h in [
+                0,
+                1,
+                d - 1,
+                d,
+                d + 1,
+                2 * d - 1,
+                2 * d,
+                PRIME - d,
+                PRIME - 1,
+            ] {
+                assert_eq!(rem.of(h), h % d, "h = {h}, d = {d}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Both reductions `MatrixSketch::compute` uses equal the `%` they
+        /// replace: the fold over all of `u64` (`u64::MAX` is covered by the
+        /// edge test), the remainder for every `siglen` up to 4096 over the
+        /// hash range below 2^61.
+        #[test]
+        fn fold_and_remainder_match_the_modulo(
+            x in 0u64..u64::MAX,
+            d in 1u64..4097,
+            h in 0u64..(1 << 61),
+        ) {
+            prop_assert_eq!(mod_prime(x), x % PRIME);
+            prop_assert_eq!(Remainder::new(d).of(h), h % d);
+        }
     }
 }

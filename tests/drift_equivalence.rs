@@ -137,6 +137,42 @@ fn incremental_traffic_within_epsilon_of_full_reorder() {
     bootes::par::set_threads(1);
 }
 
+/// Each step of a drifting sequence splices from the step before it. The
+/// sketch estimate ties between donors a few steps apart, and the index
+/// ranks such ties by recency, so a step resplices exactly the rows it
+/// changed, never also those an older donor differs in, and never falls
+/// back because of them.
+#[test]
+fn every_step_splices_from_the_previous_one() {
+    let _guard = lock_global();
+    let seq = sequence(16);
+    for threads in [1usize, 4] {
+        bootes::par::set_threads(threads);
+        cache::install(mem_cache());
+        let p = pipeline(Some(DriftConfig::default()));
+        let outs: Vec<PipelineOutcome> = seq
+            .iter()
+            .map(|s| p.preprocess(&s.matrix).expect("preprocess"))
+            .collect();
+        cache::uninstall();
+        for (i, (step, out)) in seq.iter().zip(&outs).enumerate().skip(1) {
+            let previous = format!("{:016x}", p.reorder_key(&seq[i - 1].matrix).pattern);
+            assert_eq!(
+                out.stats.donor_fingerprint.as_deref(),
+                Some(previous.as_str()),
+                "t{threads} step {i}: the donor is the previous step"
+            );
+            assert_eq!(
+                out.stats.rows_respliced,
+                step.changed_rows.len(),
+                "t{threads} step {i}: only the step's own changed rows move"
+            );
+            assert!(!out.stats.drift_fallback, "t{threads} step {i}");
+        }
+    }
+    bootes::par::set_threads(1);
+}
+
 /// With no donor in play the drift machinery must be invisible: a pipeline
 /// with drift enabled but nothing to splice from serializes *byte-identical*
 /// stats to a pipeline built without drift support.

@@ -305,31 +305,37 @@ proptest! {
 
     /// `best_donor` never returns a candidate below the similarity floor,
     /// never the query's own pattern, never a shape mismatch — and what it
-    /// returns is the true argmax among the qualifying candidates.
+    /// returns is the first of the qualifying candidates in the full order:
+    /// highest estimate, then newest stamp, then smallest pattern. Ties are
+    /// made on purpose: a copy of the first other matrix ties it on the
+    /// estimate, up to two copies of the query under other patterns tie at
+    /// the top, and stamps drawn from a small range tie often.
     #[test]
     fn best_donor_never_below_floor(
         query_m in square_matrix(16, 50),
         others in proptest::collection::vec(square_matrix(16, 50), 1..4),
+        twins in 0usize..3,
+        stamps in proptest::collection::vec(0u64..3, 7),
         floor in 0.0f64..1.001,
     ) {
         use bootes::drift::{sketch_of, DriftConfig, SimilarityIndex};
         use bootes::reorder::lsh::MatrixSketch;
         let cfg = DriftConfig::default().with_siglen(32);
         const QUERY_PATTERN: u64 = 1;
-        let mut candidates = vec![sketch_of(&query_m, &cfg).candidate(QUERY_PATTERN)];
-        for (i, m) in others.iter().enumerate() {
-            candidates.push(sketch_of(m, &cfg).candidate(2 + i as u64));
-        }
-        let sims: Vec<(u64, usize, usize, f64)> = candidates
+        let mut candidates = vec![sketch_of(&query_m, &cfg).candidate(QUERY_PATTERN, stamps[0])];
+        let copies = others
             .iter()
-            .map(|c| {
-                let s = MatrixSketch::from_values(c.sig.clone());
-                let q = MatrixSketch::compute(&query_m, cfg.siglen, cfg.seed);
-                (c.pattern, c.nrows, c.ncols, q.estimate_jaccard(&s))
-            })
+            .chain(&others[..1])
+            .chain(std::iter::repeat_n(&query_m, twins));
+        for (i, m) in copies.enumerate() {
+            candidates.push(sketch_of(m, &cfg).candidate(2 + i as u64, stamps[i + 1]));
+        }
+        let query = MatrixSketch::compute(&query_m, cfg.siglen, cfg.seed);
+        let sims: Vec<(u64, usize, usize, f64, u64)> = candidates
+            .iter()
+            .map(|c| (c.pattern, c.nrows, c.ncols, query.estimate_jaccard(&c.sig), c.stamp))
             .collect();
         let index = SimilarityIndex::new(candidates);
-        let query = MatrixSketch::compute(&query_m, cfg.siglen, cfg.seed);
         let best = index.best_donor(
             &query,
             query_m.nrows(),
@@ -337,19 +343,24 @@ proptest! {
             QUERY_PATTERN,
             floor,
         );
-        let qualifying = sims.iter().filter(|(p, nr, nc, sim)| {
+        let qualifying = sims.iter().filter(|(p, nr, nc, sim, _)| {
             *p != QUERY_PATTERN && *nr == query_m.nrows() && *nc == query_m.ncols() && *sim >= floor
         });
         match best {
             Some(m) => {
                 prop_assert!(m.similarity >= floor, "below floor: {} < {floor}", m.similarity);
                 prop_assert_ne!(m.pattern, QUERY_PATTERN, "self-donation");
-                let (_, nr, nc, sim) = sims.iter().find(|(p, ..)| *p == m.pattern).expect("known");
+                let (_, nr, nc, sim, stamp) =
+                    sims.iter().find(|(p, ..)| *p == m.pattern).expect("known");
                 prop_assert_eq!(*nr, query_m.nrows());
                 prop_assert_eq!(*nc, query_m.ncols());
                 prop_assert_eq!(*sim, m.similarity, "reported similarity is the estimate");
-                for (p, _, _, other) in qualifying.clone() {
-                    prop_assert!(*other <= m.similarity, "candidate {p} beats the winner");
+                for (p, _, _, other, other_stamp) in qualifying.clone() {
+                    let outranks = *other > m.similarity
+                        || (*other == m.similarity
+                            && (*other_stamp > *stamp
+                                || (*other_stamp == *stamp && *p < m.pattern)));
+                    prop_assert!(!outranks, "candidate {p} outranks the winner {}", m.pattern);
                 }
             }
             None => {
