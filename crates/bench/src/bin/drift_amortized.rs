@@ -218,16 +218,16 @@ fn main() {
         EPSILON * 100.0
     );
     // Donor-ranking gate: deterministic, always enforced.
-    let off_rank: Vec<(usize, usize, usize)> = summary
+    let misranked: Vec<(usize, usize, usize)> = summary
         .per_step
         .iter()
         .filter(|s| s.rows_respliced > 0 && s.rows_respliced != s.changed_rows)
         .map(|s| (s.step, s.rows_respliced, s.changed_rows))
         .collect();
     assert!(
-        off_rank.is_empty(),
+        misranked.is_empty(),
         "respliced steps moved rows they did not change, so their donor was \
-         not the previous step — (step, respliced, changed): {off_rank:?}"
+         not the previous step — (step, respliced, changed): {misranked:?}"
     );
     assert!(
         resplices >= steps / 2,
