@@ -109,14 +109,15 @@ pub fn normalized_laplacian(similarity: &CsrMatrix) -> Result<CsrMatrix, LinalgE
 /// the operator the Bootes reorderer runs Lanczos on; [`normalized_laplacian`]
 /// builds Algorithm 4's `L` explicitly and serves as the tests' reference.
 /// Both products are pattern products
-/// ([`CsrMatrix::par_pattern_matvec_into`]), which read no values.
+/// ([`CsrMatrix::par_pattern_matvec_into`]), which read no values, so the
+/// operator borrows `A` for `Ā` and owns only `Aᵀ` (whose values ride along
+/// unread), the inverse-square-root degrees and two scratch vectors.
 #[derive(Debug, Clone)]
-pub struct ImplicitNormalizedLaplacian {
-    /// Binary pattern of `A` (values all 1.0; the products never read them,
-    /// but they stay so that `heap_bytes` keeps counting them).
-    a_bin: CsrMatrix,
-    /// Transpose of the binary pattern (CSR layout of `Āᵀ`).
-    at_bin: CsrMatrix,
+pub struct ImplicitNormalizedLaplacian<'a> {
+    /// `A`, read as its pattern `Ā`.
+    a: &'a CsrMatrix,
+    /// `Aᵀ` in CSR layout, read as the pattern `Āᵀ`.
+    at: CsrMatrix,
     /// `1/sqrt(degree)` per row (0 for isolated rows).
     inv_sqrt: Vec<f64>,
     /// Scratch buffers reused across applications.
@@ -124,48 +125,45 @@ pub struct ImplicitNormalizedLaplacian {
     scratch_cols: std::cell::RefCell<Vec<f64>>,
 }
 
-impl ImplicitNormalizedLaplacian {
+impl<'a> ImplicitNormalizedLaplacian<'a> {
     /// Builds the operator for the row-similarity graph of `a`.
     ///
     /// Degrees are computed as `Ā · (Āᵀ · 1)` — the row sums of the
-    /// never-materialized similarity matrix.
-    pub fn new(a: &bootes_sparse::CsrMatrix) -> Self {
-        let a_bin = a.to_binary();
-        let at_bin = a_bin.transpose();
-        let ones = vec![1.0; a_bin.nrows()];
-        let col_counts = at_bin
-            .matvec(&ones)
-            .expect("dimensions match by construction");
-        let degrees = a_bin
-            .matvec(&col_counts)
-            .expect("dimensions match by construction");
-        let inv_sqrt = degrees
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        let n = a_bin.nrows();
-        let m = a_bin.ncols();
+    /// never-materialized similarity matrix — with the same pattern product
+    /// every application runs.
+    pub fn new(a: &'a CsrMatrix) -> Self {
+        let at = a.transpose();
+        let threads = bootes_par::threads();
+        let rows = vec![1.0; a.nrows()];
+        let mut cols = vec![0.0; a.ncols()];
+        at.par_pattern_matvec_into(&rows, &mut cols, threads);
+        let mut inv_sqrt = vec![0.0; a.nrows()];
+        a.par_pattern_matvec_into(&cols, &mut inv_sqrt, threads);
+        for d in &mut inv_sqrt {
+            *d = if *d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+        }
+        // Every application overwrites both vectors in full, so the degree
+        // pass's buffers become the scratch.
         ImplicitNormalizedLaplacian {
-            a_bin,
-            at_bin,
+            a,
+            at,
             inv_sqrt,
-            scratch_rows: std::cell::RefCell::new(vec![0.0; n]),
-            scratch_cols: std::cell::RefCell::new(vec![0.0; m]),
+            scratch_rows: std::cell::RefCell::new(rows),
+            scratch_cols: std::cell::RefCell::new(cols),
         }
     }
 
-    /// Approximate heap footprint in bytes (both patterns plus the vectors).
+    /// Approximate heap footprint in bytes of what the operator owns: `Aᵀ`
+    /// plus the three vectors (not the borrowed `A`).
     pub fn heap_bytes(&self) -> usize {
-        self.a_bin.heap_bytes()
-            + self.at_bin.heap_bytes()
-            + (self.inv_sqrt.len() + self.a_bin.ncols() + self.a_bin.nrows())
-                * std::mem::size_of::<f64>()
+        self.at.heap_bytes()
+            + (self.inv_sqrt.len() + self.a.ncols() + self.a.nrows()) * std::mem::size_of::<f64>()
     }
 }
 
-impl crate::operator::LinearOperator for ImplicitNormalizedLaplacian {
+impl crate::operator::LinearOperator for ImplicitNormalizedLaplacian<'_> {
     fn dim(&self) -> usize {
-        self.a_bin.nrows()
+        self.a.nrows()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
@@ -177,10 +175,8 @@ impl crate::operator::LinearOperator for ImplicitNormalizedLaplacian {
         // The Lanczos hot loop: both pattern SpMVs run chunked (bit-identical
         // to serial), which is where the operator's parallelism comes from.
         let threads = bootes_par::threads();
-        self.at_bin
-            .par_pattern_matvec_into(&scaled, &mut cols, threads);
-        self.a_bin
-            .par_pattern_matvec_into(&cols, &mut scaled, threads);
+        self.at.par_pattern_matvec_into(&scaled, &mut cols, threads);
+        self.a.par_pattern_matvec_into(&cols, &mut scaled, threads);
         for ((yi, &xi), (&s, &w)) in y.iter_mut().zip(x).zip(scaled.iter().zip(&self.inv_sqrt)) {
             *yi = xi - w * s;
         }
@@ -313,7 +309,36 @@ mod tests {
         for (d, i) in dense.iter().zip(&implicit) {
             assert!((d - i).abs() < 1e-12);
         }
-        assert!(op.heap_bytes() > 0);
+        // It owns Aᵀ and three vectors (4 rows, 7 columns, 4 rows), no copy
+        // of A.
+        assert_eq!(
+            op.heap_bytes(),
+            a.transpose().heap_bytes() + (4 + 7 + 4) * std::mem::size_of::<f64>()
+        );
+    }
+
+    #[test]
+    fn degrees_match_the_binary_matvec_bit_for_bit() {
+        // The degrees as `Ā · (Āᵀ · 1)` over explicit 1.0 copies of A.
+        let a = CsrMatrix::try_new(
+            6,
+            5,
+            vec![0, 3, 3, 5, 9, 10, 12],
+            vec![0, 2, 4, 1, 2, 0, 1, 3, 4, 2, 3, 4],
+            vec![2.0, -1.0, 4.0, 1.0, 0.5, 3.0, 7.0, -2.0, 1.5, 9.0, 0.25, 6.0],
+        )
+        .unwrap();
+        let bin = a.to_binary();
+        let cols = bin.transpose().matvec(&vec![1.0; 6]).unwrap();
+        let want: Vec<u64> = bin
+            .matvec(&cols)
+            .unwrap()
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 }.to_bits())
+            .collect();
+        let op = ImplicitNormalizedLaplacian::new(&a);
+        let got: Vec<u64> = op.inv_sqrt.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
