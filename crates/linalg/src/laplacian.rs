@@ -325,7 +325,9 @@ mod tests {
             5,
             vec![0, 3, 3, 5, 9, 10, 12],
             vec![0, 2, 4, 1, 2, 0, 1, 3, 4, 2, 3, 4],
-            vec![2.0, -1.0, 4.0, 1.0, 0.5, 3.0, 7.0, -2.0, 1.5, 9.0, 0.25, 6.0],
+            vec![
+                2.0, -1.0, 4.0, 1.0, 0.5, 3.0, 7.0, -2.0, 1.5, 9.0, 0.25, 6.0,
+            ],
         )
         .unwrap();
         let bin = a.to_binary();
