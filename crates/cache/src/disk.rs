@@ -5,7 +5,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "kind": "reorder",
 //!   "pattern": "00ab...",   // 16 hex digits (u64s exceed f64-safe integers)
 //!   "config":  "00cd...",
@@ -33,7 +33,9 @@ use crate::key::{ArtifactKind, CacheKey};
 /// encoding, or the fingerprint scheme (see the known-answer test in
 /// `bootes_sparse::fingerprint`). Entries with a different version are
 /// ignored, not quarantined — they belong to another software version.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version 2 derives the fingerprint from the row pattern hashes, so a
+/// version-1 entry's file name keys a pattern hash of the old scheme.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Name of the subdirectory corrupt entries are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -422,18 +424,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The next version belongs to newer software; the previous one keys
+    /// patterns by the old fingerprint scheme. Either way the entry is
+    /// skipped, never quarantined, and a cache over the directory neither
+    /// serves it nor offers it as a drift donor.
     #[test]
     fn future_format_version_is_ignored_not_quarantined() {
-        let dir = tmp_dir("version");
-        let store = DiskStore::open(&dir).unwrap();
-        let key = sample_key();
-        store.store(&key, &sample_artifact()).unwrap();
-        let path = dir.join(key.file_name());
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"version\":1", "\"version\":2")).unwrap();
-        assert_eq!(store.load(&key), None);
-        assert!(path.exists(), "other-version entries are left alone");
-        let _ = std::fs::remove_dir_all(&dir);
+        use crate::artifact::{ReorderArtifact, SketchArtifact};
+        use crate::{Cache, CacheConfig};
+
+        let reorder_key = CacheKey {
+            kind: ArtifactKind::Reorder,
+            pattern: 0x5EED,
+            config: 3,
+        };
+        let sketch_key = CacheKey {
+            kind: ArtifactKind::Sketch,
+            pattern: 0x5EED,
+            config: 77,
+        };
+        let entries = [
+            (sample_key(), sample_artifact()),
+            (
+                reorder_key,
+                Artifact::Reorder(ReorderArtifact {
+                    permutation: bootes_sparse::Permutation::identity(4),
+                    stats: bootes_reorder::ReorderStats::new(
+                        "bootes",
+                        std::time::Duration::from_millis(1),
+                        64,
+                    ),
+                }),
+            ),
+            (
+                sketch_key,
+                Artifact::Sketch(SketchArtifact {
+                    nrows: 4,
+                    ncols: 4,
+                    nnz: 8,
+                    siglen: 2,
+                    seed: 9,
+                    sketch: vec![1, 2],
+                    row_hashes: vec![5; 4],
+                }),
+            ),
+        ];
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+            let dir = tmp_dir(&format!("version-{version}"));
+            let store = DiskStore::open(&dir).unwrap();
+            for (key, artifact) in &entries {
+                store.store(key, artifact).unwrap();
+                let path = dir.join(key.file_name());
+                let text = std::fs::read_to_string(&path).unwrap();
+                let ours = format!("\"version\":{FORMAT_VERSION}");
+                assert!(text.contains(&ours), "{text}");
+                let theirs = format!("\"version\":{version}");
+                std::fs::write(&path, text.replace(&ours, &theirs)).unwrap();
+                assert_eq!(store.load(key), None, "version {version}");
+            }
+            let cache = Cache::new(CacheConfig::memory_only(1 << 20).with_dir(&dir)).unwrap();
+            assert!(cache.sketch_candidates(77).is_empty(), "version {version}");
+            assert_eq!(cache.sketch_donor(0x5EED, 77), None, "version {version}");
+            assert_eq!(cache.reorder_donor(0x5EED, 3, 4), None, "version {version}");
+            assert_eq!(cache.get(&reorder_key), None, "version {version}");
+            for (key, _) in &entries {
+                let path = dir.join(key.file_name());
+                assert!(path.exists(), "other-version entries are left alone");
+            }
+            assert!(!dir.join(QUARANTINE_DIR).exists(), "version {version}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

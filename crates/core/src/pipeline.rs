@@ -9,9 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bootes_cache::{Artifact, ArtifactKind, Cache, CacheKey, DecisionArtifact, ReorderArtifact};
-use bootes_drift::{
-    artifact_of, changed_rows, resplice, row_pattern_hashes, DriftConfig, SimilarityIndex,
-};
+use bootes_drift::{artifact_of, changed_rows, resplice, DriftConfig, SimilarityIndex};
 use bootes_guard::GuardError;
 use bootes_model::{Dataset, DecisionTree, ModelError, TreeConfig};
 use bootes_reorder::lsh::MatrixSketch;
@@ -19,8 +17,7 @@ use bootes_reorder::{
     HierReorderer, MemTracker, OriginalOrder, ReorderError, ReorderOutcome, ReorderStats,
     Reorderer, StatsScope,
 };
-use bootes_sparse::MatrixFingerprint;
-use bootes_sparse::{CsrMatrix, Permutation};
+use bootes_sparse::{row_pattern_hashes, CsrMatrix, MatrixFingerprint, Permutation};
 use serde::{Deserialize, Serialize};
 
 use crate::config::BootesConfig;
@@ -575,15 +572,20 @@ impl BootesPipeline {
     ///
     /// Returns [`PipelineError`] if inference or reordering fails.
     pub fn preprocess(&self, a: &CsrMatrix) -> Result<PipelineOutcome, PipelineError> {
-        self.preprocess_fingerprinted(a, &MatrixFingerprint::of(a))
+        let row_hashes = row_pattern_hashes(a);
+        let fp = MatrixFingerprint::from_row_hashes(a, &row_hashes);
+        self.preprocess_fingerprinted(a, &fp, row_hashes)
     }
 
     /// [`BootesPipeline::preprocess`] for a caller that already holds `a`'s
-    /// fingerprint (`fp` must be `MatrixFingerprint::of(a)`): the serving
+    /// row pattern hashes and the fingerprint derived from them
+    /// (`row_hashes` must be `row_pattern_hashes(a)`, `fp` must be
+    /// `MatrixFingerprint::from_row_hashes(a, &row_hashes)`): the serving
     /// daemon hashes each matrix once for its singleflight key and passes
-    /// the fingerprint on. One fingerprint serves both the reorder key and
-    /// the decision key, which are only looked up when a global cache is
-    /// installed.
+    /// both on. One fingerprint serves both the reorder key and the decision
+    /// key, which are only looked up when a global cache is installed; the
+    /// row hashes serve the donor stage's changed-row diff and the stored
+    /// sketch, so `a`'s indices are hashed once per call.
     ///
     /// # Errors
     ///
@@ -592,10 +594,16 @@ impl BootesPipeline {
         &self,
         a: &CsrMatrix,
         fp: &MatrixFingerprint,
+        row_hashes: Vec<u64>,
     ) -> Result<PipelineOutcome, PipelineError> {
         debug_assert_eq!(
+            row_hashes,
+            row_pattern_hashes(a),
+            "row hashes of another matrix"
+        );
+        debug_assert_eq!(
             *fp,
-            MatrixFingerprint::of(a),
+            MatrixFingerprint::from_row_hashes(a, &row_hashes),
             "fingerprint of another matrix"
         );
         let scope = StatsScope::start("bootes-pipeline", "pipeline.preprocess");
@@ -625,20 +633,20 @@ impl BootesPipeline {
         let decision = self.decide_in(cache, a, fp)?;
         // The exact key missed; a near-identical pattern may still have a
         // cached permutation worth resplicing (a donor is an accelerated
-        // miss, not a hit). The query's sketch and row hashes are taken
-        // once: the donor stage compares them and publication stores them.
+        // miss, not a hit). The query's sketch is taken once: the donor
+        // stage compares it, with the row hashes, and publication stores
+        // both.
         let donor_path = match (decision.should_reorder(), cache, &self.drift) {
             (true, Some(cache), Some(drift)) => Some((
                 cache,
                 drift,
                 MatrixSketch::compute(a, drift.siglen, drift.seed),
-                row_pattern_hashes(a),
             )),
             _ => None,
         };
         let probe = match &donor_path {
-            Some((cache, drift, query, rows)) => {
-                Self::donor(cache, drift, a, &key, query, rows, &mut mem)
+            Some((cache, drift, query)) => {
+                Self::donor(cache, drift, a, &key, query, &row_hashes, &mut mem)
             }
             None => DonorProbe::NoDonor,
         };
@@ -692,14 +700,14 @@ impl BootesPipeline {
                     stats: stats.clone(),
                 }),
             );
-            if let Some((_, drift, query, rows)) = donor_path {
+            if let Some((_, drift, query)) = donor_path {
                 cache.put(
                     CacheKey {
                         kind: ArtifactKind::Sketch,
                         pattern: key.pattern,
                         config: drift.sketch_config_hash(),
                     },
-                    Artifact::Sketch(artifact_of(a, drift, query, rows)),
+                    Artifact::Sketch(artifact_of(a, drift, query, row_hashes)),
                 );
             }
         }

@@ -35,6 +35,7 @@ use bootes_cache::SketchArtifact;
 use bootes_reorder::lsh::MatrixSketch;
 use bootes_sparse::{CsrMatrix, Fnv1a};
 
+pub use bootes_sparse::row_pattern_hashes;
 pub use index::{DonorMatch, SimilarityIndex};
 pub use resplice::{changed_rows, resplice, DriftError};
 
@@ -116,23 +117,6 @@ impl DriftConfig {
             .write_u64(self.seed);
         h.finish()
     }
-}
-
-/// FNV-1a hash of each row's column-index pattern. Two rows hash equal iff
-/// (modulo FNV collisions) their column supports are identical, so comparing
-/// the vectors of two same-shape matrices yields exactly the rows that
-/// drifted.
-pub fn row_pattern_hashes(a: &CsrMatrix) -> Vec<u64> {
-    (0..a.nrows())
-        .map(|r| {
-            let (cols, _) = a.row(r);
-            let mut h = Fnv1a::new();
-            for &c in cols {
-                h.write_u64(c as u64);
-            }
-            h.finish()
-        })
-        .collect()
 }
 
 /// Computes the [`SketchArtifact`] of `a` under `cfg` — the entry the

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use bootes_cache::singleflight::{FlightRole, Singleflight};
 use bootes_core::{BootesPipeline, Label};
 use bootes_guard::{fail_point, Budget, TenantBudgets, TenantPolicy};
-use bootes_sparse::{CsrMatrix, MatrixFingerprint};
+use bootes_sparse::{row_pattern_hashes, CsrMatrix, MatrixFingerprint};
 
 use crate::protocol::{decode, encode, Request, Response, ServerStats};
 
@@ -737,9 +737,11 @@ fn submit_work(shared: &Shared, op: WorkOp, req: Request) -> Response {
 }
 
 fn execute(shared: &Shared, id: u64, op: WorkOp, matrix: &CsrMatrix) -> Response {
-    // One fingerprint per request: it keys the flight and the pipeline's
-    // cache lookups alike.
-    let fp = MatrixFingerprint::of(matrix);
+    // One walk over the indices per request, as `preprocess` takes it: the
+    // row hashes give the fingerprint, which keys the flight and the
+    // pipeline's cache lookups alike, and a preprocess miss reuses them.
+    let row_hashes = row_pattern_hashes(matrix);
+    let fp = MatrixFingerprint::from_row_hashes(matrix, &row_hashes);
     let key = match op {
         WorkOp::Preprocess => shared.pipeline.reorder_key_of(&fp),
         WorkOp::Decide => shared.pipeline.decision_key_of(&fp),
@@ -758,7 +760,7 @@ fn execute(shared: &Shared, id: u64, op: WorkOp, matrix: &CsrMatrix) -> Response
             WorkOp::Preprocess => {
                 let out = shared
                     .pipeline
-                    .preprocess_fingerprinted(matrix, &fp)
+                    .preprocess_fingerprinted(matrix, &fp, row_hashes)
                     .map_err(|e| e.to_string())?;
                 Ok(Response {
                     permutation: Some(out.permutation.into()),

@@ -4,26 +4,35 @@
 //! artifact on the *content* of the input matrix, not on its provenance: the
 //! same matrix loaded from two different files, or rebuilt from a COO
 //! triplet stream, must map to the same cache entry. [`MatrixFingerprint`]
-//! provides that key as a 64-bit FNV-1a **pattern hash** over the shape
-//! (`nrows`, `ncols`) plus the full `indptr` and `indices` arrays —
+//! provides that key as a 64-bit FNV-1a **pattern hash**: a fold of the
+//! shape (`nrows`, `ncols`) plus, per row, its length and its row hash, the
+//! FNV-1a hash of the row's column indices ([`row_pattern_hashes`]) —
 //! everything that defines the sparsity pattern. Every cached artifact is a
 //! function of the pattern alone (the spectral reorderer works on the
 //! *binary* similarity graph, the structural feature extractor counts
-//! nonzeros), so matrices that differ only in values share entries.
+//! nonzeros), so matrices that differ only in values share entries. The
+//! drift donor path compares the same row hashes to find the rows that
+//! changed, so a caller that needs both walks the indices once
+//! ([`MatrixFingerprint::from_row_hashes`]).
 //!
 //! Every word is folded in through its little-endian byte encoding
-//! (`u64::to_le_bytes`), so the fingerprint is a pure function of the
-//! logical matrix — stable across platforms of either endianness, across
-//! serialization round-trips, and across process runs (FNV is unkeyed; no
-//! per-process hash seeding is involved).
+//! (`u64::to_le_bytes`), except each row hash, which is folded as one word
+//! (one xor, one multiply): its eight bytes are all live, and eight byte
+//! steps per row would make the fold cost more than the walk it replaces.
+//! So the fingerprint is a pure function of the logical matrix — stable
+//! across platforms of either endianness, across serialization round-trips,
+//! and across process runs (FNV is unkeyed; no per-process hash seeding is
+//! involved).
 //!
 //! A word's zero high bytes are folded as one multiply: FNV-1a turns a zero
 //! byte into `h · P` (`h ^ 0 = h`), so `k` trailing zero bytes are exactly
 //! `h · Pᵏ`. Column indices and row lengths fill one or two of their eight
-//! bytes, which makes the serial multiply chain about 3× shorter. Every hash
-//! value is unchanged by this — it is the same byte-at-a-time FNV-1a, only
-//! computed in fewer steps — so `bootes-cache`'s `FORMAT_VERSION` stays and
-//! existing disk caches stay valid.
+//! bytes, which makes the serial multiply chain about 3× shorter, with the
+//! same values as the byte-at-a-time FNV-1a.
+//!
+//! This scheme is `bootes-cache`'s `FORMAT_VERSION` 2. Any change to it
+//! moves every cache key, so it must bump that version (see the
+//! known-answer test below).
 
 use crate::csr::CsrMatrix;
 
@@ -87,6 +96,13 @@ impl Fnv1a {
         self.write_u64(v as u64)
     }
 
+    /// Folds one `u64` as a single word, one xor and one multiply: for
+    /// words that are themselves hashes, whose eight bytes are all live.
+    fn write_word(&mut self, v: u64) -> &mut Self {
+        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
+        self
+    }
+
     /// Folds one `f64` through its IEEE-754 bit pattern.
     pub fn write_f64(&mut self, v: f64) -> &mut Self {
         self.write_u64(v.to_bits())
@@ -105,6 +121,25 @@ impl Fnv1a {
     }
 }
 
+/// FNV-1a hash of one row's column indices, each folded as a `usize`: the
+/// one walk over the indices that [`row_pattern_hashes`] and
+/// [`MatrixFingerprint`] share.
+fn row_hash(cols: &[usize]) -> u64 {
+    let mut h = Fnv1a::new();
+    for &c in cols {
+        h.write_usize(c);
+    }
+    h.finish()
+}
+
+/// FNV-1a hash of each row's column-index pattern. Two rows hash equal iff
+/// (modulo FNV collisions) their column supports are identical, so comparing
+/// the vectors of two same-shape matrices yields exactly the rows that
+/// drifted.
+pub fn row_pattern_hashes(a: &CsrMatrix) -> Vec<u64> {
+    (0..a.nrows()).map(|r| row_hash(a.row(r).0)).collect()
+}
+
 /// Content fingerprint of a [`CsrMatrix`]: shape, nonzero count, and the
 /// pattern hash described at module level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,23 +150,32 @@ pub struct MatrixFingerprint {
     pub ncols: usize,
     /// Number of stored nonzeros.
     pub nnz: usize,
-    /// Hash of shape + `indptr` + `indices` (the sparsity pattern).
+    /// Hash of the shape plus each row's length and row hash (the sparsity
+    /// pattern).
     pub pattern: u64,
 }
 
 impl MatrixFingerprint {
-    /// Computes the fingerprint of `a` in one pass over its arrays.
+    /// Computes the fingerprint of `a` in one pass over its indices.
     pub fn of(a: &CsrMatrix) -> Self {
+        Self::from_row_hashes(a, &row_pattern_hashes(a))
+    }
+
+    /// The fingerprint of `a` from its [`row_pattern_hashes`], without
+    /// walking the indices again: equal to [`MatrixFingerprint::of`]`(a)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_hashes` does not hold one hash per row of `a`.
+    pub fn from_row_hashes(a: &CsrMatrix, row_hashes: &[u64]) -> Self {
+        assert_eq!(row_hashes.len(), a.nrows(), "one row hash per row");
         let mut h = Fnv1a::new();
         h.write_usize(a.nrows()).write_usize(a.ncols());
-        for r in 0..a.nrows() {
-            // Hash row lengths rather than raw indptr so the fingerprint is
-            // a function of the logical pattern, not the prefix-sum encoding.
-            let (cols, _) = a.row(r);
-            h.write_usize(cols.len());
-            for &c in cols {
-                h.write_usize(c);
-            }
+        for (r, &row) in row_hashes.iter().enumerate() {
+            // Row lengths keep the fingerprint a function of the logical
+            // pattern, not of the prefix-sum encoding, and tell an empty row
+            // from a missing one.
+            h.write_usize(a.row_nnz(r)).write_word(row);
         }
         MatrixFingerprint {
             nrows: a.nrows(),
@@ -177,7 +221,13 @@ mod tests {
         // widths, field order) invalidates every on-disk cache entry and must
         // bump the cache format version. Regenerate deliberately if so.
         let fp = MatrixFingerprint::of(&sample());
-        assert_eq!(fp.pattern, 0xafe0e507f261a742, "{:#x}", fp.pattern);
+        assert_eq!(fp.pattern, 0x3bca07ad730e0e03, "{:#x}", fp.pattern);
+        // The row hashes are the ones stored sketches carry; the empty row
+        // hashes to the offset basis.
+        assert_eq!(
+            row_pattern_hashes(&sample()),
+            [0xa71ae6c26beeae86, FNV_OFFSET, 0x7717980363c8e066]
+        );
     }
 
     #[test]

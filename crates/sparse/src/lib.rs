@@ -50,5 +50,5 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
-pub use fingerprint::{Fnv1a, MatrixFingerprint};
+pub use fingerprint::{row_pattern_hashes, Fnv1a, MatrixFingerprint};
 pub use perm::Permutation;

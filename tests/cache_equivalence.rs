@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
 use bootes::guard::ScopedFailpoints;
-use bootes::sparse::{CooMatrix, CsrMatrix, MatrixFingerprint};
+use bootes::sparse::{row_pattern_hashes, CooMatrix, CsrMatrix, MatrixFingerprint};
 use bootes::workloads::drifting_sequence;
 use bootes::workloads::gen::{clustered, GenConfig};
 use proptest::prelude::*;
@@ -132,9 +132,11 @@ fn fixture_cold_warm_disk_equivalent() {
 }
 
 /// `preprocess` and `decide` against their fingerprinted forms, which the
-/// daemon calls with the fingerprint it already took for its singleflight
-/// key: identical permutations, labels and canonical stats on a cold run, a
-/// warm hit and donor resplices.
+/// daemon calls with the fingerprint and row hashes it already took for its
+/// singleflight key: identical permutations, labels and canonical stats on a
+/// cold run, a warm hit and donor resplices. The fingerprint here comes from
+/// `MatrixFingerprint::of` and the row hashes from a separate walk, as the
+/// traced replay takes them.
 #[test]
 fn fingerprinted_forms_match_the_plain_ones() {
     let _guard = lock_global();
@@ -159,7 +161,7 @@ fn fingerprinted_forms_match_the_plain_ones() {
                 let fp = MatrixFingerprint::of(a);
                 let (out, decision) = if fingerprinted {
                     (
-                        pipeline.preprocess_fingerprinted(a, &fp),
+                        pipeline.preprocess_fingerprinted(a, &fp, row_pattern_hashes(a)),
                         pipeline.decide_fingerprinted(a, &fp),
                     )
                 } else {

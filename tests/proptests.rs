@@ -262,6 +262,18 @@ proptest! {
         prop_assert_eq!(fa, MatrixFingerprint::of(&back));
         prop_assert_eq!(fa, MatrixFingerprint::of(&a.clone()));
     }
+
+    /// The fingerprint folded from the row pattern hashes, as `preprocess`
+    /// and the daemon take it, is the one `MatrixFingerprint::of` computes,
+    /// which keys the same cache entries from a separate call.
+    #[test]
+    fn fingerprint_from_row_hashes_equals_of(a in sparse_matrix(16, 40)) {
+        use bootes::sparse::{row_pattern_hashes, MatrixFingerprint};
+        prop_assert_eq!(
+            MatrixFingerprint::of(&a),
+            MatrixFingerprint::from_row_hashes(&a, &row_pattern_hashes(&a))
+        );
+    }
 }
 
 // Drift-path properties backing the incremental reorder (donor) machinery:
