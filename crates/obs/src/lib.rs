@@ -39,7 +39,7 @@
 //! | `kmeans.run` | `bootes-linalg` — one seeded k-means attempt |
 //! | `accel.simulate` | `bootes-accel` — full SpGEMM simulation |
 //! | `accel.symbolic` | `bootes-accel` — symbolic output sizing |
-//! | `spgemm` / `spgemm.block` | `bootes-sparse` kernels |
+//! | `spgemm` | `bootes-sparse` — the one SpGEMM kernel |
 //! | `par.worker` | `bootes-par` — one worker thread's share of a parallel kernel |
 //! | `reorder.fallback` | `bootes-core` — one pass of the graceful-degradation chain |
 //!
@@ -455,5 +455,85 @@ mod tests {
         assert!(fmt_ns(4_310).contains("µs"));
         assert!(fmt_ns(12_500_000).contains("ms"));
         assert!(fmt_ns(3_000_000_000).ends_with('s'));
+    }
+
+    /// The non-test Rust source of every workspace crate, comment lines
+    /// dropped: each file is cut at its first `#[cfg(test)]`.
+    fn non_test_source() -> String {
+        fn walk(dir: &std::path::Path, out: &mut String) {
+            let mut entries: Vec<_> = std::fs::read_dir(dir)
+                .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+                .map(|e| e.expect("directory entry").path())
+                .collect();
+            entries.sort();
+            for path in entries {
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|x| x == "rs") {
+                    let text = std::fs::read_to_string(&path).expect("source file");
+                    for line in text.lines() {
+                        if line.trim() == "#[cfg(test)]" {
+                            break;
+                        }
+                        if !line.trim_start().starts_with("//") {
+                            out.push_str(line);
+                            out.push('\n');
+                        }
+                    }
+                }
+            }
+        }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("crates directory");
+        let mut out = String::new();
+        for entry in std::fs::read_dir(crates).expect("crates directory") {
+            let src = entry.expect("crate entry").path().join("src");
+            if src.is_dir() {
+                walk(&src, &mut out);
+            }
+        }
+        walk(&crates.parent().expect("workspace root").join("src"), &mut out);
+        out
+    }
+
+    /// Every span, counter, gauge and histogram the module-level catalog
+    /// lists is recorded somewhere: it appears as a string literal in some
+    /// crate's non-test source. A name is compared up to its first `{` or
+    /// `<`, where a label or a placeholder begins; a name without either
+    /// must appear as a whole literal.
+    #[test]
+    fn catalog_names_appear_in_non_test_source() {
+        let source = non_test_source();
+        let mut names = Vec::new();
+        for row in include_str!("lib.rs").lines() {
+            let Some(cells) = row.strip_prefix("//! | `") else {
+                continue;
+            };
+            let first = cells.split(" |").next().expect("first cell");
+            for name in first.split(" / ") {
+                let name = name.trim().trim_matches('`');
+                // `{acc=hash}` after `spgemm.acc_choice{acc=dense}` is the
+                // same name with another label.
+                if !name.starts_with('{') {
+                    names.push(name.to_string());
+                }
+            }
+        }
+        assert!(names.len() > 50, "catalog rows parsed: {names:?}");
+        let missing: Vec<&String> = names
+            .iter()
+            .filter(|name| {
+                let needle = match name.find(['{', '<']) {
+                    Some(cut) => format!("\"{}", &name[..cut]),
+                    None => format!("\"{name}\""),
+                };
+                !source.contains(&needle)
+            })
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "catalog names no non-test source records: {missing:?}"
+        );
     }
 }
