@@ -493,7 +493,8 @@ mod tests {
                 walk(&src, &mut out);
             }
         }
-        walk(&crates.parent().expect("workspace root").join("src"), &mut out);
+        let root = crates.parent().expect("workspace root");
+        walk(&root.join("src"), &mut out);
         out
     }
 
