@@ -5,11 +5,13 @@
 //! both serial and multi-threaded kernels.
 //!
 //! The cache under test is the process-global instance, so every test in
-//! this binary serializes on one mutex; test binaries are separate
-//! processes, so no other suite can observe the installed cache.
+//! this binary holds [`GlobalState`], which uninstalls it on drop; test
+//! binaries are separate processes, so no other suite can observe the
+//! installed cache.
+
+mod common;
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, DecisionArtifact};
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
@@ -17,16 +19,8 @@ use bootes::guard::ScopedFailpoints;
 use bootes::sparse::{row_pattern_hashes, CooMatrix, CsrMatrix, MatrixFingerprint};
 use bootes::workloads::drifting_sequence;
 use bootes::workloads::gen::{clustered, GenConfig};
+use common::GlobalState;
 use proptest::prelude::*;
-
-static GLOBAL_CACHE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_global() -> MutexGuard<'static, ()> {
-    match GLOBAL_CACHE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Unique on-disk cache root per call, under the target-adjacent temp dir.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -108,11 +102,10 @@ proptest! {
     /// cold ≡ warm(memory hit) ≡ disk-reloaded, serial and 4-thread.
     #[test]
     fn cold_warm_disk_equivalent(a in square_matrix(28, 120)) {
-        let _guard = lock_global();
+        let _state = GlobalState::lock();
         for threads in [1usize, 4] {
             assert_cold_warm_disk_equivalent(&a, threads);
         }
-        bootes::par::set_threads(1);
     }
 }
 
@@ -120,7 +113,7 @@ proptest! {
 /// the golden suite also locks), where the reorder branch is guaranteed.
 #[test]
 fn fixture_cold_warm_disk_equivalent() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clustered_96.mtx");
     let file = std::fs::File::open(&path).expect("fixture exists");
     let a = bootes::sparse::io::read_matrix_market(std::io::BufReader::new(file))
@@ -128,7 +121,6 @@ fn fixture_cold_warm_disk_equivalent() {
     for threads in [1usize, 4] {
         assert_cold_warm_disk_equivalent(&a, threads);
     }
-    bootes::par::set_threads(1);
 }
 
 /// `preprocess` and `decide` against their fingerprinted forms, which the
@@ -139,7 +131,7 @@ fn fixture_cold_warm_disk_equivalent() {
 /// traced replay takes them.
 #[test]
 fn fingerprinted_forms_match_the_plain_ones() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let base = clustered(&GenConfig::new(96, 96).seed(0xD81F7), 4, 0.9).expect("valid generator");
     let steps = drifting_sequence(&base, 4, 0.03, 0xD81F7).expect("valid drift sequence");
@@ -197,7 +189,7 @@ fn fingerprinted_forms_match_the_plain_ones() {
 /// respliced matrix replays the resplice's donor record.
 #[test]
 fn preprocess_publishes_what_each_branch_produced() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let drift = DriftConfig::default();
     let pipeline = BootesPipeline::new(
@@ -324,8 +316,7 @@ fn preprocess_publishes_what_each_branch_produced() {
 /// garbage) and report a miss, and the entry must vanish from the store dir.
 #[test]
 fn corrupt_disk_entry_is_quarantined_and_missed() {
-    let _guard = lock_global();
-    cache::uninstall();
+    let _state = GlobalState::lock();
     let dir = scratch_dir("corrupt");
     let key = CacheKey {
         kind: ArtifactKind::Decision,
@@ -374,4 +365,25 @@ fn corrupt_disk_entry_is_quarantined_and_missed() {
         Some(Artifact::Decision(d)) if d.class == 0
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A test that fails while it holds the global state leaves none behind:
+/// the guard uninstalls the cache and clears the thread override while the
+/// panic unwinds, and the poisoned lock still admits the next test.
+#[test]
+fn a_failed_test_leaves_no_global_state() {
+    let default = {
+        let _state = GlobalState::lock();
+        bootes::par::requested_threads()
+    };
+    let failed = std::panic::catch_unwind(|| {
+        let _state = GlobalState::lock();
+        bootes::par::set_threads(default + 7);
+        cache::install(Cache::new(CacheConfig::memory_only(1 << 20)).expect("cache opens"));
+        panic!("an assertion fails while the state is taken");
+    });
+    assert!(failed.is_err());
+    let _state = GlobalState::lock();
+    assert!(cache::global().is_none(), "the cache was uninstalled");
+    assert_eq!(bootes::par::requested_threads(), default);
 }

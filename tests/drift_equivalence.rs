@@ -7,18 +7,18 @@
 //! under both serial and 4-thread kernels.
 //!
 //! The cache under test is the process-global instance, so every test in
-//! this binary serializes on one mutex; test binaries are separate
-//! processes, so no other suite can observe the installed cache.
+//! this binary holds [`GlobalState`], which uninstalls it on drop; test
+//! binaries are separate processes, so no other suite can observe the
+//! installed cache.
 
-use std::sync::{Mutex, MutexGuard};
+mod common;
 
 use bootes::cache::{self, Artifact, ArtifactKind, Cache, CacheConfig, CacheKey, ReorderArtifact};
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, PipelineOutcome};
 use bootes::sparse::{CsrMatrix, Permutation};
 use bootes::workloads::gen::{clustered, GenConfig};
 use bootes::workloads::{drifting_sequence, DriftStep};
-
-static GLOBAL_CACHE_LOCK: Mutex<()> = Mutex::new(());
+use common::GlobalState;
 
 /// ε of the quality gate: incremental B-traffic may exceed the full
 /// re-reorder's by at most this fraction, at every step.
@@ -26,13 +26,6 @@ const EPSILON: f64 = 0.05;
 /// LRU capacity (in B rows) of the reuse-distance traffic model, matching
 /// the `drift_amortized` bench.
 const CAPACITY: usize = 64;
-
-fn lock_global() -> MutexGuard<'static, ()> {
-    match GLOBAL_CACHE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn pipeline(drift: Option<DriftConfig>) -> BootesPipeline {
     BootesPipeline::new(
@@ -81,7 +74,7 @@ fn mem_cache() -> Cache {
 /// re-reorder, at every step of a seeded drifting sequence.
 #[test]
 fn incremental_traffic_within_epsilon_of_full_reorder() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let seq = sequence(6);
     for threads in [1usize, 4] {
         bootes::par::set_threads(threads);
@@ -134,7 +127,6 @@ fn incremental_traffic_within_epsilon_of_full_reorder() {
             seq.len() - 1
         );
     }
-    bootes::par::set_threads(1);
 }
 
 /// Each step of a drifting sequence splices from the step before it. The
@@ -144,7 +136,7 @@ fn incremental_traffic_within_epsilon_of_full_reorder() {
 /// back because of them.
 #[test]
 fn every_step_splices_from_the_previous_one() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let seq = sequence(16);
     for threads in [1usize, 4] {
         bootes::par::set_threads(threads);
@@ -170,7 +162,6 @@ fn every_step_splices_from_the_previous_one() {
             assert!(!out.stats.drift_fallback, "t{threads} step {i}");
         }
     }
-    bootes::par::set_threads(1);
 }
 
 /// With no donor in play the drift machinery must be invisible: a pipeline
@@ -178,7 +169,7 @@ fn every_step_splices_from_the_previous_one() {
 /// stats to a pipeline built without drift support.
 #[test]
 fn stats_bit_identical_when_no_donor_used() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let a = base_matrix();
     for threads in [1usize, 4] {
         bootes::par::set_threads(threads);
@@ -239,7 +230,7 @@ fn stats_bit_identical_when_no_donor_used() {
 /// the cached artifact must hold the cold stats, without that record.
 #[test]
 fn forced_fallback_is_a_cold_run_with_provenance() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let seq = sequence(1);
     let (a, b) = (&seq[0].matrix, &seq[1].matrix);
     for threads in [1usize, 4] {
@@ -278,14 +269,13 @@ fn forced_fallback_is_a_cold_run_with_provenance() {
         assert_eq!(hit.stats.donor_fingerprint, None);
         assert_eq!(hit.permutation, cold_b.permutation);
     }
-    bootes::par::set_threads(1);
 }
 
 /// threshold = 1.0: the donor is never abandoned. Every post-base step must
 /// resplice (valid bijection, donor recorded) and still clear the ε gate.
 #[test]
 fn threshold_one_never_falls_back() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     let seq = sequence(3);
     for threads in [1usize, 4] {
         bootes::par::set_threads(threads);
@@ -324,7 +314,6 @@ fn threshold_one_never_falls_back() {
             );
         }
     }
-    bootes::par::set_threads(1);
 }
 
 /// Regression (cache poisoning): a cached donor whose permutation length
@@ -332,12 +321,11 @@ fn threshold_one_never_falls_back() {
 /// proceed cold — never panic, never splice a wrong-sized permutation.
 #[test]
 fn mismatched_donor_permutation_is_quarantined() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let seq = sequence(1);
     let (a, b) = (&seq[0].matrix, &seq[1].matrix);
     let drift = DriftConfig::default();
-    cache::uninstall();
     let cold_b = pipeline(None).preprocess(b).expect("cold b");
 
     bootes::obs::reset();
@@ -413,11 +401,10 @@ fn mismatched_donor_permutation_is_quarantined() {
 /// bit-identical to cold — the failure mode of an unavailable donor index.
 #[test]
 fn donor_failpoint_disables_the_probe() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let seq = sequence(1);
     let (a, b) = (&seq[0].matrix, &seq[1].matrix);
-    cache::uninstall();
     let cold_b = pipeline(None).preprocess(b).expect("cold b");
 
     let p = pipeline(Some(DriftConfig::default()));
@@ -438,11 +425,10 @@ fn donor_failpoint_disables_the_probe() {
 /// the pipeline must record the fallback and recompute cold.
 #[test]
 fn resplice_failpoint_forces_fallback() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let seq = sequence(1);
     let (a, b) = (&seq[0].matrix, &seq[1].matrix);
-    cache::uninstall();
     let cold_b = pipeline(None).preprocess(b).expect("cold b");
 
     let p = pipeline(Some(DriftConfig::default()));
@@ -468,7 +454,7 @@ fn resplice_failpoint_forces_fallback() {
 
 #[test]
 fn golden_drift_sequence() {
-    let _guard = lock_global();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(1);
     let seq = sequence(4);
     let p = pipeline(Some(DriftConfig::default()));

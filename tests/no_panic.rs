@@ -2,17 +2,16 @@
 //! guarded reordering chain, under hostile conditions — tiny iteration and
 //! time budgets and both serial and 4-thread execution — must always return
 //! `Ok` with a valid permutation of the row count. Budgets and thread counts
-//! are process-global, so the property body serializes on a mutex.
+//! are process-global, so the property body holds [`GlobalState`].
 
-use std::sync::Mutex;
+mod common;
 
 use bootes::core::{BootesConfig, FallbackReorderer};
 use bootes::guard::Budget;
 use bootes::reorder::Reorderer;
 use bootes::sparse::{CooMatrix, CsrMatrix};
+use common::GlobalState;
 use proptest::prelude::*;
-
-static GUARD_LOCK: Mutex<()> = Mutex::new(());
 
 /// Strategy: a small square CSR matrix with clustered-ish values.
 fn small_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -43,12 +42,11 @@ proptest! {
         // small index ranges instead.
         let threads = [1usize, 4][threads_sel];
         let k = [2usize, 4, 8][k_sel];
-        let _g = GUARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _state = GlobalState::lock();
         bootes::par::set_threads(threads);
         let armed = Budget::unlimited().with_iterations(iter_cap).arm();
         let result = FallbackReorderer::new(BootesConfig::default().with_k(k)).reorder(&a);
         drop(armed);
-        bootes::par::set_threads(0);
         let out = result.expect("guarded chain must not fail");
         prop_assert_eq!(out.permutation.len(), a.nrows());
         // A Permutation is a bijection by construction; double-check the
@@ -61,7 +59,7 @@ proptest! {
     /// the identity ordering, nothing errors.
     #[test]
     fn zero_time_budget_never_errors(a in small_matrix()) {
-        let _g = GUARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _state = GlobalState::lock();
         let armed = Budget::unlimited().with_time_ms(0).arm();
         let result = FallbackReorderer::new(BootesConfig::default().with_k(4)).reorder(&a);
         drop(armed);
