@@ -331,7 +331,7 @@ mod tests {
         )
         .unwrap();
         let bin = a.to_binary();
-        let cols = bin.transpose().matvec(&vec![1.0; 6]).unwrap();
+        let cols = bin.transpose().matvec(&[1.0; 6]).unwrap();
         let want: Vec<u64> = bin
             .matvec(&cols)
             .unwrap()
