@@ -18,7 +18,8 @@
 //! Every word is folded in through its little-endian byte encoding
 //! (`u64::to_le_bytes`), except each row hash, which is folded as one word
 //! (one xor, one multiply): its eight bytes are all live, and eight byte
-//! steps per row would make the fold cost more than the walk it replaces.
+//! steps per row made `MatrixFingerprint::of` slower than the direct walk
+//! over the indices it replaced.
 //! So the fingerprint is a pure function of the logical matrix — stable
 //! across platforms of either endianness, across serialization round-trips,
 //! and across process runs (FNV is unkeyed; no per-process hash seeding is
@@ -121,23 +122,21 @@ impl Fnv1a {
     }
 }
 
-/// FNV-1a hash of one row's column indices, each folded as a `usize`: the
-/// one walk over the indices that [`row_pattern_hashes`] and
-/// [`MatrixFingerprint`] share.
-fn row_hash(cols: &[usize]) -> u64 {
-    let mut h = Fnv1a::new();
-    for &c in cols {
-        h.write_usize(c);
-    }
-    h.finish()
-}
-
 /// FNV-1a hash of each row's column-index pattern. Two rows hash equal iff
 /// (modulo FNV collisions) their column supports are identical, so comparing
 /// the vectors of two same-shape matrices yields exactly the rows that
-/// drifted.
+/// drifted. This is the one walk over the indices: [`MatrixFingerprint`]
+/// folds its result.
 pub fn row_pattern_hashes(a: &CsrMatrix) -> Vec<u64> {
-    (0..a.nrows()).map(|r| row_hash(a.row(r).0)).collect()
+    (0..a.nrows())
+        .map(|r| {
+            let mut h = Fnv1a::new();
+            for &c in a.row(r).0 {
+                h.write_usize(c);
+            }
+            h.finish()
+        })
+        .collect()
 }
 
 /// Content fingerprint of a [`CsrMatrix`]: shape, nonzero count, and the
@@ -172,9 +171,6 @@ impl MatrixFingerprint {
         let mut h = Fnv1a::new();
         h.write_usize(a.nrows()).write_usize(a.ncols());
         for (r, &row) in row_hashes.iter().enumerate() {
-            // Row lengths keep the fingerprint a function of the logical
-            // pattern, not of the prefix-sum encoding, and tell an empty row
-            // from a missing one.
             h.write_usize(a.row_nnz(r)).write_word(row);
         }
         MatrixFingerprint {
