@@ -83,17 +83,6 @@ impl CacheKey {
             self.config
         )
     }
-
-    /// Deterministic shard index in `0..n_shards` (key-content based, so the
-    /// same key always lands in the same shard).
-    pub fn shard(&self, n_shards: usize) -> usize {
-        debug_assert!(n_shards > 0);
-        let mut h = bootes_sparse::Fnv1a::new();
-        h.write_str(self.kind.tag())
-            .write_u64(self.pattern)
-            .write_u64(self.config);
-        (h.finish() % n_shards as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -142,17 +131,5 @@ mod tests {
             base.file_name(),
             "reorder-00000000000000ab-00000000000000cd.json"
         );
-    }
-
-    #[test]
-    fn shard_is_stable_and_in_range() {
-        let key = CacheKey {
-            kind: ArtifactKind::Decision,
-            pattern: 42,
-            config: 7,
-        };
-        let s = key.shard(8);
-        assert!(s < 8);
-        assert_eq!(s, key.shard(8));
     }
 }

@@ -9,8 +9,8 @@
 //! plus a hash of the producing configuration, and stored in a two-layer
 //! cache —
 //!
-//! - a sharded in-memory LRU ([`MemoryStore`]) whose byte footprint is
-//!   capped by a [`bootes_guard::Budget`] ceiling, and
+//! - an in-memory LRU ([`MemoryStore`]): one map behind one lock, whose
+//!   accounted bytes stay under one ceiling (`--cache-mem-mb`), and
 //! - an optional versioned on-disk layer ([`DiskStore`], `--cache-dir`) with
 //!   atomic-rename writes and quarantine-on-corruption semantics.
 //!
@@ -64,16 +64,15 @@ pub use artifact::{
 pub use disk::{DiskStore, FORMAT_VERSION, QUARANTINE_DIR};
 pub use key::{ArtifactKind, CacheKey};
 pub use singleflight::{FlightRole, Singleflight};
-pub use store::{MemoryStore, N_SHARDS};
-
-use bootes_guard::Budget;
+pub use store::MemoryStore;
 
 /// Configuration of a [`Cache`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// Byte ceiling of the in-memory layer (`max_bytes`; unlimited budgets
-    /// disable eviction).
-    pub mem_budget: Budget,
+    /// Byte ceiling of the in-memory layer. Past it the least recently used
+    /// entries are evicted, and an artifact larger than the whole ceiling is
+    /// never stored in memory.
+    pub mem_bytes: u64,
     /// Directory of the on-disk layer; `None` keeps the cache memory-only.
     pub dir: Option<PathBuf>,
     /// Refuse [`ArtifactKind::Ritz`] entries. Ritz pairs let pipelines that
@@ -88,8 +87,9 @@ impl CacheConfig {
     /// Memory-only cache with the given byte ceiling.
     pub fn memory_only(mem_bytes: u64) -> Self {
         CacheConfig {
-            mem_budget: Budget::unlimited().with_bytes(mem_bytes),
-            ..CacheConfig::default()
+            mem_bytes,
+            dir: None,
+            skip_ritz: false,
         }
     }
 
@@ -123,7 +123,7 @@ pub struct CacheStats {
 
 /// The two-layer artifact cache.
 pub struct Cache {
-    config: CacheConfig,
+    skip_ritz: bool,
     mem: MemoryStore,
     disk: Option<DiskStore>,
     hits: AtomicU64,
@@ -144,17 +144,12 @@ impl Cache {
             None => None,
         };
         Ok(Cache {
-            mem: MemoryStore::with_budget(&config.mem_budget),
+            skip_ritz: config.skip_ritz,
+            mem: MemoryStore::new(config.mem_bytes),
             disk,
-            config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Looks up `key` in memory, then on disk (promoting a disk hit into
@@ -186,8 +181,7 @@ impl Cache {
     /// [`CacheConfig::without_ritz`].
     pub fn put(&self, key: CacheKey, artifact: Artifact) {
         debug_assert_eq!(key.kind, artifact.kind(), "cache key/artifact mismatch");
-        if key.kind != artifact.kind() || (self.config.skip_ritz && key.kind == ArtifactKind::Ritz)
-        {
+        if key.kind != artifact.kind() || (self.skip_ritz && key.kind == ArtifactKind::Ritz) {
             return;
         }
         if let Some(disk) = &self.disk {
@@ -235,27 +229,23 @@ impl Cache {
     }
 
     /// Full [`SketchArtifact`] of one cached pattern — the donor-index
-    /// winner, whose per-row hashes the resplice needs. Memory first, then
-    /// disk. Does not count hit/miss — like [`Cache::reorder_donor`], a donor
-    /// is an accelerated miss, not a hit.
+    /// winner, whose per-row hashes the resplice needs. Read like
+    /// [`Cache::reorder_donor`]: memory, then disk, no hit or miss counted.
     pub fn sketch_donor(&self, pattern: u64, config: u64) -> Option<SketchArtifact> {
         let key = CacheKey {
             kind: ArtifactKind::Sketch,
             pattern,
             config,
         };
-        let artifact = match self.mem.get(&key) {
-            Some(a) => Some(a),
-            None => self.disk.as_ref().and_then(|d| d.load(&key)),
-        };
-        match artifact {
+        match self.donor_read(&key) {
             Some(Artifact::Sketch(s)) => Some(s),
             _ => None,
         }
     }
 
     /// Drift donor lookup: the reorder artifact stored under the *donor's*
-    /// pattern hash and the requesting run's config hash. Does not count
+    /// pattern hash and the requesting run's config hash. Memory first, then
+    /// disk, without promoting a disk entry into memory. Does not count
     /// hit/miss — a donor is an accelerated miss, not a hit.
     ///
     /// `expect_rows` is the requesting matrix's row count. A stored
@@ -274,11 +264,7 @@ impl Cache {
             pattern: donor_pattern,
             config,
         };
-        let artifact = match self.mem.get(&key) {
-            Some(a) => Some(a),
-            None => self.disk.as_ref().and_then(|d| d.load(&key)),
-        };
-        let Some(Artifact::Reorder(r)) = artifact else {
+        let Some(Artifact::Reorder(r)) = self.donor_read(&key) else {
             return None;
         };
         if r.permutation.len() != expect_rows {
@@ -303,14 +289,18 @@ impl Cache {
         Some(r)
     }
 
-    /// Snapshot of this cache's counters.
+    /// The read both donor lookups share (see [`Cache::reorder_donor`]).
+    fn donor_read(&self, key: &CacheKey) -> Option<Artifact> {
+        self.mem.get(key).or_else(|| self.disk.as_ref()?.load(key))
+    }
+
+    /// Snapshot of this cache's counters. The memory layer's `evictions`,
+    /// `bytes` and `entries` come from one read under its lock.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.mem.evictions(),
-            bytes: self.mem.bytes(),
-            entries: self.mem.len(),
+            ..self.mem.stats()
         }
     }
 }

@@ -368,8 +368,9 @@ fn corrupt_disk_entry_is_quarantined_and_missed() {
 }
 
 /// A test that fails while it holds the global state leaves none behind:
-/// the guard uninstalls the cache and clears the thread override while the
-/// panic unwinds, and the poisoned lock still admits the next test.
+/// the guard uninstalls the cache, clears the thread override, turns
+/// profiling off and empties the obs registry while the panic unwinds, and
+/// the poisoned lock still admits the next test.
 #[test]
 fn a_failed_test_leaves_no_global_state() {
     let default = {
@@ -380,10 +381,17 @@ fn a_failed_test_leaves_no_global_state() {
         let _state = GlobalState::lock();
         bootes::par::set_threads(default + 7);
         cache::install(Cache::new(CacheConfig::memory_only(1 << 20)).expect("cache opens"));
+        bootes::obs::set_enabled(true);
+        bootes::obs::counter_add("test.left_behind", 1);
         panic!("an assertion fails while the state is taken");
     });
     assert!(failed.is_err());
     let _state = GlobalState::lock();
     assert!(cache::global().is_none(), "the cache was uninstalled");
     assert_eq!(bootes::par::requested_threads(), default);
+    assert!(!bootes::obs::enabled(), "profiling was turned off");
+    assert!(
+        bootes::obs::snapshot().counters.is_empty(),
+        "the obs registry was emptied"
+    );
 }

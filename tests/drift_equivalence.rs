@@ -18,7 +18,7 @@ use bootes::core::{toy_tree, BootesConfig, BootesPipeline, DriftConfig, Pipeline
 use bootes::sparse::{CsrMatrix, Permutation};
 use bootes::workloads::gen::{clustered, GenConfig};
 use bootes::workloads::{drifting_sequence, DriftStep};
-use common::GlobalState;
+use common::{assert_golden, GlobalState};
 
 /// ε of the quality gate: incremental B-traffic may exceed the full
 /// re-reorder's by at most this fraction, at every step.
@@ -328,7 +328,7 @@ fn mismatched_donor_permutation_is_quarantined() {
     let drift = DriftConfig::default();
     let cold_b = pipeline(None).preprocess(b).expect("cold b");
 
-    bootes::obs::reset();
+    // The guard found the obs registry off and empty, and leaves it so.
     bootes::obs::set_enabled(true);
     let p = pipeline(Some(drift.clone()));
     let reorder_config = p.reorder_key(b).config;
@@ -392,9 +392,6 @@ fn mismatched_donor_permutation_is_quarantined() {
     assert!(cache_ref
         .reorder_donor(EVIL_PATTERN, reorder_config, 10)
         .is_none());
-    cache::uninstall();
-    bootes::obs::set_enabled(false);
-    bootes::obs::reset();
 }
 
 /// `drift.donor=err` failpoint: the probe reports no donor and the run is
@@ -500,24 +497,5 @@ fn golden_drift_sequence() {
     cache::uninstall();
     let got = serde_json::to_string(&serde::Value::Array(steps)).expect("serializes");
 
-    let golden_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/drift_seq.golden");
-    if std::env::var("BOOTES_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&golden_path, format!("{got}\n"))
-            .unwrap_or_else(|e| panic!("bless {}: {e}", golden_path.display()));
-        return;
-    }
-    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run `BOOTES_BLESS=1 cargo test` to create it",
-            golden_path.display()
-        )
-    });
-    assert_eq!(
-        want.trim_end(),
-        got,
-        "drift sequence trail diverged from {}; if the change is intended, \
-         regenerate with `BOOTES_BLESS=1 cargo test`",
-        golden_path.display()
-    );
+    assert_golden("drift_seq.golden", &got);
 }

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full reorder → permute → multiply →
 //! simulate pipeline, exercised through the public facade.
 
+mod common;
+
 use bootes::accel::{configs, simulate_spgemm};
 use bootes::core::{BootesConfig, SpectralReorderer};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, OriginalOrder, Reorderer};
@@ -329,6 +331,7 @@ fn cli_rejects_what_a_subcommand_does_not_declare() {
 // ---------------------------------------------------------------------------
 
 mod golden {
+    use crate::common::assert_golden;
     use bootes::core::{toy_tree, BootesConfig, BootesPipeline};
     use bootes::sparse::io::read_matrix_market;
     use bootes::sparse::MatrixFingerprint;
@@ -374,26 +377,7 @@ mod golden {
     }
 
     fn check_golden(name: &str) {
-        let got = golden_snapshot(name);
-        let golden_path = fixture_dir().join(format!("{name}.golden"));
-        if std::env::var("BOOTES_BLESS").is_ok_and(|v| v == "1") {
-            std::fs::write(&golden_path, format!("{got}\n"))
-                .unwrap_or_else(|e| panic!("bless {}: {e}", golden_path.display()));
-            return;
-        }
-        let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden file {} ({e}); run `BOOTES_BLESS=1 cargo test` to create it",
-                golden_path.display()
-            )
-        });
-        assert_eq!(
-            want.trim_end(),
-            got,
-            "pipeline output for fixture {name} diverged from {}; if the change is \
-             intended, regenerate with `BOOTES_BLESS=1 cargo test`",
-            golden_path.display()
-        );
+        assert_golden(&format!("{name}.golden"), &golden_snapshot(name));
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! Failpoints, budgets, thread counts and the obs registry are all
 //! process-global, so every test holds a [`ScopedFailpoints`] for its whole
 //! body: scopes take a process-wide lock, and tests that inject nothing arm
-//! an empty spec ([`no_faults`]). A scope replaces any `BOOTES_FAILPOINTS`
+//! an empty spec ([`no_faults`]). A test that sets the thread count or
+//! turns profiling on also holds a [`GlobalState`], taken after the scope,
+//! which resets both when it drops. A scope replaces any `BOOTES_FAILPOINTS`
 //! spec from the environment while it lives, and the subprocess helpers set
 //! or clear that variable for their children, so the CI fault-injection
 //! job's env matrix checks that this suite ignores ambient faults.
+
+mod common;
 
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, FallbackReorderer, SpectralReorderer};
 use bootes::guard::{Budget, GuardError, ScopedFailpoints};
@@ -16,6 +20,7 @@ use bootes::reorder::Reorderer;
 use bootes::sparse::ops::spgemm;
 use bootes::sparse::{CsrMatrix, SparseError};
 use bootes::workloads::gen::{clustered, GenConfig};
+use common::GlobalState;
 
 /// A scope with nothing armed: serializes the test against every other
 /// test here and guarantees a fault-free failpoint table.
@@ -95,11 +100,12 @@ fn spectral_and_hier_faults_land_on_original_order() {
 #[test]
 fn worker_panic_is_isolated_and_degraded() {
     let _fp = ScopedFailpoints::arm("par.worker=panic@1").unwrap();
+    let _state = GlobalState::lock();
     bootes::par::set_threads(4);
     let a = matrix();
-    let result = chain().reorder(&a);
-    bootes::par::set_threads(0);
-    let out = result.expect("a worker panic must not escape the chain");
+    let out = chain()
+        .reorder(&a)
+        .expect("a worker panic must not escape the chain");
     assert!(out.stats.is_degraded());
     assert_eq!(out.permutation.len(), a.nrows());
 }
@@ -163,13 +169,11 @@ fn healthy_chain_is_bit_identical_to_plain_spectral() {
 #[test]
 fn fallback_counters_name_the_failed_rung() {
     let _fp = ScopedFailpoints::arm("lanczos.restart=err@1").unwrap();
+    let _state = GlobalState::lock();
     bootes::obs::set_enabled(true);
-    bootes::obs::reset();
     let a = matrix();
     chain().reorder(&a).expect("chain must absorb the fault");
     let profile = bootes::obs::snapshot();
-    bootes::obs::set_enabled(false);
-    bootes::obs::reset();
     let counter = |name: &str| {
         profile
             .counters

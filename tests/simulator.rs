@@ -2,6 +2,8 @@
 //! engines, energy model, and the stack-distance analysis validated against
 //! the cycle simulator.
 
+mod common;
+
 use bootes::accel::{configs, simulate_inner, simulate_outer, simulate_spgemm, EnergyModel};
 use bootes::core::{BootesConfig, SpectralReorderer};
 use bootes::reorder::{b_reuse_profile_scheduled, Reorderer};
@@ -105,6 +107,7 @@ fn rmat_graphs_flow_through_the_full_pipeline() {
 // ---------------------------------------------------------------------------
 
 mod golden {
+    use crate::common::assert_golden;
     use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
     use bootes::sparse::io::read_matrix_market;
     use bootes::sparse::{CooMatrix, CsrMatrix};
@@ -216,29 +219,6 @@ mod golden {
 
     #[test]
     fn golden_simulate_reports() {
-        let got = snapshot();
-        let golden_path = fixture_dir().join("simulate.golden");
-        if std::env::var("BOOTES_BLESS").is_ok_and(|v| v == "1") {
-            std::fs::write(&golden_path, format!("{got}\n"))
-                .unwrap_or_else(|e| panic!("bless {}: {e}", golden_path.display()));
-            return;
-        }
-        let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden file {} ({e}); run `BOOTES_BLESS=1 cargo test` to create it",
-                golden_path.display()
-            )
-        });
-        for (line, (w, g)) in want.trim_end().lines().zip(got.lines()).enumerate() {
-            assert_eq!(
-                w,
-                g,
-                "simulator report on line {} diverged from {}; if the change is \
-                 intended, regenerate with `BOOTES_BLESS=1 cargo test`",
-                line + 1,
-                golden_path.display()
-            );
-        }
-        assert_eq!(want.trim_end().lines().count(), got.lines().count());
+        assert_golden("simulate.golden", &snapshot());
     }
 }

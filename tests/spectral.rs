@@ -16,6 +16,8 @@
 //! `tests/fixtures/spectral.golden`. Regenerate deliberately with
 //! `BOOTES_BLESS=1`.
 
+mod common;
+
 use bootes::core::{BootesConfig, SpectralReorderer};
 use bootes::linalg::laplacian::ImplicitNormalizedLaplacian;
 use bootes::linalg::{kmeans, lanczos_smallest, KMeansConfig, LanczosConfig};
@@ -23,6 +25,7 @@ use bootes::reorder::Reorderer;
 use bootes::sparse::io::read_matrix_market;
 use bootes::sparse::{CsrMatrix, DenseMatrix, Fnv1a};
 use bootes::workloads::suite::table3_suite;
+use common::assert_golden;
 use std::path::PathBuf;
 
 /// The repository's evaluation scale (`bootes_bench::suite_scale`).
@@ -141,28 +144,5 @@ fn snapshot() -> String {
 
 #[test]
 fn golden_spectral_stage() {
-    let got = snapshot();
-    let golden_path = fixture_dir().join("spectral.golden");
-    if std::env::var("BOOTES_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&golden_path, format!("{got}\n"))
-            .unwrap_or_else(|e| panic!("bless {}: {e}", golden_path.display()));
-        return;
-    }
-    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run `BOOTES_BLESS=1 cargo test` to create it",
-            golden_path.display()
-        )
-    });
-    for (line, (w, g)) in want.trim_end().lines().zip(got.lines()).enumerate() {
-        assert_eq!(
-            w,
-            g,
-            "spectral stage on line {} diverged from {}; if the change is \
-             intended, regenerate with `BOOTES_BLESS=1 cargo test`",
-            line + 1,
-            golden_path.display()
-        );
-    }
-    assert_eq!(want.trim_end().lines().count(), got.lines().count());
+    assert_golden("spectral.golden", &snapshot());
 }
