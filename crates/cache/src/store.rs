@@ -1,6 +1,6 @@
 //! In-memory LRU store with explicit byte accounting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::artifact::Artifact;
@@ -19,9 +19,6 @@ struct Entry {
 #[derive(Default)]
 struct Inner {
     map: HashMap<CacheKey, Entry>,
-    /// Each entry's `last_used` tick mapped back to its key; the first
-    /// entry is the least recently used one.
-    recency: BTreeMap<u64, CacheKey>,
     tick: u64,
     bytes: usize,
     evictions: u64,
@@ -50,9 +47,6 @@ impl MemoryStore {
         }
     }
 
-    /// A panic under the lock (only the obs calls can raise one) leaves the
-    /// map, the recency index and the byte count in step, so a poisoned
-    /// lock is taken over as is.
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -61,12 +55,10 @@ impl MemoryStore {
     /// hit. Returns a clone so the caller never holds the lock.
     pub fn get(&self, key: &CacheKey) -> Option<Artifact> {
         let mut inner = self.lock();
-        let inner = &mut *inner;
         inner.tick += 1;
+        let tick = inner.tick;
         let entry = inner.map.get_mut(key)?;
-        inner.recency.remove(&entry.last_used);
-        inner.recency.insert(inner.tick, *key);
-        entry.last_used = inner.tick;
+        entry.last_used = tick;
         Some(entry.artifact.clone())
     }
 
@@ -91,22 +83,24 @@ impl MemoryStore {
             inserted: tick,
         };
         if let Some(old) = inner.map.insert(key, entry) {
-            inner.recency.remove(&old.last_used);
             inner.bytes -= old.bytes;
         }
-        inner.recency.insert(tick, key);
         inner.bytes += bytes;
         // The new entry holds the newest tick and fits alone, so it is
-        // never its own victim.
+        // never its own victim. The victim scan is O(n) and runs only past
+        // the ceiling.
         while inner.bytes > self.max_bytes {
-            let Some((_, victim)) = inner.recency.pop_first() else {
+            let victim = inner
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k);
+            let Some(e) = victim.and_then(|k| inner.map.remove(&k)) else {
                 break;
             };
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.bytes -= e.bytes;
-                inner.evictions += 1;
-                bootes_obs::counter_add("cache.evict", 1);
-            }
+            inner.bytes -= e.bytes;
+            inner.evictions += 1;
+            bootes_obs::counter_add("cache.evict", 1);
         }
         bootes_obs::gauge_set("cache.bytes", inner.bytes as f64);
     }
@@ -119,7 +113,6 @@ impl MemoryStore {
         let Some(e) = inner.map.remove(key) else {
             return false;
         };
-        inner.recency.remove(&e.last_used);
         inner.bytes -= e.bytes;
         bootes_obs::gauge_set("cache.bytes", inner.bytes as f64);
         true

@@ -47,9 +47,9 @@ impl Drop for GlobalState {
     }
 }
 
-/// Compares `got` line by line with the golden file `tests/fixtures/{name}`
-/// and panics at the first line that differs. With `BOOTES_BLESS=1` it
-/// writes `got` to the file instead.
+/// Checks that `got` equals the golden file `tests/fixtures/{name}` less its
+/// trailing whitespace, and panics naming the first line that differs. With
+/// `BOOTES_BLESS=1` it writes `got` to the file instead.
 pub fn assert_golden(name: &str, got: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -66,10 +66,11 @@ pub fn assert_golden(name: &str, got: &str) {
             path.display()
         )
     });
-    let (mut want_lines, mut got_lines) = (want.trim_end().lines(), got.lines());
+    let want = want.trim_end();
+    let (mut want_lines, mut got_lines) = (want.lines(), got.lines());
     for line in 1.. {
         match (want_lines.next(), got_lines.next()) {
-            (None, None) => return,
+            (None, None) => break,
             (w, g) if w == g => {}
             (w, g) => panic!(
                 "line {line} of {} differs;\n{bless}\nwant: {}\n got: {}",
@@ -79,4 +80,11 @@ pub fn assert_golden(name: &str, got: &str) {
             ),
         }
     }
+    // `lines` reads `\r\n` as `\n` and drops one trailing newline.
+    assert_eq!(
+        want,
+        got,
+        "{} differs only in line endings;\n{bless}",
+        path.display()
+    );
 }
