@@ -455,7 +455,7 @@ mod tests {
     fn symbolic_nnz_matches_real_product() {
         let a = grouped(40, 4, 6, true);
         let b = dense_b(24, 10);
-        let c = ops::spgemm(&a, &b, 1).unwrap();
+        let c = ops::spgemm(&a, &b).unwrap();
         assert_eq!(symbolic_nnz(&a, &b), c.nnz() as u64);
     }
 

@@ -1,8 +1,8 @@
 //! Parallel-kernel speedup sweep for `bootes-par`.
 //!
-//! Sweeps SpGEMM and the pattern SpMV over threads ∈ {1, 2, 4, 8} on a
-//! clustered matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies
-//! every parallel output is bit-identical to the serial one, and writes
+//! Sweeps the pattern SpMV over threads ∈ {1, 2, 4, 8} on a clustered
+//! matrix of ~`BOOTES_PAR_NNZ` nonzeros (default 1e6), verifies every
+//! parallel output is bit-identical to the serial one, and writes
 //! `results/par_speedup.json`. Each row carries the per-region load-balance
 //! attribution (`par.region.imbalance` = max/mean worker busy time,
 //! `par.region.utilization` = Σ busy / (workers × wall)) plus the clamp
@@ -18,7 +18,6 @@
 
 use bootes_bench::results_dir;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_sparse::ops::spgemm;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 use serde::Serialize;
 
@@ -119,12 +118,11 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
-    // ~64 nnz per row keeps the flop count proportional to nnz.
+    // ~64 nnz per row.
     let n = (target_nnz / 64).max(64);
     let density = 64.0 / n as f64;
     let a = clustered_with_density(&GenConfig::new(n, n).seed(0x0B007E5), 8, 0.9, density)
         .expect("valid generator parameters");
-    let b = a.clone();
     let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64 * 0.25).collect();
     println!(
         "par_speedup: {} x {} matrix, {} nnz, sweeping threads {:?} on {} cpu(s)",
@@ -147,9 +145,6 @@ fn main() {
     let mut results: Vec<SweepRow> = Vec::new();
     let nnz = a.nnz();
 
-    sweep_kernel(&mut runner, &mut table, &mut results, "spgemm", nnz, |t| {
-        spgemm(&a, &b, t).expect("valid operands")
-    });
     // The pattern SpMV: the product the implicit Laplacian runs twice per
     // Lanczos step, so the `spmv` floor gates the eigensolver's parallelism.
     sweep_kernel(&mut runner, &mut table, &mut results, "spmv", nnz, |t| {

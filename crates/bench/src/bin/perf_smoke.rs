@@ -1,14 +1,13 @@
 //! Quick perf smoke suite — the workload behind the CI perf gate.
 //!
-//! Measures the hot kernels (row-wise SpGEMM, one implicit-Laplacian
-//! application, the Lanczos eigensolve,
-//! `kmeans_threads` on synthetic points, and the accelerator simulator's
-//! `A · A` on Flexagon) and the whole spectral reorderer (`k = 8`: Laplacian,
-//! eigensolve, k-means and the within-cluster chain, with no cache
-//! installed) on small fixed inputs through the
-//! [`bootes_perf::Runner`] (warmup + repeats, median/MAD), appends the run
-//! to `results/history/perf_smoke.jsonl`, and
-//! blesses `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
+//! Measures the hot kernels (one implicit-Laplacian application, the
+//! Lanczos eigensolve, `kmeans_threads` on synthetic points, and the
+//! accelerator simulator's `A · A` on Flexagon) and the whole spectral
+//! reorderer (`k = 8`: Laplacian, eigensolve, k-means and the
+//! within-cluster chain, with no cache installed) on small fixed inputs
+//! through the [`bootes_perf::Runner`] (warmup + repeats, median/MAD),
+//! appends the run to `results/history/perf_smoke.jsonl`, and blesses
+//! `results/baselines/perf_smoke.json` when `BOOTES_BLESS_PERF=1`.
 //! `bootes perf diff` then gates later runs against the blessed medians with
 //! noise-aware (MAD-scaled) thresholds.
 //!
@@ -24,7 +23,6 @@ use bootes_linalg::{
     kmeans_threads, lanczos_smallest, KMeansConfig, LanczosConfig, LinearOperator,
 };
 use bootes_reorder::Reorderer;
-use bootes_sparse::ops::spgemm;
 use bootes_sparse::DenseMatrix;
 use bootes_workloads::gen::{clustered_with_density, GenConfig};
 
@@ -49,9 +47,6 @@ fn main() {
 
     let mut runner = bootes_perf::Runner::new("perf_smoke");
 
-    runner.measure(&format!("spgemm/t{threads}"), || {
-        spgemm(&a, &a, threads).expect("valid operands").nnz()
-    });
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
     let mut y = vec![0.0; n];
     // One application of the implicit normalized Laplacian, then the

@@ -101,7 +101,7 @@ pub fn save_json<T: serde::Serialize>(dir: &Path, name: &str, value: &T) {
         serde_json::to_string_pretty(&root).expect("serializable"),
     )
     .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("[saved {}]", path.display());
+    println!("[saved {}]", bootes_perf::log_path(&path).display());
 }
 
 /// Formats a float with 2 decimal places (the paper's usual precision).

@@ -32,7 +32,7 @@ use crate::error::LinalgError;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = CsrMatrix::identity(4);
-/// let s = similarity_matrix(&a)?;
+/// let s = similarity_matrix(&a);
 /// let l = normalized_laplacian(&s)?;
 /// // Each row is its own cluster: L = I - I = 0 off-diagonal, 0 diagonal.
 /// assert_eq!(l.get(0, 0), 0.0);
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn laplacian_is_symmetric() {
-        let s = similarity_matrix(&block_matrix()).unwrap();
+        let s = similarity_matrix(&block_matrix());
         let l = normalized_laplacian(&s).unwrap();
         for i in 0..l.nrows() {
             for j in 0..l.ncols() {
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn laplacian_rows_of_connected_graph() {
-        let s = similarity_matrix(&block_matrix()).unwrap();
+        let s = similarity_matrix(&block_matrix());
         let l = normalized_laplacian(&s).unwrap();
         // Within a block of 3 identical rows: degree = 3*2 = 6,
         // off-diagonal = -2/6 = -1/3, diagonal = 1 - 2/6 = 2/3.
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn zero_eigenvector_property() {
         // L * (D^{1/2} 1) = 0 for each connected component.
-        let s = similarity_matrix(&block_matrix()).unwrap();
+        let s = similarity_matrix(&block_matrix());
         let l = normalized_laplacian(&s).unwrap();
         let d = s.row_sums();
         let x: Vec<f64> = d.iter().map(|v| v.sqrt()).collect();
@@ -245,7 +245,7 @@ mod tests {
     fn isolated_rows_get_identity() {
         // Matrix with an empty row -> similarity row empty -> L row = [1].
         let a = CsrMatrix::try_new(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![1.0, 1.0]).unwrap();
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         let l = normalized_laplacian(&s).unwrap();
         assert_eq!(l.get(1, 1), 1.0);
         assert_eq!(l.row_nnz(1), 1);
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn eigenvalue_range_zero_to_two() {
-        let s = similarity_matrix(&block_matrix()).unwrap();
+        let s = similarity_matrix(&block_matrix());
         let l = normalized_laplacian(&s).unwrap();
         // Gershgorin-style check on the dense spectrum via Jacobi.
         let (vals, _) = crate::jacobi::jacobi_eigen(&l.to_dense()).unwrap();
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn implicit_matches_materialized() {
         let a = block_matrix();
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         let l = normalized_laplacian(&s).unwrap();
         let op = ImplicitNormalizedLaplacian::new(&a);
         assert_eq!(op.dim(), a.nrows());
@@ -300,7 +300,7 @@ mod tests {
             vec![2.0, -1.0, 4.0, 1.0, 1.0, 3.0],
         )
         .unwrap();
-        let l = normalized_laplacian(&similarity_matrix(&a).unwrap()).unwrap();
+        let l = normalized_laplacian(&similarity_matrix(&a)).unwrap();
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = vec![1.0, -2.0, 0.5, 3.0];
         let dense = l.matvec(&x).unwrap();

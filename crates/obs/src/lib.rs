@@ -39,7 +39,6 @@
 //! | `kmeans.run` | `bootes-linalg` — one seeded k-means attempt |
 //! | `accel.simulate` | `bootes-accel` — full SpGEMM simulation |
 //! | `accel.symbolic` | `bootes-accel` — symbolic output sizing |
-//! | `spgemm` | `bootes-sparse` — the one SpGEMM kernel |
 //! | `par.worker` | `bootes-par` — one worker thread's share of a parallel kernel |
 //! | `reorder.fallback` | `bootes-core` — one pass of the graceful-degradation chain |
 //!
@@ -60,7 +59,6 @@
 //! | `lanczos.restarts` | thick-restart outer iterations |
 //! | `lanczos.iterations` | inner Lanczos steps |
 //! | `kmeans.iterations` | Lloyd iterations across all attempts |
-//! | `spgemm.flops` | multiply-accumulates performed by sparse kernels |
 //! | `cache.hits{operand=B}` / `cache.misses{operand=B}` | accelerator B-row cache outcomes |
 //! | `accel.bytes{operand=A}` / `accel.bytes{operand=B}` / `accel.bytes{operand=C}` | simulated DRAM traffic per operand |
 //! | `pe.busy_cycles` | total busy cycles across processing elements |
@@ -74,14 +72,13 @@
 //! | `cache.quarantine` | corrupt on-disk entries moved to `quarantine/` |
 //! | `cache.quarantine_evicted` | oldest quarantined entries removed to keep `quarantine/` within its cap |
 //! | `cache.tmp_swept` | orphaned temp files from torn writes removed by the open-time sweep |
-//! | `kernel.flops{kernel=<name>}` | scalar floating-point operations performed by the named kernel (`spgemm`, `spmv`, `kmeans.assign`); `spmv`, the pattern product the Lanczos operator runs, counts one add per nonzero |
+//! | `kernel.flops{kernel=<name>}` | scalar floating-point operations performed by the named kernel (`spmv`, `kmeans.assign`); `spmv`, the pattern product the Lanczos operator runs, counts one add per nonzero |
 //! | `kernel.bytes{kernel=<name>}` | estimated bytes moved (operand reads + output writes) by the named kernel; `spmv` counts 16 per nonzero (column index and gathered `x`; the pattern product reads no values) plus 8 per row written |
 //! | `par.region.wall_ns{region=<name>}` | accumulated wall time of the named parallel region across invocations (`bootes-par`) |
 //! | `par.region.busy_ns{region=<name>}` | accumulated worker busy time of the named region (sum over chunks) |
 //! | `par.region.invocations` | parallel region invocations that recorded attribution |
 //! | `par.pool.spawned` | worker threads spawned by the persistent `bootes-par` pool (lifetime total) |
 //! | `par.pool.dispatches` | worker-slot jobs dispatched to the pool (one per worker per region invocation) |
-//! | `spgemm.acc_choice{acc=dense}` / `{acc=hash}` / `{acc=merge}` | rows `spgemm` routed to each accumulator variant (`bootes-sparse`) |
 //! | `serve.accepted_conns` | connections accepted by the `bootes serve` daemon |
 //! | `serve.accept.dropped` | connections dropped by the `serve.accept` failpoint |
 //! | `serve.accepted` | work requests admitted to wait for one of the daemon's execution slots |
@@ -124,7 +121,6 @@
 //! | histogram | meaning |
 //! |-----------|---------|
 //! | `accel.pe_cycles` | per-PE cycle totals of the last simulation |
-//! | `spgemm.row_nnz` | output-row nonzero counts seen by sparse kernels |
 //! | `par.region.chunks_per_worker{region=<name>}` | chunks each worker completed per invocation of the named region |
 //! | `serve.queue.wait_ns` | per-request wait from admission to an execution slot (`bootes serve`) |
 //! | `serve.exec_ns` | per-request execution time in a daemon execution slot |
@@ -513,12 +509,7 @@ mod tests {
             };
             let first = cells.split(" |").next().expect("first cell");
             for name in first.split(" / ") {
-                let name = name.trim().trim_matches('`');
-                // `{acc=hash}` after `spgemm.acc_choice{acc=dense}` is the
-                // same name with another label.
-                if !name.starts_with('{') {
-                    names.push(name.to_string());
-                }
+                names.push(name.trim().trim_matches('`').to_string());
             }
         }
         assert!(names.len() > 50, "catalog rows parsed: {names:?}");

@@ -52,7 +52,7 @@ pub(crate) struct SpanRecord {
 /// behind per-worker attribution (trace lanes and imbalance metrics).
 #[derive(Debug, Clone)]
 pub struct ChunkRecord {
-    /// Region name, e.g. `"spgemm"`.
+    /// Region name, e.g. `"spmv"`.
     pub region: String,
     /// Stable trace thread id of the worker that ran the chunk
     /// (see [`crate::pin_worker_tid`]).

@@ -48,7 +48,7 @@
 //! # Per-worker attribution
 //!
 //! [`map_ranges`], [`map_indices`] and [`for_each_chunk_mut`] take a
-//! **region name** (conventionally the kernel's span name, e.g. `"spgemm"`).
+//! **region name** (conventionally the kernel's span name, e.g. `"kmeans.run"`).
 //! While profiling is enabled, each invocation aggregates:
 //!
 //! - `par.region.imbalance{region=<name>}` — max/mean worker busy time,

@@ -45,7 +45,13 @@ pub use speedup::{
 };
 pub use stats::{mad, median, summarize, Summary};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The workspace root this crate was built in (`CARGO_MANIFEST_DIR` is
+/// `crates/perf`).
+fn workspace_root() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
 
 /// Directory where harness outputs are written (`results/` at the workspace
 /// root, overridable with `BOOTES_RESULTS`). Benchmarks, baselines, and the
@@ -54,14 +60,33 @@ pub fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("BOOTES_RESULTS") {
         return PathBuf::from(dir);
     }
-    // CARGO_MANIFEST_DIR = crates/perf; results live at the workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
+    workspace_root().join("results")
+}
+
+/// `path` as a harness log prints it: relative to the workspace root when it
+/// lies under it, as the default [`results_dir`] does, so the log reads the
+/// same in every checkout; any other path as given.
+pub fn log_path(path: &Path) -> &Path {
+    path.strip_prefix(workspace_root()).unwrap_or(path)
 }
 
 /// Whether this process should bless (overwrite) perf baselines
 /// (`BOOTES_BLESS_PERF=1`).
 pub fn blessing() -> bool {
     std::env::var("BOOTES_BLESS_PERF").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn log_path_drops_the_checkout_prefix() {
+        let saved = workspace_root()
+            .join("results")
+            .join("table1_dataflows.json");
+        assert_eq!(log_path(&saved), Path::new("results/table1_dataflows.json"));
+        let elsewhere = Path::new("/elsewhere/table1_dataflows.json");
+        assert_eq!(log_path(elsewhere), elsewhere);
+    }
 }

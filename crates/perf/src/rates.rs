@@ -3,7 +3,7 @@
 //! Instrumented kernels publish `kernel.flops{kernel=X}` and
 //! `kernel.bytes{kernel=X}` accounting counters, and their parallel regions
 //! accumulate `par.region.wall_ns{region=X}` under the **same label** `X`
-//! (e.g. `spgemm`, `spmv`, `kmeans.assign`). Pairing the two turns
+//! (e.g. `spmv`, `kmeans.assign`). Pairing the two turns
 //! wall time into achieved throughput per kernel.
 
 use serde::{Deserialize, Serialize};

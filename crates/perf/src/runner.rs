@@ -92,7 +92,7 @@ fn config_hash() -> String {
 pub struct Measurement {
     /// Bench (suite) name, e.g. `"perf_smoke"` — one history file each.
     pub bench: String,
-    /// Case name within the bench, e.g. `"spgemm/t4"`.
+    /// Case name within the bench, e.g. `"lanczos/t4"`.
     pub case: String,
     /// Unit of the samples (always `"ns"` today).
     pub unit: String,

@@ -18,6 +18,10 @@
 //!   `serial_median / max(par_median − k·MAD, ε)`: the gate only fails when
 //!   even after crediting the parallel row its full noise band it still
 //!   misses the floor.
+//!
+//! A floor whose kernel has no t=1/t=[`GATE_THREADS`] row pair in the file
+//! fails too, so a floor left on a kernel the bench stopped sweeping cannot
+//! pass unchecked.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +32,7 @@ pub const GATE_THREADS: usize = 4;
 /// bench). The clamp fields are absent in pre-PR-7 files and default off.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpeedupRow {
-    /// Kernel name, e.g. `"spgemm"`.
+    /// Kernel name, e.g. `"spmv"`.
     pub kernel: String,
     /// Nonzeros of the benched operand.
     pub nnz: usize,
@@ -73,9 +77,9 @@ pub struct SpeedupConfig {
 impl Default for SpeedupConfig {
     fn default() -> Self {
         SpeedupConfig {
-            // The tentpole kernel of the PR-7 fix; satellites add more via
-            // `--floor` flags rather than hardcoding every kernel here.
-            floors: vec![("spgemm".to_string(), 1.8)],
+            // The one parallel kernel `par_speedup` sweeps, at the floor CI
+            // passes; other kernels come in through `--floor` flags.
+            floors: vec![("spmv".to_string(), 1.5)],
             k_mad: 3.0,
         }
     }
@@ -88,11 +92,11 @@ pub struct SpeedupVerdict {
     pub kernel: String,
     /// Required minimum speedup at [`GATE_THREADS`].
     pub floor: f64,
-    /// Raw measured speedup (0 when the row is missing).
+    /// Raw measured speedup.
     pub measured: f64,
     /// Noise-credited speedup actually compared against the floor.
     pub adjusted: f64,
-    /// Whether the kernel met its floor (skipped/missing rows pass).
+    /// Whether the kernel met its floor.
     pub passed: bool,
 }
 
@@ -101,9 +105,13 @@ pub struct SpeedupVerdict {
 pub struct SpeedupReport {
     /// One verdict per configured floor that was actually compared.
     pub verdicts: Vec<SpeedupVerdict>,
-    /// Floors that failed.
+    /// Kernels with a floor but no t=1/t=[`GATE_THREADS`] row pair in the
+    /// file. Each counts as a failure: a floor on a kernel the bench no
+    /// longer sweeps would otherwise pass forever.
+    pub missing: Vec<String>,
+    /// Floors that failed, missing ones included.
     pub failures: usize,
-    /// Skipped floors (clamped hardware, missing rows) and other caveats.
+    /// Floors skipped on clamped hardware.
     pub warnings: Vec<String>,
 }
 
@@ -135,9 +143,8 @@ pub fn check_speedup(rows: &[SpeedupRow], cfg: &SpeedupConfig) -> SpeedupReport 
             .iter()
             .find(|r| r.kernel == *kernel && r.threads == GATE_THREADS);
         let (Some(serial), Some(par)) = (serial, par) else {
-            report.warnings.push(format!(
-                "{kernel}: no t=1/t={GATE_THREADS} row pair in the result file — floor not checked"
-            ));
+            report.missing.push(kernel.clone());
+            report.failures += 1;
             continue;
         };
         if !par.ran_unclamped() {
@@ -180,6 +187,12 @@ pub fn render_speedup(report: &SpeedupReport) -> String {
             v.adjusted,
             v.floor,
             if v.passed { "ok" } else { "BELOW FLOOR" }
+        );
+    }
+    for kernel in &report.missing {
+        let _ = writeln!(
+            out,
+            "{kernel:<24} no t=1/t={GATE_THREADS} row pair in the result file -> MISSING"
         );
     }
     for w in &report.warnings {
@@ -225,7 +238,7 @@ mod tests {
 
     #[test]
     fn meeting_the_floor_passes() {
-        let rows = sweep("spgemm", 400.0, 160.0); // 2.5x
+        let rows = sweep("spmv", 400.0, 160.0); // 2.5x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(report.passed());
         assert_eq!(report.verdicts.len(), 1);
@@ -236,7 +249,7 @@ mod tests {
     #[test]
     fn parallel_slowdown_fails_the_floor() {
         // The pre-fix pathology: 4 threads slower than 1.
-        let rows = sweep("spgemm", 435.0, 489.0); // 0.89x
+        let rows = sweep("spmv", 435.0, 489.0); // 0.89x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(!report.passed());
         assert_eq!(report.failures, 1);
@@ -245,17 +258,17 @@ mod tests {
 
     #[test]
     fn noise_band_saves_a_borderline_row() {
-        // Raw speedup 1.74x misses a 1.8x floor, but a large MAD on the
+        // Raw speedup 1.38x misses a 1.5x floor, but a large MAD on the
         // parallel row brings the optimistic estimate above it.
-        let mut rows = sweep("spgemm", 400.0, 230.0);
-        rows[1].mad_ms = 10.0; // 3·10 ms credit -> 400/200 = 2.0x
+        let mut rows = sweep("spmv", 400.0, 290.0);
+        rows[1].mad_ms = 10.0; // 3·10 ms credit -> 400/260 = 1.54x
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(report.passed(), "{report:?}");
     }
 
     #[test]
     fn clamped_rows_are_skipped_with_a_warning() {
-        let mut rows = sweep("spgemm", 435.0, 489.0);
+        let mut rows = sweep("spmv", 435.0, 489.0);
         rows[1].clamped = true;
         rows[1].effective_threads = 1;
         let report = check_speedup(&rows, &SpeedupConfig::default());
@@ -265,20 +278,32 @@ mod tests {
     }
 
     #[test]
-    fn missing_rows_warn_instead_of_failing() {
-        let report = check_speedup(&[], &SpeedupConfig::default());
-        assert!(report.passed());
-        assert_eq!(report.warnings.len(), 1);
+    fn a_floor_without_rows_fails_the_gate() {
+        // A floor left on a kernel the bench no longer sweeps must not pass
+        // unchecked.
+        let cfg = SpeedupConfig {
+            floors: vec![("spmv".to_string(), 1.5), ("spgemm".to_string(), 1.8)],
+            ..SpeedupConfig::default()
+        };
+        let report = check_speedup(&sweep("spmv", 400.0, 160.0), &cfg);
+        assert!(!report.passed(), "{report:?}");
+        assert_eq!(report.failures, 1);
+        let text = render_speedup(&report);
+        assert!(
+            text.contains("spgemm") && text.contains("MISSING"),
+            "{text}"
+        );
+        assert!(!check_speedup(&[], &SpeedupConfig::default()).passed());
     }
 
     #[test]
     fn pre_pr7_rows_without_clamp_fields_parse_and_gate() {
         let text = r#"[{
-            "kernel": "spgemm", "nnz": 10, "threads": 1,
+            "kernel": "spmv", "nnz": 10, "threads": 1,
             "median_ms": 400.0, "mad_ms": 1.0, "min_ms": 399.0,
             "speedup": 1.0, "imbalance": 1.0, "utilization": 1.0
         }, {
-            "kernel": "spgemm", "nnz": 10, "threads": 4,
+            "kernel": "spmv", "nnz": 10, "threads": 4,
             "median_ms": 100.0, "mad_ms": 1.0, "min_ms": 99.0,
             "speedup": 4.0, "imbalance": 1.0, "utilization": 1.0
         }]"#;

@@ -10,9 +10,8 @@
 //! - [`CscMatrix`]: compressed sparse column, used for column-coordinate lookups
 //!   by the Gamma and Graph reordering baselines,
 //! - [`Permutation`]: validated row permutations,
-//! - the one SpGEMM kernel, row-wise (Gustavson) with a per-row adaptive
-//!   accumulator, and the binary `A·Aᵀ` similarity product built on it
-//!   ([`ops`]),
+//! - a serial row-wise (Gustavson) SpGEMM, the Table 1 dataflow costs and
+//!   the binary `A·Aᵀ` similarity product built on it ([`ops`]),
 //! - Matrix Market I/O ([`io`]) and pattern statistics ([`stats`]).
 //!
 //! # Example
@@ -26,7 +25,7 @@
 //! coo.push(1, 1, 3.0)?;
 //! coo.push(2, 0, 1.0)?;
 //! let a = coo.to_csr();
-//! let c = ops::spgemm(&a, &a, 1)?;
+//! let c = ops::spgemm(&a, &a)?;
 //! assert_eq!(c.get(0, 0), 4.0);
 //! # Ok(())
 //! # }
@@ -42,7 +41,6 @@ pub mod io;
 pub mod ops;
 pub mod perm;
 pub mod schedule;
-mod scratch;
 pub mod stats;
 
 pub use coo::CooMatrix;

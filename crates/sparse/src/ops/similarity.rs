@@ -10,7 +10,6 @@
 //! nonzeros in column `j` (Table 2).
 
 use crate::csr::CsrMatrix;
-use crate::error::SparseError;
 use crate::ops::spgemm::spgemm;
 
 /// Computes the similarity matrix `S = pattern(A) · pattern(A)ᵀ` in CSR form
@@ -20,10 +19,6 @@ use crate::ops::spgemm::spgemm;
 /// row's nonzero count. Every product is `1.0 · 1.0` and every entry a count
 /// far below 2⁵³, so the sums are exact and the result contains no explicit
 /// zeros.
-///
-/// # Errors
-///
-/// Returns [`SparseError::Guard`] if the `par.worker` failpoint fires.
 ///
 /// # Example
 ///
@@ -38,16 +33,16 @@ use crate::ops::spgemm::spgemm;
 ///     vec![0, 1, 1, 2],
 ///     vec![9.0, 8.0, 7.0, 6.0],
 /// )?;
-/// let s = similarity_matrix(&a)?;
+/// let s = similarity_matrix(&a);
 /// assert_eq!(s.get(0, 1), 1.0);
 /// assert_eq!(s.get(0, 0), 2.0);
 /// assert_eq!(s.get(0, 2), 0.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn similarity_matrix(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
+pub fn similarity_matrix(a: &CsrMatrix) -> CsrMatrix {
     let bin = a.to_binary();
-    spgemm(&bin, &bin.transpose(), 1)
+    spgemm(&bin, &bin.transpose()).expect("a matrix conforms with its transpose")
 }
 
 #[cfg(test)]
@@ -68,7 +63,7 @@ mod tests {
     #[test]
     fn diagonal_is_row_nnz() {
         let a = sample();
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         for i in 0..a.nrows() {
             assert_eq!(s.get(i, i), a.row_nnz(i) as f64);
         }
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn symmetric() {
         let a = sample();
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         for i in 0..s.nrows() {
             for j in 0..s.ncols() {
                 assert_eq!(s.get(i, j), s.get(j, i));
@@ -93,16 +88,13 @@ mod tests {
         for v in b.values_mut() {
             *v *= 100.0;
         }
-        assert_eq!(
-            similarity_matrix(&a).unwrap(),
-            similarity_matrix(&b).unwrap()
-        );
+        assert_eq!(similarity_matrix(&a), similarity_matrix(&b));
     }
 
     #[test]
     fn disjoint_rows_have_zero_similarity() {
         let a = CsrMatrix::try_new(2, 4, vec![0, 2, 4], vec![0, 1, 2, 3], vec![1.0; 4]).unwrap();
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         assert_eq!(s.get(0, 1), 0.0);
         assert_eq!(s.nnz(), 2); // just the diagonal
     }
@@ -110,7 +102,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = CsrMatrix::zeros(3, 3);
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.shape(), (3, 3));
     }

@@ -682,7 +682,7 @@ fn cmd_perf_speedup(args: &Args) -> Result<(), String> {
     if !report.passed() {
         if args.has("-D") {
             eprintln!(
-                "error: {} kernel(s) fell below their parallel-speedup floor",
+                "error: {} kernel(s) fell below their parallel-speedup floor or have no rows",
                 report.failures
             );
             std::process::exit(1);

@@ -9,7 +9,7 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! - [`sparse`]: CSR/CSC/COO matrices, SpGEMM kernels, similarity products.
+//! - [`sparse`]: CSR/CSC/COO matrices, the serial SpGEMM reference, similarity products.
 //! - [`linalg`]: Lanczos eigensolver, normalized Laplacian, k-means++.
 //! - [`reorder`]: the Gamma, Graph and Hier baselines behind one trait.
 //! - [`core`]: the Bootes spectral reorderer, features and pipeline.

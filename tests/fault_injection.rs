@@ -15,10 +15,9 @@
 mod common;
 
 use bootes::core::{toy_tree, BootesConfig, BootesPipeline, FallbackReorderer, SpectralReorderer};
-use bootes::guard::{Budget, GuardError, ScopedFailpoints};
+use bootes::guard::{Budget, ScopedFailpoints};
 use bootes::reorder::Reorderer;
-use bootes::sparse::ops::spgemm;
-use bootes::sparse::{CsrMatrix, SparseError};
+use bootes::sparse::CsrMatrix;
 use bootes::workloads::gen::{clustered, GenConfig};
 use common::GlobalState;
 
@@ -196,23 +195,6 @@ fn pipeline_preprocess_survives_faults_and_reports_degradation() {
     assert_eq!(out.stats.degraded_from.as_deref(), Some("bootes"));
     assert_eq!(out.stats.algorithm, "hier");
     assert_eq!(out.permutation.len(), a.nrows());
-}
-
-#[test]
-fn kernels_return_worker_faults_as_typed_errors() {
-    // SpGEMM hands a failed chunk back as `SparseError::Guard` instead of
-    // panicking, on the inline (1 thread) and the pool (4 threads) path
-    // alike.
-    let a = matrix();
-    let at = a.transpose();
-    for threads in [1, 4] {
-        let _fp = ScopedFailpoints::arm("par.worker=err@1").unwrap();
-        let err = spgemm(&a, &at, threads).expect_err("the injected fault must surface");
-        assert!(
-            matches!(err, SparseError::Guard(GuardError::Injected { .. })),
-            "spgemm at {threads} threads: {err:?}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

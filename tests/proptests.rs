@@ -74,14 +74,14 @@ proptest! {
         )
     })) {
         let dense_ref = a.to_dense().matmul(&b.to_dense()).expect("shapes agree");
-        let c = spgemm(&a, &b, 1).expect("shapes agree");
+        let c = spgemm(&a, &b).expect("shapes agree");
         prop_assert!(c.to_dense().max_abs_diff(&dense_ref) < 1e-9);
     }
 
     /// The similarity matrix is symmetric with row-nnz diagonal.
     #[test]
     fn similarity_is_symmetric(a in sparse_matrix(20, 60)) {
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         prop_assert_eq!(s.shape(), (a.nrows(), a.nrows()));
         for (i, j, v) in s.iter() {
             prop_assert_eq!(s.get(j, i), v);
@@ -95,7 +95,7 @@ proptest! {
     /// Normalized-Laplacian eigenvalue range: xᵀLx / xᵀx stays in [0, 2].
     #[test]
     fn laplacian_rayleigh_quotient_bounded(a in square_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let s = similarity_matrix(&a).unwrap();
+        let s = similarity_matrix(&a);
         let l = normalized_laplacian(&s).expect("non-negative similarities");
         let x = &xs[..a.nrows()];
         let norm2: f64 = x.iter().map(|v| v * v).sum();
@@ -109,7 +109,7 @@ proptest! {
     /// The implicit Laplacian operator equals the materialized one.
     #[test]
     fn implicit_laplacian_matches(a in sparse_matrix(16, 50), xs in proptest::collection::vec(-2.0f64..2.0, 16)) {
-        let l = normalized_laplacian(&similarity_matrix(&a).unwrap()).expect("valid");
+        let l = normalized_laplacian(&similarity_matrix(&a)).expect("valid");
         let op = ImplicitNormalizedLaplacian::new(&a);
         let x = &xs[..a.nrows()];
         let dense = l.matvec(x).expect("square");
