@@ -118,7 +118,7 @@ fn main() {
 
     // D4: balanced vs unbalanced class weights on the same labeled corpus.
     println!("\nD4: decision-tree class balancing (labeling a training corpus, ~1 min)...");
-    let ds = build_dataset(&accel, 136, 77, bootes_par::threads());
+    let ds = build_dataset(std::slice::from_ref(&accel), 136, 77, bootes_par::threads()).remove(0);
     let (train, test) = ds.split(0.7, 7).expect("valid fraction");
     let mut trainings = Vec::new();
     let mut d4 = Table::new(["training", "fit ms", "accuracy", "macro F1"]);

@@ -9,10 +9,8 @@
 
 use bootes_accel::simulate_spgemm;
 use bootes_bench::table::{f2, save_json, Table};
-use bootes_bench::{
-    b_operand, geomean, results_dir, run_reordered, scaled_configs, suite_scale, trained_model,
-};
-use bootes_core::{BootesConfig, BootesPipeline, Label, SpectralReorderer, CANDIDATE_KS};
+use bootes_bench::{b_operand, geomean, results_dir, scaled_configs, suite_scale, trained_model};
+use bootes_core::{price_sweep, BootesConfig, BootesPipeline, Label, CANDIDATE_KS};
 use bootes_workloads::suite::figure3_suite;
 use serde::Serialize;
 
@@ -31,7 +29,7 @@ fn main() {
     let scale = suite_scale();
     // The smallest-cache accelerator shows the strongest k sensitivity.
     let accel = scaled_configs(scale).remove(0);
-    let (model, val_acc) = trained_model(&accel, 42);
+    let (model, val_acc) = trained_model(std::slice::from_ref(&accel), 42).remove(0);
     println!(
         "Figure 3 reproduction on {} — decision tree: {} nodes, depth {}, {} bytes serialized",
         accel.name,
@@ -67,74 +65,52 @@ fn main() {
         let a = entry.generate(scale).expect("suite generation");
         let b = b_operand(&a);
 
-        // Measure the SpGEMM kernel's execution time on the accelerator at
-        // every candidate k and without reordering (Figure 3's "execution
-        // time" is the accelerator run, whose cycles track memory traffic).
-        let mut times = Vec::new();
-        for &k in &CANDIDATE_KS {
-            let algo = SpectralReorderer::new(BootesConfig::default().with_k(k));
-            let (_stats, report) = run_reordered(&a, &b, &algo, &accel);
-            times.push(report.seconds(accel.clock_hz));
-        }
-        let original_time = {
-            let report = simulate_spgemm(&a, &b, &accel).expect("simulate");
-            report.seconds(accel.clock_hz)
-        };
-        let best_k_time = times.iter().copied().fold(f64::INFINITY, f64::min);
-        let best = best_k_time.min(original_time);
+        // The SpGEMM kernel's execution time on the accelerator without
+        // reordering and at every candidate k (Figure 3's "execution time"
+        // is the accelerator run, whose cycles track memory traffic).
+        let sweep = price_sweep(&a, |m| {
+            simulate_spgemm(m, &b, &accel).map(|report| report.seconds(accel.clock_hz))
+        })
+        .expect("sweep");
+        assert_eq!(sweep.reordered.len(), CANDIDATE_KS.len(), "every k fits");
+        // Every choice with its kernel time, no reordering first.
+        let choices: Vec<(Label, f64)> = std::iter::once((Label::NoReorder, sweep.original))
+            .chain(sweep.reordered.iter().map(|&(k, t)| (Label::Reorder(k), t)))
+            .collect();
+        let time_of = |l: Label| choices.iter().find(|c| c.0 == l).expect("a choice").1;
 
-        // Measured best: the candidate k with the shortest kernel time if it
-        // beats the original order at all. Unlike the training labels of
-        // `measure_label`, this takes no 10% traffic margin.
-        let measured = if best_k_time < original_time {
-            let idx = times
-                .iter()
-                .position(|&t| t == best_k_time)
-                .expect("present");
-            Label::Reorder(CANDIDATE_KS[idx])
-        } else {
-            Label::NoReorder
-        };
+        // Measured best: the choice with the shortest kernel time; `min_by`
+        // keeps the first of equal minima, so no reordering wins ties, then
+        // the smallest k. Unlike the training labels of `PriceSweep::label`,
+        // this takes no 10% traffic margin.
+        let (measured, best) = choices
+            .iter()
+            .copied()
+            .min_by(|x, y| x.1.total_cmp(&y.1))
+            .expect("a choice");
         let decision = pipeline.decide(&a).expect("inference");
         if decision.label == measured {
             hits += 1;
         }
-        let model_time = match decision.label {
-            Label::NoReorder => original_time,
-            Label::Reorder(k) => {
-                times[CANDIDATE_KS
-                    .iter()
-                    .position(|&c| c == k)
-                    .expect("candidate")]
-            }
-        };
+        let (original_time, model_time) = (sweep.original, time_of(decision.label));
         model_vs_noreorder.push(original_time / model_time);
 
         let fmt_label = |l: Label| match l {
             Label::NoReorder => "none".to_string(),
             Label::Reorder(k) => format!("k={k}"),
         };
+        // Columns: each k, then no reordering, then the model's pick.
         let mut cells = vec![entry.name.to_string()];
-        for (i, &time) in times.iter().enumerate() {
-            let star = if decision.label == Label::Reorder(CANDIDATE_KS[i]) {
-                " *"
-            } else {
-                ""
-            };
+        for &(label, time) in choices[1..].iter().chain(&choices[..1]) {
+            let star = if decision.label == label { " *" } else { "" };
             cells.push(format!("{}{star}", f2(time / best)));
         }
-        let star = if decision.label == Label::NoReorder {
-            " *"
-        } else {
-            ""
-        };
-        cells.push(format!("{}{star}", f2(original_time / best)));
         cells.push(f2(model_time / best));
         t.row(cells);
 
         rows.push(Fig3Row {
             matrix: entry.name.to_string(),
-            normalized_times: times.iter().map(|&x| x / best).collect(),
+            normalized_times: choices[1..].iter().map(|&(_, x)| x / best).collect(),
             original_normalized: original_time / best,
             predicted: fmt_label(decision.label),
             measured_best: fmt_label(measured),

@@ -60,8 +60,7 @@ fn main() {
     }
 
     let mut all_results: Vec<MatrixResult> = Vec::new();
-    for accel in &accels {
-        let (model, acc) = trained_model(accel, 42);
+    for (accel, (model, acc)) in accels.iter().zip(trained_model(&accels, 42)) {
         println!(
             "\n#### Accelerator {} (cache {} B, {} PEs; decision tree val. accuracy {:.0}%)",
             accel.name,

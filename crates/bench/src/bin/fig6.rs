@@ -31,7 +31,7 @@ fn main() {
     let scale = suite_scale();
     // The paper's Figure 6 is measured on the GAMMA accelerator setup.
     let accel = scaled_configs(scale).remove(1);
-    let (model, _) = trained_model(&accel, 42);
+    let (model, _) = trained_model(std::slice::from_ref(&accel), 42).remove(0);
     let pipeline = BootesPipeline::new(model, BootesConfig::default()).expect("compatible");
     println!(
         "Figure 6 reproduction on {}: end-to-end = preprocessing + kernel time",

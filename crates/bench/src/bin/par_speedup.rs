@@ -5,11 +5,11 @@
 //! parallel output is bit-identical to the serial one, and writes
 //! `results/par_speedup.json`. Each row carries the per-region load-balance
 //! attribution (`par.region.imbalance` = max/mean worker busy time,
-//! `par.region.utilization` = Σ busy / (workers × wall)) plus the clamp
-//! facts the `bootes perf speedup` floor gate needs: `effective_threads`
-//! (nominal count clamped to the hardware) and `clamped`. Rows marked
-//! clamped are skipped by the gate — a 4-thread floor is meaningless on a
-//! 1-cpu container.
+//! `par.region.utilization` = Σ busy / (workers × wall)) plus the facts the
+//! `bootes perf speedup` floor gate needs: the pool `workers` each call ran
+//! (an explicit per-call count is never clamped to the hardware) and
+//! `oversubscribed`, set when they outnumber the CPUs. The gate skips such
+//! rows — a 4-thread floor is meaningless on a 1-cpu container.
 //!
 //! Timing routes through the [`bootes_perf::Runner`] (warmup + repeats,
 //! median/MAD, environment capture), appends every run to
@@ -32,8 +32,8 @@ struct SweepRow {
     speedup: f64,
     imbalance: f64,
     utilization: f64,
-    effective_threads: usize,
-    clamped: bool,
+    workers: usize,
+    oversubscribed: bool,
 }
 
 /// Reads one `name{label=value}` gauge from the current profile snapshot.
@@ -45,11 +45,27 @@ fn gauge(name: &str) -> f64 {
         .map_or(0.0, |g| g.value)
 }
 
+/// Pool workers per call of region `name` since the last reset: each call
+/// records one `chunks_per_worker` sample per worker that ran.
+fn workers(name: &str) -> usize {
+    let profile = bootes_obs::snapshot();
+    let hist = format!("par.region.chunks_per_worker{{region={name}}}");
+    let samples = profile.histograms.iter().find(|h| h.name == hist);
+    let calls = profile
+        .counters
+        .iter()
+        .find(|c| c.name == "par.region.invocations");
+    match (samples, calls) {
+        (Some(h), Some(c)) => (h.count / c.value) as usize,
+        _ => 0,
+    }
+}
+
 /// Sweeps one kernel over the thread counts, asserting bit-identity against
 /// the 1-thread output and appending a [`SweepRow`] per count.
 ///
 /// `name` is also the `bootes-obs` region the kernel attributes its workers
-/// to (the imbalance/utilization gauges are read back under that name).
+/// to (its gauges and worker count are read back under that name).
 fn sweep_kernel<R: PartialEq>(
     runner: &mut bootes_perf::Runner,
     table: &mut Table,
@@ -78,16 +94,16 @@ fn sweep_kernel<R: PartialEq>(
         );
         let imbalance = gauge(&format!("par.region.imbalance{{region={name}}}"));
         let utilization = gauge(&format!("par.region.utilization{{region={name}}}"));
+        let workers = workers(name);
         if t == 1 {
             serial_median_ms = median_ms;
         }
         let speedup = serial_median_ms / median_ms;
-        let effective_threads = t.min(cpus);
-        let clamped = t > cpus;
+        let oversubscribed = workers > cpus;
         table.row([
             name.to_string(),
-            if clamped {
-                format!("{t} (clamped to {effective_threads})")
+            if oversubscribed {
+                format!("{t} ({workers} workers on {cpus} cpus)")
             } else {
                 t.to_string()
             },
@@ -106,8 +122,8 @@ fn sweep_kernel<R: PartialEq>(
             speedup,
             imbalance,
             utilization,
-            effective_threads,
-            clamped,
+            workers,
+            oversubscribed,
         });
     }
 }
@@ -156,8 +172,8 @@ fn main() {
     table.print("Parallel kernel sweep (bit-identical outputs; speedup vs t=1 median)");
     if bootes_par::available() < 4 {
         println!(
-            "note: only {} cpu(s) available; rows above that count are marked clamped \
-             and skipped by `bootes perf speedup`",
+            "note: only {} cpu(s) available; rows with more workers are marked \
+             oversubscribed and skipped by `bootes perf speedup`",
             bootes_par::available()
         );
     }

@@ -37,8 +37,7 @@ fn main() {
             .chain(methods.iter().map(|m| m.to_string()))
             .collect::<Vec<_>>(),
     );
-    for accel in &accels {
-        let (model, _) = trained_model(accel, 42);
+    for (accel, (model, _)) in accels.iter().zip(trained_model(&accels, 42)) {
         let pipeline = BootesPipeline::new(model, BootesConfig::default()).expect("compatible");
         let mut speedups: HashMap<&str, Vec<f64>> = HashMap::new();
         for entry in table3_suite() {

@@ -9,22 +9,19 @@
 //!   the same factor as the matrices, preserving the B-size : cache-size
 //!   pressure ratio that drives the paper's results,
 //! - [`trained_model`]: trains (and caches to `results/models/`) the
-//!   decision tree for one accelerator by labeling a synthetic corpus with
-//!   measured traffic, exactly the §3.2 procedure,
-//! - [`run_reordered`]: reorder → permute → simulate, the inner loop of
-//!   Figure 3,
+//!   decision trees for several accelerators by labeling a synthetic corpus
+//!   once with measured traffic on all of them, exactly the §3.2 procedure,
 //! - [`measure_last`]: times a call through the [`bootes_perf::Runner`]
 //!   and keeps what its last execution produced,
 //! - [`viz`]: ASCII density rendering of sparsity patterns (Figure 2),
 //! - [`table`]: plain-text table printing and JSON result persistence.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use bootes_accel::{configs, simulate_spgemm, AcceleratorConfig, TrafficReport};
-use bootes_core::{Label, MatrixFeatures, FEATURE_NAMES};
+use bootes_accel::{configs, simulate_spgemm, AcceleratorConfig};
 use bootes_model::{Dataset, DecisionTree, TreeConfig};
 use bootes_perf::Runner;
-use bootes_reorder::{ReorderStats, Reorderer};
+use bootes_reorder::Reorderer;
 
 use bootes_sparse::CsrMatrix;
 use bootes_workloads::suite::training_corpus;
@@ -79,30 +76,6 @@ pub fn b_operand(a: &CsrMatrix) -> CsrMatrix {
     }
 }
 
-/// Applies a reorderer to `a` and simulates the SpGEMM on `accel`.
-/// Returns the preprocessing stats and the traffic report.
-///
-/// # Panics
-///
-/// Panics if the reorderer or simulator fails (harness-internal inputs are
-/// always valid).
-pub fn run_reordered(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    algo: &dyn Reorderer,
-    accel: &AcceleratorConfig,
-) -> (ReorderStats, TrafficReport) {
-    let out = algo
-        .reorder(a)
-        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
-    let permuted = out
-        .permutation
-        .apply_rows(a)
-        .expect("permutation length matches by construction");
-    let report = simulate_spgemm(&permuted, b, accel).expect("valid operands");
-    (out.stats, report)
-}
-
 /// The four baseline reorderers of the paper's comparison, in presentation
 /// order (`original`, `gamma`, `graph`, `hier`).
 pub fn baseline_reorderers() -> Vec<Box<dyn Reorderer>> {
@@ -127,18 +100,6 @@ pub fn measure_last<R>(runner: &mut Runner, case: &str, mut f: impl FnMut() -> R
     )
 }
 
-/// Labels `a` for `accel` by [`bootes_core::measure_label`], pricing each
-/// ordering of `a` by its simulated SpGEMM traffic against `a`'s
-/// [`b_operand`].
-fn measure_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Result<Label, String> {
-    let b = b_operand(a);
-    bootes_core::measure_label(a, |m| {
-        simulate_spgemm(m, &b, accel)
-            .map(|report| report.total_bytes())
-            .map_err(|e| e.to_string())
-    })
-}
-
 /// Number of corpus matrices used for training (kept modest so harnesses run
 /// in CI time; the paper uses ~500).
 pub fn corpus_size() -> usize {
@@ -148,9 +109,9 @@ pub fn corpus_size() -> usize {
         .unwrap_or(408)
 }
 
-/// Builds the labeled training dataset for one accelerator, labeling the
-/// corpus on up to `threads` pool workers (the result is the same for any
-/// count).
+/// Builds the labeled training dataset for each of `accels`, in order, from
+/// one labeling pass over a corpus of `count` matrices on up to `threads`
+/// pool workers (the result is the same for any count).
 ///
 /// Half the corpus consists of fresh same-family instances of the Table-3
 /// and Figure-3 suite entries (different seeds and jittered scales, so the
@@ -164,11 +125,23 @@ pub fn corpus_size() -> usize {
 /// Panics if corpus generation or labeling fails (built-in parameters are
 /// valid).
 pub fn build_dataset(
-    accel: &AcceleratorConfig,
+    accels: &[AcceleratorConfig],
     count: usize,
     seed: u64,
     threads: usize,
-) -> Dataset {
+) -> Vec<Dataset> {
+    bootes_core::label_corpus(&corpus(count, seed), accels.len(), threads, |a| {
+        let b = b_operand(a);
+        move |m: &CsrMatrix| {
+            let price = |accel| simulate_spgemm(m, &b, accel).map(|r| r.total_bytes());
+            accels.iter().map(price).collect()
+        }
+    })
+    .unwrap_or_else(|e| panic!("labeling the training corpus failed: {e}"))
+}
+
+/// The `count` training matrices of [`build_dataset`], in corpus order.
+fn corpus(count: usize, seed: u64) -> Vec<CsrMatrix> {
     let mut corpus: Vec<CsrMatrix> = Vec::with_capacity(count);
     // Suite-like half: cycle through the evaluation families with fresh
     // seeds and mildly jittered scales.
@@ -187,21 +160,7 @@ pub fn build_dataset(
     for (_, m) in training_corpus(count - count / 2, seed, 512).expect("valid corpus parameters") {
         corpus.push(m);
     }
-    // Labeling is embarrassingly parallel (5 reorders + 6 simulations per
-    // matrix): one region over the corpus, whose nested `label.sweep`
-    // regions run inline on their worker.
-    let rows = bootes_par::map_indices("label.corpus", threads, corpus.len(), |i| {
-        let class = measure_label(&corpus[i], accel)?
-            .to_class()
-            .map_err(|e| e.to_string())?;
-        Ok((MatrixFeatures::extract(&corpus[i]).to_vec(), class))
-    })
-    .map_err(|e| e.to_string())
-    .and_then(|rows| rows.into_iter().collect::<Result<Vec<_>, String>>())
-    .unwrap_or_else(|e| panic!("labeling the training corpus failed: {e}"));
-    let (x, y): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    Dataset::new(x, y, names, Label::N_CLASSES).expect("consistent dataset")
+    corpus
 }
 
 /// Path of the cached model for an accelerator.
@@ -219,23 +178,43 @@ pub fn results_dir() -> PathBuf {
     bootes_perf::results_dir()
 }
 
-/// Trains (or loads from cache) the decision tree for one accelerator,
-/// following §3.2: balanced class weights, 70/30 split; returns the model
-/// and its held-out accuracy.
+/// The decision tree of each of `accels`, in order, with its held-out
+/// accuracy: loaded from `results/models/<accel>.json` when that parses,
+/// else trained following §3.2 (balanced class weights, 70/30 split) and
+/// written there. The accelerators without a cached model are trained from
+/// one labeling pass over the corpus.
 ///
 /// # Panics
 ///
 /// Panics on I/O failures writing the model cache.
-pub fn trained_model(accel: &AcceleratorConfig, seed: u64) -> (DecisionTree, f64) {
-    let path = model_path(&accel.name);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(cached) = serde_json::from_str::<CachedModel>(&text) {
-            if let Ok(model) = DecisionTree::from_json(&cached.model) {
-                return (model, cached.accuracy);
-            }
+pub fn trained_model(accels: &[AcceleratorConfig], seed: u64) -> Vec<(DecisionTree, f64)> {
+    let mut models: Vec<Option<(DecisionTree, f64)>> = accels
+        .iter()
+        .map(|accel| {
+            let text = std::fs::read_to_string(model_path(&accel.name)).ok()?;
+            let cached = serde_json::from_str::<CachedModel>(&text).ok()?;
+            let model = DecisionTree::from_json(&cached.model).ok()?;
+            Some((model, cached.accuracy))
+        })
+        .collect();
+    let missing: Vec<usize> = (0..accels.len()).filter(|&i| models[i].is_none()).collect();
+    if !missing.is_empty() {
+        let untrained: Vec<AcceleratorConfig> =
+            missing.iter().map(|&i| accels[i].clone()).collect();
+        let datasets = build_dataset(&untrained, corpus_size(), seed, bootes_par::threads());
+        for (i, ds) in missing.into_iter().zip(datasets) {
+            models[i] = Some(train_and_save(&ds, seed, &model_path(&accels[i].name)));
         }
     }
-    let ds = build_dataset(accel, corpus_size(), seed, bootes_par::threads());
+    models
+        .into_iter()
+        .map(|model| model.expect("every model is loaded or trained"))
+        .collect()
+}
+
+/// Fits the decision tree to `ds` and writes it to `path`; returns the
+/// model and its held-out accuracy.
+fn train_and_save(ds: &Dataset, seed: u64, path: &Path) -> (DecisionTree, f64) {
     // Model selection over several split seeds: labeling dominates the cost,
     // so fitting a handful of trees and keeping the best validated one is
     // nearly free and removes most seed-to-seed variance.
@@ -271,7 +250,7 @@ pub fn trained_model(accel: &AcceleratorConfig, seed: u64) -> (DecisionTree, f64
         model: model.to_json().expect("serializable model"),
         accuracy,
     };
-    std::fs::write(&path, serde_json::to_string(&cached).expect("serializable"))
+    std::fs::write(path, serde_json::to_string(&cached).expect("serializable"))
         .expect("write model cache");
     (model, accuracy)
 }
@@ -285,6 +264,7 @@ struct CachedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bootes_core::{BootesConfig, Label, MatrixFeatures, SpectralReorderer, CANDIDATE_KS};
     use bootes_workloads::gen::{clustered, GenConfig};
 
     #[test]
@@ -314,16 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reordered_produces_consistent_traffic() {
-        let a = clustered(&GenConfig::new(200, 200).seed(2), 4, 0.95).unwrap();
-        let b = b_operand(&a);
-        let accel = &scaled_configs(0.02)[0];
-        let (stats, report) = run_reordered(&a, &b, &bootes_reorder::OriginalOrder, accel);
-        assert_eq!(stats.algorithm, "original");
-        assert!(report.total_bytes() > 0);
-    }
-
-    #[test]
     fn measure_last_keeps_the_last_output_and_the_median() {
         let mut runner = Runner::new("unit_test").with_counts(1, 3);
         let mut calls = 0;
@@ -336,6 +306,29 @@ mod tests {
         assert_eq!(secs, m.summary.median * 1e-9);
     }
 
+    /// The §3.2 label of `a` for `accel` alone: reorder at each candidate
+    /// `k`, price every ordering by its simulated traffic against `a`'s B,
+    /// and keep the cheapest `k` (the smallest on ties) if it beats the
+    /// original order by more than 10%.
+    fn reference_label(a: &CsrMatrix, accel: &AcceleratorConfig) -> Label {
+        let b = b_operand(a);
+        let price = |m: &CsrMatrix| simulate_spgemm(m, &b, accel).unwrap().total_bytes();
+        let mut best: Option<(usize, u64)> = None;
+        for k in CANDIDATE_KS.into_iter().filter(|&k| k + 1 < a.nrows()) {
+            let out = SpectralReorderer::new(BootesConfig::default().with_k(k))
+                .reorder(a)
+                .unwrap();
+            let t = price(&out.permutation.apply_rows(a).unwrap());
+            if best.is_none_or(|(_, bt)| t < bt) {
+                best = Some((k, t));
+            }
+        }
+        match best {
+            Some((k, t)) if (t as f64) < 0.9 * price(a) as f64 => Label::Reorder(k),
+            _ => Label::NoReorder,
+        }
+    }
+
     #[test]
     fn measured_label_prefers_reordering_on_clustered_input() {
         // Strongly clustered, scrambled matrix with B far exceeding a small
@@ -343,17 +336,34 @@ mod tests {
         let a = clustered(&GenConfig::new(600, 600).seed(3), 4, 0.97).unwrap();
         let mut accel = scaled_configs(0.02).remove(0);
         accel.cache_bytes = 4096;
-        assert!(matches!(measure_label(&a, &accel), Ok(Label::Reorder(_))));
+        let b = b_operand(&a);
+        let sweep = bootes_core::price_sweep(&a, |m| {
+            simulate_spgemm(m, &b, &accel).map(|r| r.total_bytes())
+        })
+        .unwrap();
+        assert!(matches!(sweep.label(|&p| p), Label::Reorder(_)));
+        assert_eq!(sweep.label(|&p| p), reference_label(&a, &accel));
     }
 
     #[test]
-    fn build_dataset_is_the_same_for_any_thread_count() {
-        let accel = &scaled_configs(0.02)[0];
-        let serial = build_dataset(accel, 8, 5, 1);
-        let pooled = build_dataset(accel, 8, 5, 4);
-        assert_eq!(serial.labels(), pooled.labels());
-        for i in 0..serial.len() {
-            assert_eq!(serial.features(i), pooled.features(i));
+    fn one_pass_labels_equal_per_accelerator_labels_at_any_thread_count() {
+        let accels = scaled_configs(0.02);
+        let corpus = corpus(8, 5);
+        let serial = build_dataset(&accels, 8, 5, 1);
+        let pooled = build_dataset(&accels, 8, 5, 4);
+        assert_eq!(serial.len(), accels.len());
+        for ((accel, serial), pooled) in accels.iter().zip(&serial).zip(&pooled) {
+            let want: Vec<usize> = corpus
+                .iter()
+                .map(|a| reference_label(a, accel).to_class().unwrap())
+                .collect();
+            assert_eq!(serial.labels(), want, "{}", accel.name);
+            assert_eq!(pooled.labels(), want, "{}", accel.name);
+            for (i, a) in corpus.iter().enumerate() {
+                let features = MatrixFeatures::extract(a).to_vec();
+                assert_eq!(serial.features(i), features);
+                assert_eq!(pooled.features(i), features);
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 //! Before SpGEMM execution, Bootes extracts structural features, feeds them
 //! to the trained decision tree, and either reorders with the predicted
 //! cluster count or leaves the matrix untouched. The tree is trained offline
-//! (see the `fig3` benchmark binary) on labels that [`measure_label`]
-//! measures on the target accelerator.
+//! (see the `fig3` benchmark binary) on labels that [`label_corpus`]
+//! measures on the target accelerators.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -116,53 +116,111 @@ pub fn toy_tree(k: usize) -> Result<DecisionTree, ModelError> {
     DecisionTree::fit(&ds, &TreeConfig::default())
 }
 
-/// Labels `a` by measurement, the §3.2 training rule: reorder with the
-/// candidate `k` whose spectral ordering `traffic` prices lowest if that cuts
-/// the unreordered price by more than 10%, else [`Label::NoReorder`].
-///
-/// `traffic` prices a matrix, e.g. the simulated SpGEMM bytes of it times a
-/// fixed `B` operand. It is called on `a` itself first, then once per
-/// candidate `k` with `k + 1 < a.nrows()` on `a` reordered with that `k`.
-/// The candidates run in one `label.sweep` region of `bootes-par` and fold
-/// in `k` order with a strict `<`, so ties keep the smallest `k` and the
-/// label is the same for any thread count.
+/// The prices of one matrix's orderings, measured by [`price_sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PriceSweep<P> {
+    /// The price of the original order.
+    pub original: P,
+    /// `(k, price)` of the spectral ordering at each candidate `k` with
+    /// `k + 1 < nrows`, in [`CANDIDATE_KS`] order.
+    pub reordered: Vec<(usize, P)>,
+}
+
+impl<P> PriceSweep<P> {
+    /// The §3.2 training label over the prices `price` reads from each entry
+    /// (one accelerator's, say): reorder with the cheapest `k`, the smallest
+    /// on ties, if it cuts the original order's price by more than 10%.
+    pub fn label(&self, price: impl Fn(&P) -> u64) -> Label {
+        let cheapest = self.reordered.iter().map(|(k, p)| (*k, price(p)));
+        // `min_by_key` keeps the first of equal minima: the smallest `k`.
+        match cheapest.min_by_key(|&(_, t)| t) {
+            Some((k, t)) if (t as f64) < 0.9 * price(&self.original) as f64 => Label::Reorder(k),
+            _ => Label::NoReorder,
+        }
+    }
+}
+
+/// Prices `a`'s original order, then its spectral ordering at each
+/// candidate `k` with `k + 1 < a.nrows()`, reordering once per `k` in one
+/// `label.sweep` region of `bootes-par` (the same for any thread count).
+/// `price` may return one price per accelerator, so one sweep serves all.
 ///
 /// # Errors
 ///
-/// The first error, as text, of `traffic`, of a candidate's reorder, or of
-/// a sweep worker that panicked.
-pub fn measure_label(
+/// The first error, as text, of `price` on the original order, of a
+/// worker that panicked, or in `k` order of a candidate's reorder or price.
+pub fn price_sweep<P: Send, E: ToString>(
     a: &CsrMatrix,
-    traffic: impl Fn(&CsrMatrix) -> Result<u64, String> + Sync,
-) -> Result<Label, String> {
-    let base = traffic(a)?;
+    price: impl Fn(&CsrMatrix) -> Result<P, E> + Sync,
+) -> Result<PriceSweep<P>, String> {
+    let price = |m: &CsrMatrix| price(m).map_err(|e| e.to_string());
+    let original = price(a)?;
     let ks: Vec<usize> = CANDIDATE_KS
         .into_iter()
         .filter(|&k| k + 1 < a.nrows())
         .collect();
-    let priced = bootes_par::map_indices(
-        "label.sweep",
-        bootes_par::threads().min(ks.len()),
-        ks.len(),
-        |i| {
-            let out = SpectralReorderer::new(BootesConfig::default().with_k(ks[i]))
-                .reorder(a)
-                .map_err(|e| e.to_string())?;
-            traffic(&out.permutation.apply_rows(a).map_err(|e| e.to_string())?)
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let mut best: Option<(usize, u64)> = None;
-    for (k, t) in ks.into_iter().zip(priced) {
-        let t = t?;
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((k, t));
-        }
-    }
-    Ok(match best {
-        Some((k, t)) if (t as f64) < 0.9 * base as f64 => Label::Reorder(k),
-        _ => Label::NoReorder,
+    let reordered = bootes_par::map_indices("label.sweep", bootes_par::threads(), ks.len(), |i| {
+        let config = BootesConfig::default().with_k(ks[i]);
+        let out = SpectralReorderer::new(config)
+            .reorder(a)
+            .map_err(|e| e.to_string())?;
+        price(&out.permutation.apply_rows(a).map_err(|e| e.to_string())?).map(|p| (ks[i], p))
     })
+    .map_err(|e| e.to_string())?
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok(PriceSweep {
+        original,
+        reordered,
+    })
+}
+
+/// Labels a training corpus for `targets` price targets (accelerators, say)
+/// in one pass; returns one [`Dataset`] per target, samples in corpus order.
+///
+/// Each matrix `a` has its features extracted once and one [`price_sweep`]
+/// priced by `pricer(a)`, whose `t`-th price is target `t`'s; `pricer` runs
+/// once per matrix, for setup such as the `B` operand. The matrices run in
+/// one `label.corpus` region on up to `threads` pool workers, and the
+/// result is the same for any count.
+///
+/// # Errors
+///
+/// The first error in corpus order of a sweep, or of a pricer that returns
+/// other than `targets` prices.
+pub fn label_corpus<'c, G, E: ToString>(
+    corpus: impl IntoIterator<Item = &'c CsrMatrix>,
+    targets: usize,
+    threads: usize,
+    pricer: impl Fn(&'c CsrMatrix) -> G + Sync,
+) -> Result<Vec<Dataset>, String>
+where
+    G: Fn(&CsrMatrix) -> Result<Vec<u64>, E> + Sync,
+{
+    let corpus: Vec<&CsrMatrix> = corpus.into_iter().collect();
+    let rows = bootes_par::map_indices("label.corpus", threads, corpus.len(), |i| {
+        let price = pricer(corpus[i]);
+        let sweep = price_sweep(corpus[i], |m| {
+            match price(m).map_err(|e| e.to_string())? {
+                p if p.len() == targets => Ok(p),
+                p => Err(format!("{} prices for {targets} targets", p.len())),
+            }
+        })?;
+        let classes = (0..targets)
+            .map(|t| sweep.label(|p| p[t]).to_class().map_err(|e| e.to_string()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((MatrixFeatures::extract(corpus[i]).to_vec(), classes))
+    })
+    .map_err(|e| e.to_string())?
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()?;
+    let names: Vec<String> = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
+    (0..targets)
+        .map(|t| {
+            let (x, y) = rows.iter().map(|(x, y)| (x.clone(), y[t])).unzip();
+            Dataset::new(x, y, names.clone(), Label::N_CLASSES).map_err(|e| e.to_string())
+        })
+        .collect()
 }
 
 /// The pipeline's verdict for one matrix.
@@ -764,41 +822,58 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs [`measure_label`] with a traffic closure that prices the first
-    /// matrix it sees (the base) at 1000 and every later one at `reordered`;
-    /// returns the label and the number of matrices priced.
-    fn label_with(a: &CsrMatrix, reordered: Result<u64, String>) -> (Result<Label, String>, usize) {
+    /// Runs [`price_sweep`] with a closure that prices the first matrix it
+    /// sees (the original order) at 1000 and every later one at
+    /// `reordered`; returns the sweep and the number of matrices priced.
+    fn sweep_with(
+        a: &CsrMatrix,
+        reordered: Result<u64, String>,
+    ) -> (Result<PriceSweep<u64>, String>, usize) {
         let calls = AtomicUsize::new(0);
-        let label = measure_label(a, |_| match calls.fetch_add(1, Ordering::SeqCst) {
+        let sweep = price_sweep(a, |_| match calls.fetch_add(1, Ordering::SeqCst) {
             0 => Ok(1000),
             _ => reordered.clone(),
         });
-        (label, calls.into_inner())
+        (sweep, calls.into_inner())
+    }
+
+    /// The §3.2 label of a sweep of one price per ordering.
+    fn label_of(sweep: &PriceSweep<u64>) -> Label {
+        sweep.label(|&p| p)
     }
 
     #[test]
     fn exactly_ten_percent_cheaper_is_no_reorder() {
-        let priced = 1 + CANDIDATE_KS.len();
+        let (sweep, priced) = sweep_with(&labeled_input(), Ok(900));
+        let sweep = sweep.unwrap();
+        assert_eq!(priced, 1 + CANDIDATE_KS.len());
+        assert_eq!(sweep.original, 1000);
         assert_eq!(
-            label_with(&labeled_input(), Ok(900)),
-            (Ok(Label::NoReorder), priced)
+            sweep.reordered,
+            CANDIDATE_KS.map(|k| (k, 900)).to_vec(),
+            "one price per candidate, in k order"
         );
+        assert_eq!(label_of(&sweep), Label::NoReorder);
     }
 
     #[test]
     fn ties_keep_the_smallest_k() {
-        assert_eq!(
-            label_with(&labeled_input(), Ok(890)).0,
-            Ok(Label::Reorder(2))
-        );
+        let sweep = sweep_with(&labeled_input(), Ok(890)).0.unwrap();
+        assert_eq!(label_of(&sweep), Label::Reorder(2));
+        let sweep = PriceSweep {
+            original: 1000,
+            reordered: vec![(2, 500), (4, 400), (8, 400), (16, 401)],
+        };
+        assert_eq!(label_of(&sweep), Label::Reorder(4));
     }
 
     #[test]
-    fn too_few_rows_for_any_k_prices_only_the_base() {
-        assert_eq!(
-            label_with(&CsrMatrix::identity(3), Ok(0)),
-            (Ok(Label::NoReorder), 1)
-        );
+    fn too_few_rows_for_any_k_prices_only_the_original() {
+        let (sweep, priced) = sweep_with(&CsrMatrix::identity(3), Ok(0));
+        let sweep = sweep.unwrap();
+        assert_eq!(priced, 1);
+        assert!(sweep.reordered.is_empty());
+        assert_eq!(label_of(&sweep), Label::NoReorder);
     }
 
     #[test]
@@ -806,13 +881,41 @@ mod tests {
         let a = labeled_input();
         let no_simulator = Err("no simulator".to_string());
         assert_eq!(
-            measure_label(&a, |_| no_simulator.clone()),
+            price_sweep(&a, |_| no_simulator.clone()),
             Err("no simulator".to_string())
         );
         assert_eq!(
-            label_with(&a, no_simulator).0,
+            sweep_with(&a, no_simulator).0,
             Err("no simulator".to_string())
         );
+    }
+
+    #[test]
+    fn label_corpus_labels_each_target_from_its_own_prices() {
+        // Every ordering of the first matrix halves target 0's price and cuts
+        // target 1's by 5%; the three-row matrix has no candidate k.
+        let corpus = vec![labeled_input(), CsrMatrix::identity(3)];
+        let prices = |a: &CsrMatrix, m: &CsrMatrix| {
+            if m == a {
+                vec![1000, 1000]
+            } else {
+                vec![500, 950]
+            }
+        };
+        let datasets = label_corpus(&corpus, 2, 2, |a| {
+            move |m: &CsrMatrix| Ok::<_, String>(prices(a, m))
+        })
+        .unwrap();
+        assert_eq!(datasets.len(), 2);
+        assert_eq!(datasets[0].labels(), &[1, 0]);
+        assert_eq!(datasets[1].labels(), &[0, 0]);
+        for ds in &datasets {
+            for (i, a) in corpus.iter().enumerate() {
+                assert_eq!(ds.features(i), MatrixFeatures::extract(a).to_vec());
+            }
+        }
+        let short = label_corpus(&corpus, 2, 1, |_| |_: &CsrMatrix| Ok::<_, String>(vec![1]));
+        assert_eq!(short, Err("1 prices for 2 targets".to_string()));
     }
 
     #[test]

@@ -39,11 +39,11 @@
 //!
 //! # Nested regions
 //!
-//! A parallel region started *from* a pool worker (e.g. the per-`k`
-//! `label.sweep` sweep, whose candidates each run parallel kernels) runs
-//! inline on that worker instead of re-entering the pool — dispatching to
-//! the pool from inside it could deadlock, and outer-level parallelism
-//! already owns the cores.
+//! A parallel region started *from* a pool worker (e.g. a corpus matrix's
+//! per-`k` `label.sweep` inside the `label.corpus` region) runs inline on
+//! that worker instead of re-entering the pool — dispatching to the pool
+//! from inside it could deadlock, and outer-level parallelism already owns
+//! the cores.
 //!
 //! # Per-worker attribution
 //!

@@ -10,10 +10,10 @@
 //!
 //! Two guards keep the gate honest rather than flaky:
 //!
-//! - **Clamp awareness.** Rows measured under a clamped thread policy
-//!   (fewer hardware CPUs than the nominal thread count) are skipped with a
-//!   warning — a 4-thread floor is meaningless on a 1-CPU container, and
-//!   failing there would train people to ignore the gate.
+//! - **Oversubscription awareness.** Rows whose workers outnumbered the
+//!   hardware CPUs are skipped with a warning — a 4-thread floor is
+//!   meaningless on a 1-CPU container, and failing there would train people
+//!   to ignore the gate.
 //! - **Noise awareness.** The compared speedup is the *optimistic* estimate
 //!   `serial_median / max(par_median − k·MAD, ε)`: the gate only fails when
 //!   even after crediting the parallel row its full noise band it still
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 pub const GATE_THREADS: usize = 4;
 
 /// One row of `results/par_speedup.json` (written by the `par_speedup`
-/// bench). The clamp fields are absent in pre-PR-7 files and default off.
+/// bench). The worker fields are absent in older files and default off.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpeedupRow {
     /// Kernel name, e.g. `"spmv"`.
@@ -50,19 +50,13 @@ pub struct SpeedupRow {
     pub imbalance: f64,
     /// Worker utilization (Σ busy / workers·wall) from the obs attribution.
     pub utilization: f64,
-    /// Threads the row actually ran with after hardware clamping.
+    /// Pool workers each timed call ran; an explicit per-call thread count
+    /// is not clamped to the hardware.
     #[serde(default)]
-    pub effective_threads: usize,
-    /// True when `effective_threads < threads` (clamped by the hardware).
+    pub workers: usize,
+    /// True when `workers` exceeded the host's CPUs (they shared cores).
     #[serde(default)]
-    pub clamped: bool,
-}
-
-impl SpeedupRow {
-    /// Whether this row ran at its nominal thread count.
-    fn ran_unclamped(&self) -> bool {
-        !self.clamped && (self.effective_threads == 0 || self.effective_threads == self.threads)
-    }
+    pub oversubscribed: bool,
 }
 
 /// Configuration of the floor gate.
@@ -111,7 +105,7 @@ pub struct SpeedupReport {
     pub missing: Vec<String>,
     /// Floors that failed, missing ones included.
     pub failures: usize,
-    /// Floors skipped on clamped hardware.
+    /// Floors skipped because their row ran oversubscribed.
     pub warnings: Vec<String>,
 }
 
@@ -147,11 +141,11 @@ pub fn check_speedup(rows: &[SpeedupRow], cfg: &SpeedupConfig) -> SpeedupReport 
             report.failures += 1;
             continue;
         };
-        if !par.ran_unclamped() {
+        if par.oversubscribed {
             report.warnings.push(format!(
-                "{kernel}: t={GATE_THREADS} row was clamped to {} thread(s) by the hardware — \
-                 floor not checked (re-run on a ≥{GATE_THREADS}-cpu machine)",
-                par.effective_threads.max(1)
+                "{kernel}: t={GATE_THREADS} row ran {} workers on fewer cpus — floor not \
+                 checked (re-run on a ≥{GATE_THREADS}-cpu machine)",
+                par.workers
             ));
             continue;
         }
@@ -223,8 +217,8 @@ mod tests {
             speedup: 0.0,
             imbalance: 1.0,
             utilization: 1.0,
-            effective_threads: threads,
-            clamped: false,
+            workers: threads,
+            oversubscribed: false,
         }
     }
 
@@ -267,14 +261,13 @@ mod tests {
     }
 
     #[test]
-    fn clamped_rows_are_skipped_with_a_warning() {
+    fn oversubscribed_rows_are_skipped_with_a_warning() {
         let mut rows = sweep("spmv", 435.0, 489.0);
-        rows[1].clamped = true;
-        rows[1].effective_threads = 1;
+        rows[1].oversubscribed = true;
         let report = check_speedup(&rows, &SpeedupConfig::default());
-        assert!(report.passed(), "clamped row must not fail the gate");
+        assert!(report.passed(), "oversubscribed row must not fail the gate");
         assert!(report.verdicts.is_empty());
-        assert!(report.warnings.iter().any(|w| w.contains("clamped")));
+        assert!(report.warnings.iter().any(|w| w.contains("on fewer cpus")));
     }
 
     #[test]
@@ -297,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_pr7_rows_without_clamp_fields_parse_and_gate() {
+    fn rows_without_worker_fields_parse_and_gate() {
         let text = r#"[{
             "kernel": "spmv", "nnz": 10, "threads": 1,
             "median_ms": 400.0, "mad_ms": 1.0, "min_ms": 399.0,
@@ -308,7 +301,7 @@ mod tests {
             "speedup": 4.0, "imbalance": 1.0, "utilization": 1.0
         }]"#;
         let rows: Vec<SpeedupRow> = serde_json::from_str(text).unwrap();
-        assert!(!rows[0].clamped);
+        assert!(!rows[0].oversubscribed);
         let report = check_speedup(&rows, &SpeedupConfig::default());
         assert!(report.passed());
         assert_eq!(report.verdicts.len(), 1);

@@ -8,10 +8,9 @@
 //! Run with: `cargo run --release --example cost_model`
 
 use bootes::accel::{configs, simulate_spgemm};
-use bootes::core::{
-    measure_label, BootesConfig, BootesPipeline, Label, MatrixFeatures, FEATURE_NAMES,
-};
-use bootes::model::{Dataset, DecisionTree, TreeConfig};
+use bootes::core::{label_corpus, BootesConfig, BootesPipeline};
+use bootes::model::{DecisionTree, TreeConfig};
+use bootes::sparse::CsrMatrix;
 use bootes::workloads::suite::training_corpus;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,19 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    traffic by >10% (the paper's threshold), else NoReorder.
     println!("labeling 60 corpus matrices by measurement...");
     let corpus = training_corpus(60, 11, 384)?;
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for (_, m) in &corpus {
-        x.push(MatrixFeatures::extract(m).to_vec());
-        let label = measure_label(m, |reordered| {
-            simulate_spgemm(reordered, m, &accel)
-                .map(|report| report.total_bytes())
-                .map_err(|e| e.to_string())
-        })?;
-        y.push(label.to_class()?);
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES)?;
+    let accel = &accel;
+    let matrices = corpus.iter().map(|(_, m)| m);
+    let ds = label_corpus(matrices, 1, bootes::par::threads(), |a| {
+        move |m: &CsrMatrix| simulate_spgemm(m, a, accel).map(|r| vec![r.total_bytes()])
+    })?
+    .remove(0);
     println!(
         "class counts (NoReorder, k=2, 4, 8, 16, 32): {:?}",
         ds.class_counts()

@@ -10,11 +10,12 @@
 //! Run with: `cargo run --release --example model_comparison`
 
 use bootes::accel::{configs, simulate_spgemm};
-use bootes::core::{measure_label, Label, MatrixFeatures, FEATURE_NAMES};
+use bootes::core::label_corpus;
 use bootes::model::{
-    accuracy, Dataset, DecisionTree, ForestConfig, GbtConfig, GradientBoostedTrees, LinearSvm,
-    RandomForest, SvmConfig, TreeConfig,
+    accuracy, DecisionTree, ForestConfig, GbtConfig, GradientBoostedTrees, LinearSvm, RandomForest,
+    SvmConfig, TreeConfig,
 };
+use bootes::sparse::CsrMatrix;
 use bootes::workloads::suite::training_corpus;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,19 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("labeling 90 corpus matrices by measurement...");
     let corpus = training_corpus(90, 21, 384)?;
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for (_, m) in &corpus {
-        x.push(MatrixFeatures::extract(m).to_vec());
-        let label = measure_label(m, |reordered| {
-            simulate_spgemm(reordered, m, &accel)
-                .map(|report| report.total_bytes())
-                .map_err(|e| e.to_string())
-        })?;
-        y.push(label.to_class()?);
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES)?;
+    let accel = &accel;
+    let matrices = corpus.iter().map(|(_, m)| m);
+    let ds = label_corpus(matrices, 1, bootes::par::threads(), |a| {
+        move |m: &CsrMatrix| simulate_spgemm(m, a, accel).map(|r| vec![r.total_bytes()])
+    })?
+    .remove(0);
     let (train, test) = ds.split(0.7, 5)?;
     let weights = train.balanced_class_weights();
 

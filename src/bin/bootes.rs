@@ -69,10 +69,10 @@ use std::str::FromStr;
 
 use bootes::accel::{configs, simulate_spgemm, AcceleratorConfig};
 use bootes::core::{
-    measure_label, BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures,
+    label_corpus, BootesConfig, BootesPipeline, FallbackReorderer, Label, MatrixFeatures,
     FEATURE_NAMES,
 };
-use bootes::model::{Dataset, DecisionTree, TreeConfig};
+use bootes::model::{DecisionTree, TreeConfig};
 use bootes::reorder::{GammaReorderer, GraphReorderer, HierReorderer, Reorderer};
 use bootes::sparse::io::{read_matrix_market, write_matrix_market};
 use bootes::sparse::CsrMatrix;
@@ -557,26 +557,18 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let out_path = args.get("-o").ok_or("train needs -o <model.json>")?;
     let corpus_size: usize = args.parse_or("--corpus", 60)?;
     let seed: u64 = args.parse_or("--seed", 42)?;
-    let accel = accel_from(args)?;
+    let accel = &accel_from(args)?;
     eprintln!(
         "labeling {corpus_size} synthetic matrices on {} (cache {} B)...",
         accel.name, accel.cache_bytes
     );
     let corpus = training_corpus(corpus_size, seed, 384).map_err(|e| e.to_string())?;
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for (_, m) in &corpus {
-        x.push(MatrixFeatures::extract(m).to_vec());
-        // Training matrices are square, so each ordering is priced as A·A.
-        let label = measure_label(m, |reordered| {
-            simulate_spgemm(reordered, m, &accel)
-                .map(|report| report.total_bytes())
-                .map_err(|e| e.to_string())
-        })?;
-        y.push(label.to_class().map_err(|e| e.to_string())?);
-    }
-    let names = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let ds = Dataset::new(x, y, names, Label::N_CLASSES).map_err(|e| e.to_string())?;
+    // Training matrices are square, so each ordering is priced as A·A.
+    let matrices = corpus.iter().map(|(_, m)| m);
+    let ds = label_corpus(matrices, 1, bootes::par::threads(), |a| {
+        move |m: &CsrMatrix| simulate_spgemm(m, a, accel).map(|r| vec![r.total_bytes()])
+    })?
+    .remove(0);
     let (train, test) = ds.split(0.7, seed).map_err(|e| e.to_string())?;
     let mut tree = DecisionTree::fit(
         &train,

@@ -273,6 +273,31 @@ fn decide_reads_the_committed_model_wrapper() {
     );
 }
 
+/// `bootes train` labels its corpus on the thread pool, so the model file it
+/// writes must not depend on `--threads`.
+#[test]
+fn train_writes_the_same_model_at_any_thread_count() {
+    let dir = std::env::temp_dir().join(format!("bootes_train_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let train = |threads: &str| {
+        let path = dir.join(format!("model-t{threads}.json"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bootes"))
+            .args(["train", "--corpus", "12", "--seed", "5", "--cache", "8192"])
+            .args(["--threads", threads, "-o"])
+            .arg(&path)
+            .output()
+            .expect("run bootes binary");
+        assert!(
+            out.status.success(),
+            "train --threads {threads} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(&path).unwrap()
+    };
+    assert!(train("1") == train("4"), "the model depends on --threads");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The CLI checks every command line against the subcommand's declared
 /// flags before it reads the input: a mistyped flag, a flag without its
 /// value, a removed flag and an extra argument each exit nonzero with
